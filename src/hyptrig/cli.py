@@ -35,6 +35,26 @@ def _parse_params(items: Optional[List[str]]):
     return params
 
 
+def _entry_list(raw: str) -> Optional[List[str]]:
+    return [e.strip() for e in raw.split(",")] if raw else None
+
+
+def _path(raw: str) -> Optional[str]:
+    return raw or None
+
+
+# AuditConfig field -> converter from text; each is also a config-file key
+# and the dest of the flag that overrides it.  A converter returning None
+# (an empty entry list or path) leaves the setting as it was.
+_SETTINGS = {
+    "samples": int,
+    "seed": int,
+    "pass_tol": float,
+    "entries": _entry_list,
+    "report_path": _path,
+}
+
+
 def _read_config_file(path: str) -> dict:
     # flat key=value lines; '#' starts a comment
     out = {}
@@ -46,38 +66,28 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"config line without '=': {line!r}")
             key, _, raw = line.partition("=")
-            out[key.strip()] = raw.strip()
+            key, raw = key.strip(), raw.strip()
+            if key not in _SETTINGS:
+                raise DomainError(f"unknown config key {key!r}")
+            try:
+                value = _SETTINGS[key](raw)
+            except ValueError:
+                raise DomainError(f"config key {key}: bad value {raw!r}") from None
+            if value is not None:
+                out[key] = value
     return out
 
 
 def _build_config(args) -> auditor.AuditConfig:
-    cfg = auditor.AuditConfig()
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        if "samples" in raw:
-            cfg.samples = int(raw["samples"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "pass_tol" in raw:
-            cfg.pass_tol = float(raw["pass_tol"])
-        if "entries" in raw and raw["entries"]:
-            cfg.entries = [e.strip() for e in raw["entries"].split(",")]
-        if "report_path" in raw:
-            cfg.report_path = raw["report_path"]
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tol is not None:
-        cfg.pass_tol = args.tol
-    if getattr(args, "entries", None):
-        cfg.entries = [e.strip() for e in args.entries.split(",")]
-    if getattr(args, "report", None):
-        cfg.report_path = args.report
+    """The config file's settings overlaid with the flags given."""
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((key, getattr(args, key)) for key in _SETTINGS
+                  if getattr(args, key, None) is not None)
     report_dir = os.environ.get("HYPTRIG_REPORT_DIR")
-    if report_dir and not os.path.isabs(cfg.report_path):
-        cfg.report_path = os.path.join(report_dir, cfg.report_path)
-    return cfg
+    path = values.get("report_path", auditor.AuditConfig.report_path)
+    if report_dir and not os.path.isabs(path):
+        values["report_path"] = os.path.join(report_dir, path)
+    return auditor.AuditConfig(**values)
 
 
 def _cmd_list(args) -> int:
@@ -104,7 +114,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _build_config(args).pass_tol
     entry = catalog.get_entry(args.entry)
     conventions = [None]
     if "dual_convention" in entry.flags:
@@ -149,15 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify one parameter point")
     p_verify.add_argument("entry")
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", dest="pass_tol", type=float)
 
     p_audit = sub.add_parser("audit", help="run the sampled sweep")
-    p_audit.add_argument("--samples", type=int, default=None)
-    p_audit.add_argument("--seed", type=int, default=None)
-    p_audit.add_argument("--tol", type=float, default=None)
-    p_audit.add_argument("--entries", default=None,
+    p_audit.add_argument("--samples", type=int)
+    p_audit.add_argument("--seed", type=int)
+    p_audit.add_argument("--tol", dest="pass_tol", type=float)
+    p_audit.add_argument("--entries", type=_entry_list,
                          help="comma-separated entry ids")
-    p_audit.add_argument("--report", default=None, help="report file path")
+    p_audit.add_argument("--report", dest="report_path", type=_path,
+                         help="report file path")
     p_audit.add_argument("--config", default=None,
                          help="flat key=value config file")
     return parser

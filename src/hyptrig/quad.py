@@ -6,8 +6,7 @@ half-period partial sums plus Euler acceleration, and finite integrals
 with (at worst) inverse-square-root endpoint singularities handled by a
 tanh-sinh rule.  Removable 0/0 points inside an integrand are declared on
 the Integrand and are never evaluated directly: subdivision is forced at
-each one and the value there comes from the supplied limit or from a
-symmetric offset.
+each one and the value there comes from the supplied limit.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from .errors import DomainError
 
 INF = math.inf
 
-# marker usable in Integrand.limit_values instead of an analytic limit
-NUMERIC_OFFSET = "numeric-offset"
-
 STATUS_CONVERGED = "converged"
 STATUS_MAX_EFFORT = "max_effort"
 STATUS_DIVERGENT = "suspected_divergent"
@@ -38,8 +34,8 @@ class Integrand:
 
     eval maps an ndarray of abscissae to an ndarray of values; it may
     return nan/inf at the listed removable points (and only there, for a
-    well-formed integrand).  limit_values holds the finite limits in the
-    same order, or NUMERIC_OFFSET to request symmetric-offset evaluation.
+    well-formed integrand).  limit_values holds the finite limit at each
+    point, in the same order; the pairs are stored sorted by point.
 
     eval_lower_dist / eval_upper_dist optionally evaluate f as a function
     of the distance to the singular endpoint.  The tanh-sinh rule uses
@@ -54,9 +50,12 @@ class Integrand:
     eval_upper_dist: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        self.removable_points = tuple(sorted(self.removable_points))
-        if self.limit_values and len(self.limit_values) != len(self.removable_points):
-            raise DomainError("limit_values must match removable_points")
+        if len(self.limit_values) != len(self.removable_points):
+            raise DomainError("each removable point needs one limit value")
+        pairs = sorted(zip(self.removable_points, self.limit_values),
+                       key=lambda pair: pair[0])
+        self.removable_points = tuple(p for p, _ in pairs)
+        self.limit_values = tuple(lim for _, lim in pairs)
 
 
 @dataclass
@@ -90,44 +89,27 @@ class QuadResult:
     status: str
 
 
-class _Budget:
-    __slots__ = ("used", "cap")
-
-    def __init__(self, cap=MAX_EVALUATIONS):
-        self.used = 0
-        self.cap = cap
-
-    def spend(self, n):
-        self.used += n
-        return self.used <= self.cap
-
-
 class _PatchedEval:
-    """Evaluates an Integrand on arrays, patching removable points.
+    """Evaluates an Integrand on arrays, patching removable points, and
+    counts the evaluations of one engine call against MAX_EVALUATIONS.
 
     Nodes landing within snap distance of a removable point receive the
-    supplied limit, or the mean of f(p-h) and f(p+h) with h = 1e-7 * span
-    when the limit is the numeric-offset marker.
+    supplied limit.
     """
 
-    def __init__(self, f: Integrand, span: float, budget: _Budget):
+    def __init__(self, f: Integrand):
         self.f = f
-        self.budget = budget
+        self.used = 0
         self.points = np.asarray(f.removable_points, dtype=float)
-        self.h = 1e-7 * span if span > 0.0 else 1e-7
-        self.limits = []
-        if len(self.points):
-            raw = f.limit_values if f.limit_values else (NUMERIC_OFFSET,) * len(self.points)
-            for p, lim in zip(self.points, raw):
-                if lim == NUMERIC_OFFSET:
-                    side = self.f.eval(np.array([p - self.h, p + self.h]))
-                    self.budget.spend(2)
-                    self.limits.append(0.5 * float(side[0] + side[1]))
-                else:
-                    self.limits.append(float(lim))
+        self.limits = [float(lim) for lim in f.limit_values]
+
+    def spend(self, n: int) -> bool:
+        """Count n evaluations; False once the cap is passed."""
+        self.used += n
+        return self.used <= MAX_EVALUATIONS
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.budget.spend(x.size)
+        self.spend(x.size)
         with np.errstate(all="ignore"):
             y = np.asarray(self.f.eval(x), dtype=float)
         for p, lim in zip(self.points, self.limits):
@@ -204,15 +186,15 @@ def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
     hi = np.array(bounds[1:])
     vals, errs, ok = _gk_batch(pe, lo, hi)
     if not ok.all():
-        return QuadResult(math.nan, math.inf, pe.budget.used, STATUS_DIVERGENT)
+        return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
     rounds = 0
     while True:
         total = float(vals.sum())
         toterr = float(errs.sum())
         if toterr <= tol and (rounds >= 1 or len(lo) >= 4):
-            return QuadResult(total, toterr, pe.budget.used, STATUS_CONVERGED)
-        if pe.budget.used > pe.budget.cap:
-            return QuadResult(total, toterr, pe.budget.used, STATUS_MAX_EFFORT)
+            return QuadResult(total, toterr, pe.used, STATUS_CONVERGED)
+        if pe.used > MAX_EVALUATIONS:
+            return QuadResult(total, toterr, pe.used, STATUS_MAX_EFFORT)
         rounds += 1
         # refine every interval holding more than its share of the budget
         share = max(tol / (2 * len(lo)), toterr / (8 * len(lo)))
@@ -226,7 +208,7 @@ def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
         v2, e2, ok2 = _gk_batch(pe, np.concatenate([lo[split], mid]),
                                 np.concatenate([mid, hi[split]]))
         if not ok2.all():
-            return QuadResult(math.nan, math.inf, pe.budget.used, STATUS_DIVERGENT)
+            return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
         lo, hi = new_lo, new_hi
         vals = np.concatenate([keep_v, v2])
         errs = np.concatenate([keep_e, e2])
@@ -240,8 +222,7 @@ def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integrate_finite needs finite a < b")
-    budget = _Budget()
-    pe = _PatchedEval(f, b - a, budget)
+    pe = _PatchedEval(f)
     return _adaptive_gk(pe, a, b, tol, forced=f.removable_points)
 
 
@@ -273,8 +254,9 @@ def _ts_level_nodes(level: int):
 
 
 def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
-                  budget: _Budget) -> QuadResult:
-    # integrate g over (0, 1); g never gets called at the endpoints
+                  pe: _PatchedEval) -> QuadResult:
+    # integrate g over (0, 1); g never gets called at the endpoints, and
+    # each level's nodes are counted against pe's evaluation cap
     total = 0.0
     prev = None
     diff = math.inf
@@ -283,14 +265,14 @@ def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
         # near the v = 0 end the node must come from the exact endpoint
         # distance: 0.5 (t+1) quantizes to eps-level garbage there
         x = np.where(t < 0.0, 0.5 * dist, 0.5 * (t + 1.0))
-        if not budget.spend(x.size):
-            return QuadResult(total, diff, budget.used, STATUS_MAX_EFFORT)
+        if not pe.spend(x.size):
+            return QuadResult(total, diff, pe.used, STATUS_MAX_EFFORT)
         with np.errstate(all="ignore"):
             y = np.asarray(g(x), dtype=float)
         bad = ~np.isfinite(y)
         if bad.any():
             if bad.all():
-                return QuadResult(math.nan, math.inf, budget.used, STATUS_DIVERGENT)
+                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
             # endpoint rounding garbage: snap to the nearest finite value;
             # legitimate bounded integrands vary slowly there
             idx = np.arange(len(y))
@@ -304,9 +286,29 @@ def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
         if prev is not None:
             diff = abs(total - prev)
             if level >= 3 and diff <= tol:
-                return QuadResult(total, diff, budget.used, STATUS_CONVERGED)
+                return QuadResult(total, diff, pe.used, STATUS_CONVERGED)
         prev = total
-    return QuadResult(total, diff, budget.used, STATUS_MAX_EFFORT)
+    return QuadResult(total, diff, pe.used, STATUS_MAX_EFFORT)
+
+
+def _half_integrand(pe: _PatchedEval, end: float, s: float,
+                    lower: bool) -> Callable[[np.ndarray], np.ndarray]:
+    # the half of length s at `end`, in v with x = end + s v^2 (lower end)
+    # or x = end - s v^2 (upper end); the integrand's distance callback for
+    # that end, if it has one, takes the distance s v^2 directly
+    dist_eval = pe.f.eval_lower_dist if lower else pe.f.eval_upper_dist
+
+    def g(v):
+        d = s * v * v
+        if dist_eval is None:
+            y = pe(end + d if lower else end - d)
+        else:
+            pe.spend(v.size)
+            with np.errstate(all="ignore"):
+                y = np.asarray(dist_eval(d), dtype=float)
+        return 2.0 * s * v * y
+
+    return g
 
 
 def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> QuadResult:
@@ -314,26 +316,8 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> Quad
     # the right; this keeps endpoint distances exactly representable, so
     # inverse-square-root singularities become bounded smooth factors
     m = 0.5 * (a + b)
-    f = pe.f
-
-    def g_left(v):
-        s = m - a
-        if f.eval_lower_dist is not None:
-            pe.budget.spend(v.size)
-            with np.errstate(all="ignore"):
-                return 2.0 * s * v * np.asarray(f.eval_lower_dist(s * v * v), dtype=float)
-        return 2.0 * s * v * pe(a + s * v * v)
-
-    def g_right(v):
-        s = b - m
-        if f.eval_upper_dist is not None:
-            pe.budget.spend(v.size)
-            with np.errstate(all="ignore"):
-                return 2.0 * s * v * np.asarray(f.eval_upper_dist(s * v * v), dtype=float)
-        return 2.0 * s * v * pe(b - s * v * v)
-
-    out = [_tanh_sinh_01(g_left, 0.5 * tol, pe.budget),
-           _tanh_sinh_01(g_right, 0.5 * tol, pe.budget)]
+    out = [_tanh_sinh_01(_half_integrand(pe, a, m - a, lower=True), 0.5 * tol, pe),
+           _tanh_sinh_01(_half_integrand(pe, b, b - m, lower=False), 0.5 * tol, pe)]
     value = out[0].value + out[1].value
     err = out[0].abs_error_est + out[1].abs_error_est
     status = STATUS_CONVERGED
@@ -342,7 +326,7 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> Quad
             status = STATUS_DIVERGENT
         elif r.status == STATUS_MAX_EFFORT and status != STATUS_DIVERGENT:
             status = STATUS_MAX_EFFORT
-    return QuadResult(value, err, pe.budget.used, status)
+    return QuadResult(value, err, pe.used, status)
 
 
 def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
@@ -351,9 +335,7 @@ def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) ->
     successive levels agree within tol."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integrate_endpoint_singular needs finite a < b")
-    budget = _Budget()
-    pe = _PatchedEval(f, b - a, budget)
-    return _endpoint_singular(pe, a, b, tol)
+    return _endpoint_singular(_PatchedEval(f), a, b, tol)
 
 
 def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
@@ -371,13 +353,12 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     if not decay_hint > 0.0:
         raise DomainError("integrate_decay needs decay_hint > 0")
     lam = decay_hint
-    budget = _Budget()
-    pe = _PatchedEval(f, 1.0 / lam, budget)
+    pe = _PatchedEval(f)
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
     amp = pe(probes) * np.exp(lam * (probes - a))
     c = float(np.nanmax(np.abs(amp)))
     if not math.isfinite(c):
-        return QuadResult(math.nan, math.inf, budget.used, STATUS_DIVERGENT)
+        return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
     c = max(c, tol)
     t_len = math.log(10.0 * c / (tol * lam)) / lam
     t_len = max(t_len, 8.0 / lam)
@@ -393,7 +374,7 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     err = math.fsum(p.abs_error_est for p in pieces)
     for p in pieces:
         if p.status != STATUS_CONVERGED:
-            return QuadResult(main, err, budget.used, p.status)
+            return QuadResult(main, err, pe.used, p.status)
 
     # confirmation block [a+T, a+2T], extended while still substantial
     lo = a + t_len
@@ -402,17 +383,17 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
         block = _adaptive_gk(pe, lo, lo + t_len, tol / 16.0,
                              forced=f.removable_points, panel_width=width)
         if block.status == STATUS_DIVERGENT:
-            return QuadResult(main, err, budget.used, STATUS_DIVERGENT)
+            return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value
         err += block.abs_error_est
         if abs(block.value) <= tol / 4.0:
-            return QuadResult(main, err + abs(block.value), budget.used,
+            return QuadResult(main, err + abs(block.value), pe.used,
                               STATUS_CONVERGED)
         if abs(block.value) >= tail_prev:
-            return QuadResult(main, err, budget.used, STATUS_DIVERGENT)
+            return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         tail_prev = abs(block.value)
         lo += t_len
-    return QuadResult(main, err, budget.used, STATUS_MAX_EFFORT)
+    return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
 
 
 def integrate_oscillatory(f: Integrand, a: float, tol: float,
@@ -427,8 +408,7 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
     if not period_hint > 0.0:
         raise DomainError("integrate_oscillatory needs period_hint > 0")
     h = period_hint
-    budget = _Budget()
-    pe = _PatchedEval(f, h, budget)
+    pe = _PatchedEval(f)
     contribs = []
     partial = []
     seg_err = 0.0
@@ -445,7 +425,7 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
             seg = _adaptive_gk(pe, a + k * h, a + (k + 1) * h, tol_seg,
                                forced=f.removable_points)
         if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
-            return QuadResult(math.nan, math.inf, budget.used, STATUS_DIVERGENT)
+            return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
         if seg.status != STATUS_CONVERGED:
             precise = False
         contribs.append(seg.value)
@@ -456,16 +436,16 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
         if n >= 9:
             last = np.abs(contribs[-8:])
             if np.all(np.diff(last) > 0.0) and last[-1] > 8.0 * tol:
-                return QuadResult(math.nan, math.inf, budget.used, STATUS_DIVERGENT)
+                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
             signs = np.sign(contribs[-8:])
             if np.all(signs == signs[0]) and signs[0] != 0.0 and last[-1] > 64.0 * tol:
                 # a persistent same-sign tail above the noise floor violates
                 # the alternation contract (e.g. a ~1/x log-divergent tail)
-                return QuadResult(math.nan, math.inf, budget.used, STATUS_DIVERGENT)
+                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
         if precise:
             if n >= 3 and abs(contribs[-1]) <= tol / 4.0 and abs(contribs[-2]) <= tol / 4.0:
                 return QuadResult(running, seg_err + 2.0 * abs(contribs[-1]),
-                                  budget.used, STATUS_CONVERGED)
+                                  pe.used, STATUS_CONVERGED)
             if n >= 14:
                 depth = min(24, n - 2)
                 e1 = euler_transform(partial, depth)
@@ -475,11 +455,11 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
                 # modulated envelopes; truncation sensitivity catches that
                 accel_err = 4.0 * max(abs(e1 - e2), abs(e1 - e3))
                 if accel_err <= tol / 2.0 and abs(contribs[-1]) < 1.0:
-                    return QuadResult(e1, seg_err + accel_err, budget.used,
+                    return QuadResult(e1, seg_err + accel_err, pe.used,
                                       STATUS_CONVERGED)
-        if budget.used > budget.cap:
+        if pe.used > MAX_EVALUATIONS:
             break
-    return QuadResult(running, math.inf, budget.used, STATUS_MAX_EFFORT)
+    return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
 
 
 def integrate(f: Integrand, spec: IntervalSpec, tol: float) -> QuadResult:
@@ -509,22 +489,3 @@ def euler_transform(s: Sequence[float], depth: int) -> float:
         t = 0.5 * (t[:-1] + t[1:])
     return float(t[-1])
 
-
-def aitken(s: Sequence[float]):
-    """One pass of the Aitken delta-squared transform.
-
-    Returns a sequence shorter by two; exact on geometric sequences.  A
-    degenerate denominator below 1e-300 passes the raw value through.
-    """
-    if len(s) < 3:
-        raise DomainError("aitken needs at least 3 entries")
-    out = []
-    for k in range(len(s) - 2):
-        d1 = s[k + 1] - s[k]
-        d2 = s[k + 2] - s[k + 1]
-        den = d2 - d1
-        if abs(den) < 1e-300:
-            out.append(s[k + 2])
-        else:
-            out.append(s[k + 2] - d2 * d2 / den)
-    return out

@@ -4,7 +4,7 @@ Everything here is implemented from scratch on real arguments: Gamma and
 log-Gamma via a fixed Lanczos approximation, the Hurwitz zeta via
 Euler-Maclaurin summation, and the Dirichlet beta, Bessel-J and theta
 series directly from their defining sums.  All routines are pure and
-deterministic: the same input and AccuracySpec give bit-identical output.
+deterministic: the same input gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -17,26 +17,9 @@ from .quad import euler_transform
 
 _EPS = 2.220446049250313e-16
 
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Requested accuracy for a special-function evaluation.
-
-    target_rel_error must lie in (0, 1e-3]; max_terms caps every series
-    and must be at least 16.
-    """
-
-    target_rel_error: float = 1e-12
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if not (0.0 < self.target_rel_error <= 1e-3):
-            raise DomainError("target_rel_error must lie in (0, 1e-3]")
-        if self.max_terms < 16:
-            raise DomainError("max_terms must be >= 16")
-
-
-DEFAULT_ACC = AccuracySpec()
+# relative accuracy every series aims for, and the cap on its term count
+_TARGET_REL_ERROR = 1e-12
+_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -45,9 +28,6 @@ class SpecialValue:
 
     value: float
     est_rel_error: float
-
-    def __float__(self):
-        return self.value
 
 
 # Lanczos approximation, g = 7, 9 coefficients.  Gives ~1e-14 relative
@@ -81,7 +61,7 @@ def _log_gamma_raw(x: float) -> float:
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
 
 
-def log_gamma(x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def log_gamma(x: float) -> SpecialValue:
     """ln Gamma(x) for x > 0, usable up to x = 1e4 without overflow.
 
     est_rel_error is the estimated relative error of Gamma itself, i.e.
@@ -95,11 +75,17 @@ def log_gamma(x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
         shift += math.log(y)
         y += 1.0
     val = _log_gamma_raw(y) - shift
-    return SpecialValue(val, max(acc.target_rel_error * 1e-2, 5e-14))
+    return SpecialValue(val, 5e-14)
 
 
-def gamma(x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
-    """Gamma(x) for 0 < x <= 50 (larger x overflows the direct product)."""
+def gamma(x: float) -> SpecialValue:
+    """Gamma(x) for 0 < x <= 142.2.
+
+    Past x = 142.215 the factor t^(x-1/2) of the direct product overflows,
+    although Gamma itself stays finite up to x ~ 171.6; there, and for x
+    so close to 0 that Gamma(x) ~ 1/x overflows, DomainError is raised.
+    log_gamma covers large x.
+    """
     if not (x > 0.0):
         raise DomainError("gamma requires x > 0")
     scale = 1.0
@@ -108,8 +94,14 @@ def gamma(x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
         scale *= y
         y += 1.0
     t = y + _LANCZOS_G - 0.5
-    val = math.sqrt(2.0 * math.pi) * t ** (y - 0.5) * math.exp(-t) * _lanczos_series(y)
-    return SpecialValue(val / scale, max(acc.target_rel_error * 1e-2, 5e-14))
+    try:
+        val = (math.sqrt(2.0 * math.pi) * t ** (y - 0.5) * math.exp(-t)
+               * _lanczos_series(y) / scale)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise DomainError(f"gamma({x!r}) overflows a double; use log_gamma")
+    return SpecialValue(val, 5e-14)
 
 
 # B_{2j}/(2j)! for j = 1..10, from the exact rationals
@@ -146,7 +138,7 @@ def _hurwitz_em(s: float, a: float, n: int) -> float:
     return total
 
 
-def hurwitz_zeta(s: float, a: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def hurwitz_zeta(s: float, a: float) -> SpecialValue:
     """Hurwitz zeta(s, a) for s > 1, a > 0 by Euler-Maclaurin summation.
 
     The direct-sum length starts at max(20, ceil(a + s)) and doubles until
@@ -161,38 +153,30 @@ def hurwitz_zeta(s: float, a: float, acc: AccuracySpec = DEFAULT_ACC) -> Special
     while True:
         n *= 2
         cur = _hurwitz_em(s, a, n)
-        if abs(cur - prev) <= acc.target_rel_error * abs(cur) or n > acc.max_terms:
+        if abs(cur - prev) <= _TARGET_REL_ERROR * abs(cur) or n > _MAX_TERMS:
             err = abs(cur - prev) / abs(cur) if cur != 0.0 else abs(cur - prev)
             return SpecialValue(cur, max(err, 1e-15))
         prev = cur
 
 
-def riemann_zeta(s: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def riemann_zeta(s: float) -> SpecialValue:
     """zeta(s) = hurwitz_zeta(s, 1), s > 1."""
     if not (s > 1.0):
         raise DomainError("riemann_zeta requires s > 1")
-    return hurwitz_zeta(s, 1.0, acc)
+    return hurwitz_zeta(s, 1.0)
 
 
-def polygamma(n: int, x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
-    """psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) for integer n >= 1, x > 0."""
-    if n < 1 or n != int(n):
-        raise DomainError("polygamma requires integer n >= 1")
-    z = hurwitz_zeta(float(n + 1), x, acc)
-    sign = -1.0 if n % 2 == 0 else 1.0
-    return SpecialValue(sign * math.factorial(n) * z.value, z.est_rel_error)
-
-
-def _alternating_value(terms, depth: int) -> float:
+def _alternating_series(step: int, s: float) -> SpecialValue:
+    """sum_k (-1)^k / (step k + 1)^s from 60 terms, Euler-accelerated."""
     partial = []
-    s = 0.0
-    for t in terms:
-        s += t
-        partial.append(s)
-    return euler_transform(partial, depth)
+    total = 0.0
+    for k in range(60):
+        total += (-1.0) ** k / (step * k + 1) ** s
+        partial.append(total)
+    return SpecialValue(euler_transform(partial, 30), 1e-14)
 
 
-def dirichlet_beta(p: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def dirichlet_beta(p: float) -> SpecialValue:
     """Dirichlet beta(p) = sum (-1)^k / (2k+1)^p for p > 0.
 
     For p > 1 this reduces to 4^(-p) [zeta(p, 1/4) - zeta(p, 3/4)]; for
@@ -202,16 +186,16 @@ def dirichlet_beta(p: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
     if not (p > 0.0):
         raise DomainError("dirichlet_beta requires p > 0")
     if p > 1.0:
-        za = hurwitz_zeta(p, 0.25, acc)
-        zb = hurwitz_zeta(p, 0.75, acc)
-        val = 4.0 ** (-p) * (za.value - zb.value)
-        return SpecialValue(val, max(za.est_rel_error, zb.est_rel_error, 1e-15))
-    terms = [(-1.0) ** k / (2 * k + 1) ** p for k in range(60)]
-    val = _alternating_value(terms, 30)
-    return SpecialValue(val, max(acc.target_rel_error * 1e-2, 1e-14))
+        za = hurwitz_zeta(p, 0.25)
+        zb = hurwitz_zeta(p, 0.75)
+        diff = za.value - zb.value
+        val = 4.0 ** (-p) * diff
+        cancel = 4.0 * _EPS * max(abs(za.value), abs(zb.value)) / abs(diff)
+        return SpecialValue(val, max(za.est_rel_error, zb.est_rel_error, 1e-15, cancel))
+    return _alternating_series(2, p)
 
 
-def dirichlet_eta(s: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def dirichlet_eta(s: float) -> SpecialValue:
     """Dirichlet eta(s) = (1 - 2^(1-s)) zeta(s), regular at s = 1.
 
     Needed down to s = 0 where the zeta factorisation is unusable, so the
@@ -220,14 +204,12 @@ def dirichlet_eta(s: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
     if s < 0.0:
         raise DomainError("dirichlet_eta requires s >= 0")
     if s > 1.25:
-        z = riemann_zeta(s, acc)
+        z = riemann_zeta(s)
         return SpecialValue((1.0 - 2.0 ** (1.0 - s)) * z.value, z.est_rel_error)
-    terms = [(-1.0) ** k / (k + 1) ** s for k in range(60)]
-    val = _alternating_value(terms, 30)
-    return SpecialValue(val, max(acc.target_rel_error * 1e-2, 1e-14))
+    return _alternating_series(1, s)
 
 
-def bessel_j(nu: float, x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def bessel_j(nu: float, x: float) -> SpecialValue:
     """Bessel J_nu(x) by the ascending series, for nu >= -1 and |x| <= 50.
 
     Negative x is folded by parity for integer nu (J_n(-x) = (-1)^n J_n(x));
@@ -243,11 +225,11 @@ def bessel_j(nu: float, x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialVal
     if x < 0.0:
         if not is_int:
             raise DomainError("negative x needs an integer order")
-        sv = bessel_j(nu, -x, acc)
+        sv = bessel_j(nu, -x)
         sign = -1.0 if round(nu) % 2 else 1.0
         return SpecialValue(sign * sv.value, sv.est_rel_error)
     if is_int and round(nu) == -1:
-        sv = bessel_j(1.0, x, acc)
+        sv = bessel_j(1.0, x)
         return SpecialValue(-sv.value, sv.est_rel_error)
     if x == 0.0:
         if nu == 0.0:
@@ -255,7 +237,7 @@ def bessel_j(nu: float, x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialVal
         if nu > 0.0:
             return SpecialValue(0.0, 0.0)
         raise DomainError("J_nu(0) is unbounded for nu < 0")
-    term = (0.5 * x) ** nu / gamma(nu + 1.0, acc).value
+    term = (0.5 * x) ** nu / gamma(nu + 1.0).value
     q = 0.25 * x * x
     total = term
     abs_total = abs(term)
@@ -265,17 +247,17 @@ def bessel_j(nu: float, x: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialVal
         term *= -q / (k * (k + nu))
         total += term
         abs_total += abs(term)
-        if abs(term) <= 0.25 * acc.target_rel_error * max(abs(total), 1e-300):
+        if abs(term) <= 0.25 * _TARGET_REL_ERROR * max(abs(total), 1e-300):
             if q / ((k + 1) * (k + 1 + nu)) < 0.5:
                 break
-        if k > acc.max_terms:
+        if k > _MAX_TERMS:
             break
     denom = max(abs(total), 1e-300)
-    est = max(acc.target_rel_error, 4.0 * _EPS * abs_total / denom)
+    est = max(_TARGET_REL_ERROR, 4.0 * _EPS * abs_total / denom)
     return SpecialValue(total, est)
 
 
-def theta1_prime0(q: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
+def theta1_prime0(q: float) -> SpecialValue:
     """d/dz theta_1(z, q) at z = 0: 2 sum (-1)^(n+1) (2n-1) q^((n-1/2)^2).
 
     Direct truncated summation; terms first grow for q near 1, so the stop
@@ -295,13 +277,13 @@ def theta1_prime0(q: float, acc: AccuracySpec = DEFAULT_ACC) -> SpecialValue:
         term = mag if n % 2 == 1 else -mag
         total += term
         abs_total += mag
-        if mag < prev_mag and mag <= 0.5 * acc.target_rel_error * max(abs(total), 1e-300):
+        if mag < prev_mag and mag <= 0.5 * _TARGET_REL_ERROR * max(abs(total), 1e-300):
             break
-        if n > acc.max_terms:
+        if n > _MAX_TERMS:
             break
         prev_mag = mag
     total *= 2.0
     abs_total *= 2.0
     denom = max(abs(total), 1e-300)
-    est = max(acc.target_rel_error, 4.0 * _EPS * abs_total / denom, mag / denom)
+    est = max(_TARGET_REL_ERROR, 4.0 * _EPS * abs_total / denom, mag / denom)
     return SpecialValue(total, est)

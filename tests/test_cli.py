@@ -109,3 +109,33 @@ class TestAudit:
         run(args)
         second = capsys.readouterr().out
         assert first == second
+
+
+def _rejected(argv, capsys):
+    assert run(argv) == 2
+    assert "invalid arguments" in capsys.readouterr().err
+
+
+class TestInvalidSettings:
+    def test_audit_tol_above_one(self, tmp_path, capsys):
+        _rejected(["audit", "--entries", "HW1", "--tol", "5",
+                   "--report", str(tmp_path / "r.json")], capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_audit_tol_zero(self, tmp_path, capsys):
+        _rejected(["audit", "--entries", "HW1", "--tol", "0",
+                   "--report", str(tmp_path / "r.json")], capsys)
+
+    def test_config_value_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"samples = abc\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
+        _rejected(["audit", "--config", str(cfg)], capsys)
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"sampels = 3\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
+        _rejected(["audit", "--config", str(cfg)], capsys)
+
+    def test_verify_tol_above_one(self, capsys):
+        _rejected(["verify", "4.119", "--param", "p=1", "--param", "q=1",
+                   "--tol", "5"], capsys)

@@ -12,10 +12,23 @@ from hyptrig.errors import DomainError
 from hyptrig.quad import (Integrand, IntervalSpec, integrate,
                           integrate_finite, integrate_endpoint_singular,
                           integrate_decay, integrate_oscillatory,
-                          euler_transform, aitken, NUMERIC_OFFSET,
-                          STATUS_CONVERGED, STATUS_DIVERGENT)
+                          euler_transform, STATUS_CONVERGED, STATUS_DIVERGENT)
 
 PI = math.pi
+
+
+class TestIntegrand:
+    def test_unsorted_points_keep_their_limits(self):
+        f = Integrand(eval=np.sin, removable_points=(2.0, 1.0),
+                      limit_values=(20.0, 10.0))
+        assert f.removable_points == (1.0, 2.0)
+        assert f.limit_values == (10.0, 20.0)
+
+    def test_missing_limits(self):
+        with pytest.raises(DomainError):
+            Integrand(eval=np.sin, removable_points=(1.0,))
+        with pytest.raises(DomainError):
+            Integrand(eval=np.sin, removable_points=(1.0, 2.0), limit_values=(0.5,))
 
 
 class TestIntegrateFinite:
@@ -39,15 +52,6 @@ class TestIntegrateFinite:
                        * (2.0 * PI / 1_000_000))
         assert r.status == STATUS_CONVERGED
         assert r.value == pytest.approx(oracle, abs=5e-11)
-
-    def test_numeric_offset_marker(self):
-        f = Integrand(eval=lambda x: np.sin(x) * x / (x * x - PI ** 2),
-                      removable_points=(PI,), limit_values=(NUMERIC_OFFSET,))
-        r = integrate_finite(f, 0.0, 2.0 * PI, 1e-11)
-        g = Integrand(eval=lambda x: np.sin(x) * x / (x * x - PI ** 2),
-                      removable_points=(PI,), limit_values=(-0.5,))
-        ref = integrate_finite(g, 0.0, 2.0 * PI, 1e-11)
-        assert r.value == pytest.approx(ref.value, abs=1e-10)
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
@@ -261,32 +265,6 @@ class TestEulerTransform:
             euler_transform([1.0, 2.0], 5)
 
 
-class TestAitken:
-    def test_geometric_exact(self):
-        partials = list(np.cumsum([0.5 ** k for k in range(10)]))
-        out = aitken(partials)
-        assert all(abs(v - 2.0) < 1e-14 for v in out)
-
-    def test_constant(self):
-        assert aitken([5.0, 5.0, 5.0, 5.0]) == [5.0, 5.0]
-
-    def test_zeta2_error_reduction(self):
-        # one delta-squared pass only halves the error of this monotone
-        # ~1/n-tail series; iterating the transform reaches the 10x mark
-        partials = list(np.cumsum([1.0 / k ** 2 for k in range(1, 30)]))
-        exact = math.pi ** 2 / 6.0
-        raw_err = abs(partials[-1] - exact)
-        accelerated = partials
-        for _ in range(4):
-            accelerated = aitken(accelerated)
-        assert abs(accelerated[-1] - exact) <= raw_err / 10.0
-
-    def test_length_contract(self):
-        with pytest.raises(DomainError):
-            aitken([1.0, 2.0])
-        assert len(aitken(list(range(7)))) == 5
-
-
 class TestKernelIdentities:
     def test_transform_to_damped_sine_series(self):
         # int_0^inf f(x)/(cosh x - cos x) dx
@@ -305,9 +283,11 @@ class TestKernelIdentities:
                 y = x / n
                 return (y ** 6 * np.exp(-y) / np.sin(y)) * np.exp(-x) * np.sin(x)
 
-            poles = tuple(k * n * PI for k in range(1, int(60.0 / (n * PI)) + 1))
-            g = Integrand(eval=gn, removable_points=poles,
-                          limit_values=(NUMERIC_OFFSET,) * len(poles))
+            # at x = k n pi: sin(x)/sin(x/n) -> n (-1)^(k(n+1))
+            ks = range(1, int(60.0 / (n * PI)) + 1)
+            g = Integrand(eval=gn, removable_points=tuple(k * n * PI for k in ks),
+                          limit_values=tuple((k * PI) ** 6 * math.exp(-k * PI * (n + 1))
+                                             * n * (-1.0) ** (k * (n + 1)) for k in ks))
             r = integrate_decay(g, 0.0, 1e-12, 1.0)
             assert r.status == STATUS_CONVERGED
             total += r.value / n

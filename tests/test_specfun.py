@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from hyptrig.errors import DomainError
-from hyptrig.specfun import (AccuracySpec, gamma, log_gamma, hurwitz_zeta,
-                             riemann_zeta, polygamma, dirichlet_beta,
-                             dirichlet_eta, bessel_j, theta1_prime0)
+from hyptrig.specfun import (gamma, log_gamma, hurwitz_zeta, riemann_zeta,
+                             dirichlet_beta, dirichlet_eta, bessel_j,
+                             theta1_prime0)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -68,6 +68,15 @@ class TestGamma:
             gamma(0.0)
         with pytest.raises(DomainError):
             gamma(-1.5)
+
+    def test_overflow_is_a_domain_error(self):
+        # t^(x - 1/2) in the direct product overflows past x = 142.215
+        for x in (142.3, 143.0, 150.0):
+            with pytest.raises(DomainError):
+                gamma(x)
+        g = gamma(142.0).value
+        assert g == 1.8981437590760007e+243
+        assert abs(g - math.factorial(141)) <= 1e-12 * math.factorial(141)
 
 
 class TestLogGamma:
@@ -150,16 +159,18 @@ class TestRiemannZeta:
 
 
 class TestPolygamma:
+    """The trigamma function through psi'(z) = zeta(2, z)."""
+
     def test_trigamma_half(self):
         # zeta(2, 1/2) = 3 zeta(2) so psi'(1/2) = pi^2/2
-        assert polygamma(1, 0.5).value == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
+        assert hurwitz_zeta(2.0, 0.5).value == pytest.approx(math.pi ** 2 / 2, rel=1e-12)
 
     def test_trigamma_one(self):
-        assert polygamma(1, 1.0).value == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
+        assert hurwitz_zeta(2.0, 1.0).value == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
 
     def test_trigamma_reflection_point(self):
         z = 0.3
-        lhs = polygamma(1, z).value + polygamma(1, 1.0 - z).value
+        lhs = hurwitz_zeta(2.0, z).value + hurwitz_zeta(2.0, 1.0 - z).value
         rhs = math.pi ** 2 / math.sin(math.pi * z) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -167,19 +178,9 @@ class TestPolygamma:
         rng = random.Random(4242)
         for _ in range(40):
             z = rng.uniform(0.05, 0.95)
-            lhs = polygamma(1, z).value + polygamma(1, 1.0 - z).value
+            lhs = hurwitz_zeta(2.0, z).value + hurwitz_zeta(2.0, 1.0 - z).value
             rhs = math.pi ** 2 / math.sin(math.pi * z) ** 2
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_sign_convention(self):
-        # psi''(x) < 0 for x > 0
-        assert polygamma(2, 1.5).value < 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            polygamma(0, 1.0)
-        with pytest.raises(DomainError):
-            polygamma(1, -1.0)
 
 
 def _alternating_oracle(terms):
@@ -231,6 +232,15 @@ class TestDirichletBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             dirichlet_beta(0.0)
+
+    def test_estimate_covers_cancellation_near_one(self):
+        # zeta(p, 1/4) and zeta(p, 3/4) both grow like 1/(p - 1)
+        import mpmath
+        with mpmath.workdps(40):
+            for p in (1.0021, 1.0001, 1.0 + 1e-6):
+                ref = float(mpmath.dirichlet(p, [0, 1, 0, -1]))
+                sv = dirichlet_beta(p)
+                assert abs(sv.value - ref) <= sv.est_rel_error * abs(ref)
 
 
 class TestDirichletEta:
@@ -357,16 +367,9 @@ class TestTheta1Prime:
 
 
 class TestAccuracySpec:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            AccuracySpec(target_rel_error=0.0)
-        with pytest.raises(DomainError):
-            AccuracySpec(target_rel_error=1e-2)
-        with pytest.raises(DomainError):
-            AccuracySpec(max_terms=8)
+    """Every series runs to one fixed accuracy target and term cap."""
 
     def test_deterministic(self):
-        acc = AccuracySpec(target_rel_error=1e-10, max_terms=10_000)
-        a = hurwitz_zeta(3.7, 1.9, acc).value
-        b = hurwitz_zeta(3.7, 1.9, acc).value
+        a = hurwitz_zeta(3.7, 1.9).value
+        b = hurwitz_zeta(3.7, 1.9).value
         assert a == b
