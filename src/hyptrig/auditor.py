@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, is_dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .errors import DomainError, UnknownEntryError
@@ -223,6 +223,9 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
+    if is_dataclass(obj):
+        # a dataclass instance's __dict__ holds its fields in field order
+        return _json_safe(vars(obj))
     return obj
 
 
@@ -231,7 +234,7 @@ def report_to_json(report: AuditReport) -> str:
         "config": _json_safe(report.config_echo),
         "overall_ok": report.overall_ok,
         "summary": _json_safe(report.summary),
-        "records": [_json_safe(asdict(r)) for r in report.records],
+        "records": [_json_safe(r) for r in report.records],
     }
     return json.dumps(payload, indent=2)
 

@@ -57,24 +57,28 @@ _SETTINGS = {
 
 def _read_config_file(path: str) -> dict:
     # flat key=value lines; '#' starts a comment
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path!r}: {exc}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line without '=': {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _SETTINGS:
-                raise DomainError(f"unknown config key {key!r}")
-            try:
-                value = _SETTINGS[key](raw)
-            except ValueError:
-                raise DomainError(f"config key {key}: bad value {raw!r}") from None
-            if value is not None:
-                out[key] = value
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"config line without '=': {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _SETTINGS:
+            raise DomainError(f"unknown config key {key!r}")
+        try:
+            value = _SETTINGS[key](raw)
+        except ValueError:
+            raise DomainError(f"config key {key}: bad value {raw!r}") from None
+        if value is not None:
+            out[key] = value
     return out
 
 

@@ -11,6 +11,7 @@ each one and the value there comes from the supplied limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -89,6 +90,21 @@ class QuadResult:
     status: str
 
 
+def _fp_errors_ignored(engine):
+    """Run a public engine under one np.errstate(all="ignore").
+
+    Integrands may produce nan/inf at removable points and endpoints, and
+    the engines test for non-finite values themselves, so no floating-point
+    warning is useful inside an engine call.
+    """
+    @functools.wraps(engine)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return engine(*args, **kwargs)
+
+    return run
+
+
 class _PatchedEval:
     """Evaluates an Integrand on arrays, patching removable points, and
     counts the evaluations of one engine call against MAX_EVALUATIONS.
@@ -110,8 +126,7 @@ class _PatchedEval:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.spend(x.size)
-        with np.errstate(all="ignore"):
-            y = np.asarray(self.f.eval(x), dtype=float)
+        y = np.asarray(self.f.eval(x), dtype=float)
         for p, lim in zip(self.points, self.limits):
             snap = 1e-12 * (1.0 + abs(p))
             near = np.abs(x - p) <= snap
@@ -160,11 +175,10 @@ def _gk_batch(pe: _PatchedEval, lo: np.ndarray, hi: np.ndarray):
     g7 = s * (y @ _WG)
     ok = np.isfinite(y).all(axis=1)
     diff = np.abs(k15 - g7)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = k15 / (2.0 * s)
-        resabs = s * (np.abs(y) @ _WK)
-        resasc = s * (np.abs(y - mean[:, None]) @ _WK)
-        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+    mean = k15 / (2.0 * s)
+    resabs = s * (np.abs(y) @ _WK)
+    resasc = s * (np.abs(y - mean[:, None]) @ _WK)
+    scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & np.isfinite(scaled), scaled, diff)
     # per-panel summation roundoff: the dot product cannot be trusted
     # below ~log2(15) ulps of the absolute mass
@@ -214,6 +228,7 @@ def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
         errs = np.concatenate([keep_e, e2])
 
 
+@_fp_errors_ignored
 def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of f over finite [a, b].
 
@@ -235,7 +250,13 @@ def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult
 _TS_CUTOFF = 3.85  # pi/2 sinh(3.85) ~ 36.9
 
 
-def _ts_level_nodes(level: int):
+@functools.lru_cache(maxsize=None)
+def _ts_level(level: int):
+    """Weights w and nodes x on (0, 1) of one tanh-sinh level.
+
+    Built once per process (levels 0-12 take about 0.5 MB) and shared by
+    every integral, so both arrays are read-only.
+    """
     h = 1.0 / (1 << level)
     if level == 0:
         j = np.arange(-int(_TS_CUTOFF / h), int(_TS_CUTOFF / h) + 1)
@@ -250,7 +271,12 @@ def _ts_level_nodes(level: int):
         w = 0.5 * math.pi * np.cosh(u[keep]) / np.cosh(sh) ** 2
         # exact distance of each node from the interval end it approaches
         dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(sh)))
-    return t, w, dist
+    # near the v = 0 end the node must come from the exact endpoint
+    # distance: 0.5 (t+1) quantizes to eps-level garbage there
+    x = np.where(t < 0.0, 0.5 * dist, 0.5 * (t + 1.0))
+    w.flags.writeable = False
+    x.flags.writeable = False
+    return w, x
 
 
 def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
@@ -261,14 +287,10 @@ def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
     prev = None
     diff = math.inf
     for level in range(13):
-        t, w, dist = _ts_level_nodes(level)
-        # near the v = 0 end the node must come from the exact endpoint
-        # distance: 0.5 (t+1) quantizes to eps-level garbage there
-        x = np.where(t < 0.0, 0.5 * dist, 0.5 * (t + 1.0))
+        w, x = _ts_level(level)
         if not pe.spend(x.size):
             return QuadResult(total, diff, pe.used, STATUS_MAX_EFFORT)
-        with np.errstate(all="ignore"):
-            y = np.asarray(g(x), dtype=float)
+        y = np.asarray(g(x), dtype=float)
         bad = ~np.isfinite(y)
         if bad.any():
             if bad.all():
@@ -304,8 +326,7 @@ def _half_integrand(pe: _PatchedEval, end: float, s: float,
             y = pe(end + d if lower else end - d)
         else:
             pe.spend(v.size)
-            with np.errstate(all="ignore"):
-                y = np.asarray(dist_eval(d), dtype=float)
+            y = np.asarray(dist_eval(d), dtype=float)
         return 2.0 * s * v * y
 
     return g
@@ -329,6 +350,7 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> Quad
     return QuadResult(value, err, pe.used, status)
 
 
+@_fp_errors_ignored
 def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
     """Tanh-sinh integration over [a, b] tolerating endpoint singularities
     up to (x-a)^(-1/2) and (b-x)^(-1/2), with level doubling until two
@@ -338,6 +360,7 @@ def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) ->
     return _endpoint_singular(_PatchedEval(f), a, b, tol)
 
 
+@_fp_errors_ignored
 def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
                     lower_singular: bool = False,
                     osc_hint: float = 0.0) -> QuadResult:
@@ -396,6 +419,7 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
 
 
+@_fp_errors_ignored
 def integrate_oscillatory(f: Integrand, a: float, tol: float,
                           period_hint: float) -> QuadResult:
     """Oscillatory semi-infinite integral by half-period partial sums.
@@ -410,7 +434,7 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
     h = period_hint
     pe = _PatchedEval(f)
     contribs = []
-    partial = []
+    diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
     running = 0.0
     precise = True
@@ -431,14 +455,15 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
         contribs.append(seg.value)
         seg_err += seg.abs_error_est
         running += seg.value
-        partial.append(running)
+        prev, diag = diag, _euler_diagonal(diag, running)
         n = len(contribs)
         if n >= 9:
-            last = np.abs(contribs[-8:])
-            if np.all(np.diff(last) > 0.0) and last[-1] > 8.0 * tol:
+            tail = contribs[-8:]
+            last = [abs(c) for c in tail]
+            if all(x < y for x, y in zip(last, last[1:])) and last[-1] > 8.0 * tol:
                 return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
-            signs = np.sign(contribs[-8:])
-            if np.all(signs == signs[0]) and signs[0] != 0.0 and last[-1] > 64.0 * tol:
+            if (all(c > 0.0 for c in tail) or all(c < 0.0 for c in tail)) \
+                    and last[-1] > 64.0 * tol:
                 # a persistent same-sign tail above the noise floor violates
                 # the alternation contract (e.g. a ~1/x log-divergent tail)
                 return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
@@ -447,10 +472,12 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
                 return QuadResult(running, seg_err + 2.0 * abs(contribs[-1]),
                                   pe.used, STATUS_CONVERGED)
             if n >= 14:
-                depth = min(24, n - 2)
-                e1 = euler_transform(partial, depth)
-                e2 = euler_transform(partial, depth - 3)
-                e3 = euler_transform(partial[:-1], min(24, n - 3))
+                # the Euler transforms of the partial sums at depths d and
+                # d - 3, and of all but the last at depth min(24, n - 3)
+                depth = min(_EULER_MAX_DEPTH, n - 2)
+                e1 = diag[depth]
+                e2 = diag[depth - 3]
+                e3 = prev[min(_EULER_MAX_DEPTH, n - 3)]
                 # depth agreement alone can dip far below the true error on
                 # modulated envelopes; truncation sensitivity catches that
                 accel_err = 4.0 * max(abs(e1 - e2), abs(e1 - e3))
@@ -484,8 +511,25 @@ def euler_transform(s: Sequence[float], depth: int) -> float:
         raise DomainError("depth must be >= 0")
     if len(s) < depth + 2:
         raise DomainError("euler_transform needs at least depth + 2 entries")
-    t = np.asarray(s, dtype=float)
+    # the last entry after depth averagings depends on the last depth + 1 only
+    t = np.asarray(s[len(s) - depth - 1:], dtype=float)
     for _ in range(depth):
         t = 0.5 * (t[:-1] + t[1:])
     return float(t[-1])
 
+
+_EULER_MAX_DEPTH = 24
+
+
+def _euler_diagonal(prev: Sequence[float], s: float) -> list:
+    """Extend the Euler table of a partial-sum sequence by its next entry s.
+
+    prev[d] is the last entry after d averagings of the sequence so far
+    (d <= _EULER_MAX_DEPTH); the result is that diagonal for the sequence
+    with s appended, so result[d] == euler_transform(sequence + [s], d)
+    bit for bit: the same additions and halvings in the same order.
+    """
+    diag = [s]
+    for d in range(1, min(_EULER_MAX_DEPTH, len(prev)) + 1):
+        diag.append(0.5 * (prev[d - 1] + diag[d - 1]))
+    return diag

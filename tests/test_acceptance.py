@@ -11,14 +11,13 @@ failure is kept honest instead of being papered over.
 import json
 import math
 import random
-import time
 
 import numpy as np
 import pytest
 
 from hyptrig import catalog
 from hyptrig import specfun as sf
-from hyptrig.auditor import AuditConfig, audit_all, PASS, FAIL, DIVERGENT
+from hyptrig.auditor import PASS, FAIL, DIVERGENT
 from hyptrig.catalog import (closed_form, integrand, lemma5_lhs, lemma5_rhs,
                              cf_4_124_1_ext, lemniscatic_period)
 from hyptrig.cli import run
@@ -30,14 +29,6 @@ PI = math.pi
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {state}" + (f" — {detail}" if detail else ""))
-
-
-@pytest.fixture(scope="module")
-def full_audit():
-    t0 = time.time()
-    report = audit_all(AuditConfig(samples=25, seed=17, pass_tol=1e-9))
-    report.config_echo["elapsed_seconds"] = time.time() - t0
-    return report
 
 
 class TestCriterion1FullTable:

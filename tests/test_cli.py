@@ -131,6 +131,17 @@ class TestInvalidSettings:
         cfg.write_text(f"samples = abc\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
         _rejected(["audit", "--config", str(cfg)], capsys)
 
+    def test_config_file_missing(self, tmp_path, capsys):
+        _rejected(["audit", "--config", str(tmp_path / "missing.cfg"),
+                   "--report", str(tmp_path / "r.json")], capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_bytes(b"samples = 3\nentries = HW1\n# \xff\xfe\n")
+        _rejected(["audit", "--config", str(cfg),
+                   "--report", str(tmp_path / "r.json")], capsys)
+
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_text(f"sampels = 3\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")

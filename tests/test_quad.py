@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from hyptrig import quad
 from hyptrig.errors import DomainError
 from hyptrig.quad import (Integrand, IntervalSpec, integrate,
                           integrate_finite, integrate_endpoint_singular,
@@ -146,6 +147,53 @@ class TestEndpointSingular:
         assert r.value == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
+def _fresh_ts_level(level):
+    # the tanh-sinh level (w, x) straight from the formulas, for comparison
+    # with the tables the engine builds once and keeps
+    h = 1.0 / (1 << level)
+    n = int(quad._TS_CUTOFF / h)
+    j = np.arange(-n, n + 1) if level == 0 else np.arange(-(n | 1), n + 1, 2)
+    u = j * h
+    with np.errstate(over="ignore"):
+        sh = 0.5 * PI * np.sinh(u)
+        keep = np.abs(sh) < 38.0
+        sh = sh[keep]
+        t = np.tanh(sh)
+        w = 0.5 * PI * np.cosh(u[keep]) / np.cosh(sh) ** 2
+        dist = 2.0 / (1.0 + np.exp(2.0 * np.abs(sh)))
+    return w, np.where(t < 0.0, 0.5 * dist, 0.5 * (t + 1.0))
+
+
+class TestTanhSinhNodes:
+    def test_cached_levels_equal_a_fresh_computation(self):
+        integrate_endpoint_singular(Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
+                                    0.0, 1.0, 1e-15)
+        nbytes = 0
+        for level in range(13):
+            w, x = quad._ts_level(level)
+            fresh_w, fresh_x = _fresh_ts_level(level)
+            assert w.tobytes() == fresh_w.tobytes()
+            assert x.tobytes() == fresh_x.tobytes()
+            nbytes += w.nbytes + x.nbytes
+        assert nbytes <= 0.51e6
+
+    def test_tables_are_read_only(self):
+        f = Integrand(eval=lambda x: 1.0 / np.sqrt(x))
+        before = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
+        for level in range(13):
+            w, x = quad._ts_level(level)
+            assert not w.flags.writeable and not x.flags.writeable
+
+        def writes_into_its_argument(v):
+            v *= 2.0
+            return v
+
+        with pytest.raises(ValueError):
+            quad._tanh_sinh_01(writes_into_its_argument, 1e-12,
+                               quad._PatchedEval(Integrand(eval=np.cos)))
+        assert integrate_endpoint_singular(f, 0.0, 1.0, 1e-12) == before
+
+
 class TestDecay:
     def test_exponential(self):
         r = integrate_decay(Integrand(eval=lambda x: np.exp(-x)), 0.0, 1e-11, 1.0)
@@ -263,6 +311,31 @@ class TestEulerTransform:
     def test_too_few_entries(self):
         with pytest.raises(DomainError):
             euler_transform([1.0, 2.0], 5)
+
+    def test_window_and_running_diagonal_match_the_full_table(self):
+        # reference: average the whole sequence depth times, keep the last
+        def full_table(s, depth):
+            t = np.asarray(s, dtype=float)
+            for _ in range(depth):
+                t = 0.5 * (t[:-1] + t[1:])
+            return float(t[-1])
+
+        for seed in range(6):
+            rng = random.Random(seed)
+            if seed % 2:
+                terms = [rng.uniform(-1e3, 1e3) for _ in range(40)]
+            else:
+                terms = [(-1.0) ** k * rng.uniform(0.5, 2.0) / (k + 1) for k in range(40)]
+            partial = []
+            diag = []
+            for term in terms:
+                partial.append((partial[-1] if partial else 0.0) + term)
+                diag = quad._euler_diagonal(diag, partial[-1])
+                n = len(partial)
+                for d in range(min(24, n - 2) + 1):
+                    ref = full_table(partial, d).hex()
+                    assert euler_transform(partial, d).hex() == ref
+                    assert diag[d].hex() == ref
 
 
 class TestKernelIdentities:
