@@ -7,6 +7,16 @@ with (at worst) inverse-square-root endpoint singularities handled by a
 tanh-sinh rule.  Removable 0/0 points inside an integrand are declared on
 the Integrand and are never evaluated directly: subdivision is forced at
 each one and the value there comes from the supplied limit.
+
+Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
+of many intervals of the same integrand (_adaptive_gk_many), in the
+manner of QUADPACK's multi-interval scheme: each round evaluates the
+split panels of every unfinished interval in one integrand call, and each
+interval stops on its own test.  The oscillatory engine integrates its
+half-periods 1-13, then blocks of 4, this way; the decay engine its main
+range together with the first confirmation block.  The cost of an engine
+call is mostly Python dispatch per round, so fewer, larger rounds are
+what makes it faster.
 """
 
 from __future__ import annotations
@@ -116,8 +126,8 @@ class _PatchedEval:
     def __init__(self, f: Integrand):
         self.f = f
         self.used = 0
-        self.points = np.asarray(f.removable_points, dtype=float)
-        self.limits = [float(lim) for lim in f.limit_values]
+        self.patches = [(float(p), 1e-12 * (1.0 + abs(float(p))), float(lim))
+                        for p, lim in zip(f.removable_points, f.limit_values)]
 
     def spend(self, n: int) -> bool:
         """Count n evaluations; False once the cap is passed."""
@@ -127,10 +137,9 @@ class _PatchedEval:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.spend(x.size)
         y = np.asarray(self.f.eval(x), dtype=float)
-        for p, lim in zip(self.points, self.limits):
-            snap = 1e-12 * (1.0 + abs(p))
+        for p, snap, lim in self.patches:
             near = np.abs(x - p) <= snap
-            if near.any():
+            if np.count_nonzero(near):
                 y = np.where(near, lim, y)
         return y
 
@@ -169,8 +178,8 @@ def _gk_batch(pe: _PatchedEval, lo: np.ndarray, hi: np.ndarray):
     """
     c = 0.5 * (lo + hi)
     s = 0.5 * (hi - lo)
-    x = (c[:, None] + s[:, None] * _XK[None, :]).ravel()
-    y = pe(x).reshape(len(lo), 15)
+    x = np.multiply.outer(s, _XK) + c[:, None]
+    y = pe(x.ravel()).reshape(x.shape)
     k15 = s * (y @ _WK)
     g7 = s * (y @ _WG)
     ok = np.isfinite(y).all(axis=1)
@@ -186,46 +195,123 @@ def _gk_batch(pe: _PatchedEval, lo: np.ndarray, hi: np.ndarray):
     return k15, err, ok
 
 
-def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
-                 forced: Sequence[float] = (), panel_width: float = 0.0) -> QuadResult:
-    bounds = {a, b}
-    bounds.update(p for p in forced if a < p < b)
-    if panel_width > 0.0 and (b - a) > panel_width:
-        # pre-partition so oscillation is resolved per panel; an unresolved
-        # wide panel can make the embedded rules agree on garbage
-        count = min(int(math.ceil((b - a) / panel_width)), 4096)
-        bounds.update(a + (b - a) * j / count for j in range(1, count))
-    bounds = sorted(bounds)
-    lo = np.array(bounds[:-1])
-    hi = np.array(bounds[1:])
+def _partition(a: float, b: float, forced: Sequence[float], panel_width: float):
+    """Sorted distinct initial panel bounds of [a, b].
+
+    The bounds are a, b, every forced point inside, and, when panel_width
+    is set and [a, b] is wider, the equal-width grid a + (b - a) j / count
+    (count <= 4096) that resolves an oscillation per panel: an unresolved
+    wide panel can make the embedded rules agree on garbage.
+    """
+    inner = [p for p in forced if a < p < b]
+    if not (panel_width > 0.0 and (b - a) > panel_width):
+        return sorted({a, b, *inner})
+    count = min(int(math.ceil((b - a) / panel_width)), 4096)
+    grid = a + (b - a) * np.arange(1, count) / count
+    bounds = np.concatenate((grid, (a, b, *inner)))
+    bounds.sort()
+    distinct = np.empty(len(bounds), dtype=bool)
+    distinct[0] = True
+    np.not_equal(bounds[1:], bounds[:-1], out=distinct[1:])
+    return bounds[distinct]
+
+
+def _adaptive_gk_many(pe: _PatchedEval, intervals: Sequence[tuple],
+                      forced: Sequence[float] = (),
+                      panel_width: float = 0.0) -> list:
+    """Adaptive GK15 on many intervals (a, b, tol) of one integrand at once.
+
+    Every interval (an owner) holds its own panels, but each round makes
+    one _gk_batch call over the split panels of all live owners, so the
+    integrand is called once per round.  An owner retires, with its own
+    QuadResult, as soon as it meets its own test: converged when its error
+    sum is within its tol after at least one refinement or on an initial
+    partition of 4 or more panels; suspected_divergent as soon as one of
+    its panels is non-finite.  Past the effort cap every live owner
+    returns max_effort.  A panel is split when its error exceeds its
+    owner's share, max(tol / 2n, toterr / 8n) over the owner's n panels;
+    an owner with no such panel splits its largest.  The owners' panels
+    keep their relative order, so an owner's sums add its panel values in
+    the same order whatever the other owners are; a panel value itself can
+    differ in its last bit with its row's position in the batch (the BLAS
+    product y @ weights), so an owner agrees with its one-owner run within
+    the error estimates, not always to the bit.
+    """
+    m = live = len(intervals)
+    tols = np.array([tol for _, _, tol in intervals])
+    # 4 tol / 8n is tol / 2n to the bit, so the share is one division
+    tols4 = 4.0 * tols
+    parts = [_partition(a, b, forced, panel_width) for a, b, _ in intervals]
+    lo = np.concatenate([p[:-1] for p in parts])
+    hi = np.concatenate([p[1:] for p in parts])
+    owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
     vals, errs, ok = _gk_batch(pe, lo, hi)
-    if not ok.all():
-        return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+    new_owner = owner  # the owners of the last batch's panels
+    results = [None] * m
     rounds = 0
     while True:
-        total = float(vals.sum())
-        toterr = float(errs.sum())
-        if toterr <= tol and (rounds >= 1 or len(lo) >= 4):
-            return QuadResult(total, toterr, pe.used, STATUS_CONVERGED)
+        count = np.bincount(owner, minlength=m)
+        total = np.bincount(owner, weights=vals, minlength=m)
+        toterr = np.bincount(owner, weights=errs, minlength=m)
+        # a retired owner's tol is -inf, so it never retires again
+        converged = toterr <= tols
+        if rounds == 0:
+            converged &= count >= 4
+        retired = converged
+        if np.count_nonzero(ok) < len(ok):
+            # a non-finite panel makes its owner divergent, whatever its sums
+            divergent = np.bincount(new_owner[~ok], minlength=m) > 0
+            for i in np.flatnonzero(divergent):
+                results[i] = QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+            converged = converged & ~divergent
+            retired = converged | divergent
+        if np.count_nonzero(retired):
+            for i in np.flatnonzero(converged):
+                results[i] = QuadResult(float(total[i]), float(toterr[i]), pe.used,
+                                        STATUS_CONVERGED)
+            tols[retired] = -math.inf
+            live -= np.count_nonzero(retired)
+            keep = ~retired[owner]
+            lo, hi, owner, vals, errs = lo[keep], hi[keep], owner[keep], vals[keep], errs[keep]
+        if not live:
+            return results
         if pe.used > MAX_EVALUATIONS:
-            return QuadResult(total, toterr, pe.used, STATUS_MAX_EFFORT)
+            for i in np.flatnonzero(tols > -math.inf):
+                results[i] = QuadResult(float(total[i]), float(toterr[i]), pe.used,
+                                        STATUS_MAX_EFFORT)
+            return results
         rounds += 1
-        # refine every interval holding more than its share of the budget
-        share = max(tol / (2 * len(lo)), toterr / (8 * len(lo)))
-        split = errs > share
-        if not split.any():
-            split[np.argmax(errs)] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_v, keep_e = vals[~split], errs[~split]
-        v2, e2, ok2 = _gk_batch(pe, np.concatenate([lo[split], mid]),
-                                np.concatenate([mid, hi[split]]))
-        if not ok2.all():
-            return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_v, v2])
-        errs = np.concatenate([keep_e, e2])
+        # refine every panel holding more than its owner's share of the
+        # budget, max(tol / 2n, toterr / 8n) over the owner's n panels
+        split = errs > (np.maximum(tols4, toterr) / (8 * count))[owner]
+        new_owner = owner[split]
+        has_split = np.bincount(new_owner, minlength=m)
+        if np.count_nonzero(has_split) < live:
+            # each live owner that split nothing splits its first largest
+            # panel; lexsort is stable, so ties go to the earliest panel as
+            # with argmax
+            idx = np.flatnonzero(((has_split == 0) & (tols > -math.inf))[owner])
+            idx = idx[np.lexsort((-errs[idx], owner[idx]))]
+            first = np.ones(len(idx), dtype=bool)
+            first[1:] = owner[idx[1:]] != owner[idx[:-1]]
+            split[idx[first]] = True
+            new_owner = owner[split]
+        stay = ~split
+        lo_s, hi_s = lo[split], hi[split]
+        mid = 0.5 * (lo_s + hi_s)
+        v2, e2, ok = _gk_batch(pe, np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]))
+        new_owner = np.concatenate([new_owner, new_owner])
+        lo = np.concatenate([lo[stay], lo_s, mid])
+        hi = np.concatenate([hi[stay], mid, hi_s])
+        owner = np.concatenate([owner[stay], new_owner])
+        vals = np.concatenate([vals[stay], v2])
+        errs = np.concatenate([errs[stay], e2])
+
+
+def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
+                 forced: Sequence[float] = (), panel_width: float = 0.0) -> QuadResult:
+    """Adaptive GK15 on one interval: the one-owner call of _adaptive_gk_many."""
+    return _adaptive_gk_many(pe, [(a, b, tol)], forced, panel_width)[0]
 
 
 @_fp_errors_ignored
@@ -371,7 +457,10 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     as confirmation and further doublings are added if it has not shrunk
     yet.  A tail that keeps growing is reported as suspected_divergent.
     osc_hint (an angular frequency) caps the initial panel width so the
-    error estimator always resolves the oscillation.
+    error estimator always resolves the oscillation.  The main range and
+    the first confirmation block are two intervals of one Gauss-Kronrod
+    call, so they share its rounds; the block's evaluations count even
+    when the main range fails.
     """
     if not decay_hint > 0.0:
         raise DomainError("integrate_decay needs decay_hint > 0")
@@ -379,7 +468,7 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     pe = _PatchedEval(f)
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
     amp = pe(probes) * np.exp(lam * (probes - a))
-    c = float(np.nanmax(np.abs(amp)))
+    c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
     if not math.isfinite(c):
         return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
     c = max(c, tol)
@@ -391,20 +480,22 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     first_end = a + min(1.0 / lam, t_len) if lower_singular else a
     if lower_singular:
         pieces.append(_endpoint_singular(pe, a, first_end, tol / 16.0))
-    pieces.append(_adaptive_gk(pe, first_end, a + t_len, tol / 4.0,
-                               forced=f.removable_points, panel_width=width))
+    lo = a + t_len
+    main_range, first_block = _adaptive_gk_many(
+        pe, [(first_end, lo, tol / 4.0), (lo, lo + t_len, tol / 16.0)],
+        forced=f.removable_points, panel_width=width)
+    pieces.append(main_range)
     main = math.fsum(p.value for p in pieces)
     err = math.fsum(p.abs_error_est for p in pieces)
     for p in pieces:
         if p.status != STATUS_CONVERGED:
             return QuadResult(main, err, pe.used, p.status)
 
-    # confirmation block [a+T, a+2T], extended while still substantial
-    lo = a + t_len
+    # confirmation blocks, extended while still substantial
     tail_prev = math.inf
-    for _ in range(6):
-        block = _adaptive_gk(pe, lo, lo + t_len, tol / 16.0,
-                             forced=f.removable_points, panel_width=width)
+    for i in range(6):
+        block = first_block if i == 0 else _adaptive_gk(
+            pe, lo, lo + t_len, tol / 16.0, forced=f.removable_points, panel_width=width)
         if block.status == STATUS_DIVERGENT:
             return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value
@@ -419,6 +510,33 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
 
 
+# half-periods per Gauss-Kronrod call: the Euler stop can first fire at
+# n = 14 partial sums, so segments 1-13 go in one call; later ones go in
+# blocks of 4, so an Euler stop computes at most 3 segments past itself
+_OSC_FIRST_BLOCK = 13
+_OSC_BLOCK = 4
+_OSC_MAX_SEGMENTS = 512
+
+
+def _half_periods(pe: _PatchedEval, a: float, h: float, tol: float):
+    """Yield the QuadResult of each half-period [a + k h, a + (k+1) h] in order.
+
+    Segment 0 runs on tanh-sinh, which tolerates an integrable edge
+    singularity or an undefined integrand right at the lower limit.  The
+    later ones run in blocks of _adaptive_gk_many owners, computed when the
+    consumer reaches the block; each keeps its tolerance tol / (32 (k+1)).
+    """
+    yield _endpoint_singular(pe, a, a + h, tol / 32.0)
+    k = 1
+    while k < _OSC_MAX_SEGMENTS:
+        size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
+        ks = range(k, min(k + size, _OSC_MAX_SEGMENTS))
+        yield from _adaptive_gk_many(
+            pe, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1))) for j in ks],
+            forced=pe.f.removable_points)
+        k += size
+
+
 @_fp_errors_ignored
 def integrate_oscillatory(f: Integrand, a: float, tol: float,
                           period_hint: float) -> QuadResult:
@@ -428,26 +546,22 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
     are accumulated and the partial sums fed to the Euler transform at two
     depths; growth over 8 consecutive intervals, or persistent same-sign
     contributions that fail to decay, mark the integral suspected_divergent.
+    Half-periods 1-13 are integrated in one Gauss-Kronrod call, since the
+    Euler stop needs 14 partial sums, and later ones in blocks of 4
+    (_half_periods).  The stopping tests still run segment by segment, in
+    order, so the engine stops at the same segment as when each half-period
+    was integrated alone; segments computed past the stop count in
+    `evaluations`.
     """
     if not period_hint > 0.0:
         raise DomainError("integrate_oscillatory needs period_hint > 0")
-    h = period_hint
     pe = _PatchedEval(f)
     contribs = []
     diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
     running = 0.0
     precise = True
-    max_segments = 512
-    for k in range(max_segments):
-        tol_seg = tol / (32.0 * (k + 1))
-        if k == 0:
-            # tanh-sinh on the first block tolerates an integrable edge
-            # singularity or an undefined integrand right at the lower limit
-            seg = _endpoint_singular(pe, a, a + h, tol_seg)
-        else:
-            seg = _adaptive_gk(pe, a + k * h, a + (k + 1) * h, tol_seg,
-                               forced=f.removable_points)
+    for seg in _half_periods(pe, a, period_hint, tol):
         if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
             return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
         if seg.status != STATUS_CONVERGED:

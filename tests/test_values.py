@@ -1,0 +1,54 @@
+"""Value baseline: the numbers behind each verdict of the seed-17 audit.
+
+tests/data/values_seed17.json holds, per record of the seed-17 audit at
+25 samples and in report order, the verdict, the closed form, the
+quadrature value and its `abs_error_est` (floats as `float.hex`).  The
+verdicts must be equal and the closed forms bit-equal.  A quadrature
+value may move in its last bits when the engines reorder their
+arithmetic, but never by more than the pinned `abs_error_est`, or 4 ulps
+of the value where that estimate is smaller.  Regenerate the file with
+tests/data/regenerate.py and say why in CHANGES.md.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+BASELINE = Path(__file__).parent / "data" / "values_seed17.json"
+EPS = sys.float_info.epsilon
+
+
+def _moved_beyond_bound(value: float, pinned: float, pinned_err: float) -> bool:
+    if not math.isfinite(pinned):
+        return value.hex() != pinned.hex()
+    return not abs(value - pinned) <= max(pinned_err, 4.0 * EPS * abs(pinned))
+
+
+def test_verdicts_closed_forms_and_values_match_the_baseline(full_audit):
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+    echo = full_audit.config_echo
+    assert {k: echo[k] for k in baseline["audit"]} == baseline["audit"]
+    pinned = baseline["records"]
+    assert len(full_audit.records) == len(pinned)
+    moved = []
+    for i, (r, p) in enumerate(zip(full_audit.records, pinned)):
+        assert (r.entry_id, r.convention) == (p["entry_id"], p["convention"]), i
+        assert r.verdict == p["verdict"], (i, r.entry_id)
+        assert r.closed.hex() == p["closed"], (i, r.entry_id)
+        if _moved_beyond_bound(r.numeric.value, float.fromhex(p["value"]),
+                               float.fromhex(p["abs_error_est"])):
+            moved.append((i, r.entry_id, r.numeric.value.hex(), p["value"]))
+    assert not moved, f"values beyond the pinned bound (index, entry, value, pinned): {moved}"
+
+
+def test_the_bound_catches_a_moved_value():
+    pinned, err = 1.0, 1e-12
+    assert not _moved_beyond_bound(1.0 + 0.5e-12, pinned, err)
+    assert _moved_beyond_bound(1.0 + 2e-12, pinned, err)
+    # below the floor of 4 ulps the estimate does not matter
+    assert not _moved_beyond_bound(1.0 + 4.0 * EPS, pinned, 0.0)
+    assert _moved_beyond_bound(1.0 + 8.0 * EPS, pinned, 0.0)
+    # a nan value is pinned as nan
+    assert not _moved_beyond_bound(math.nan, math.nan, math.inf)
+    assert _moved_beyond_bound(1.0, math.nan, math.inf)
