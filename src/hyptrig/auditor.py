@@ -1,11 +1,13 @@
 """Sampling, verification, and report assembly.
 
 The audit draws seeded parameter points from each entry's validity
-domain, integrates the entry's integrand with the shape-matched engine,
-compares against the closed form, and classifies the outcome.  Suspect
-entries are expected to fail and are counted separately; an unexpected
-PASS there would indicate an integrand transcription error and fails the
-run.  Reports are deterministic functions of the configuration.
+domain, integrates the entry's integrand at every point with the
+shape-matched engine (all of an entry's points in one integrate_many
+call, so they share their Gauss-Kronrod rounds), compares against the
+closed form, and classifies the outcome.  Suspect entries are expected
+to fail and are counted separately; an unexpected PASS there would
+indicate an integrand transcription error and fails the run.  Reports
+are deterministic functions of the configuration.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, is_dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnknownEntryError
 from . import catalog
 from .catalog import EntryDescriptor, ParamPoint, cf_3_532_1
-from .quad import QuadResult, integrate, STATUS_CONVERGED, STATUS_DIVERGENT
+from .quad import (QuadResult, integrate, integrate_many, STATUS_CONVERGED,
+                   STATUS_DIVERGENT)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -88,29 +91,28 @@ def sample_params(entry: EntryDescriptor, n: int, seed: int) -> List[ParamPoint]
     return out
 
 
-def _closed_value(entry: EntryDescriptor, params: ParamPoint,
-                  convention: Optional[str]) -> float:
-    if convention is None:
-        return entry.closed_form(params)
-    if "dual_convention" not in entry.flags:
-        raise DomainError(f"{entry.id} has no convention variants")
-    return cf_3_532_1(params["n"], params["a"], params["b"], convention)
+def _point(entry: EntryDescriptor, params: ParamPoint,
+           pass_tol: float) -> Tuple[Dict[Optional[str], float], tuple]:
+    """The closed form of a point under each convention, and its job.
 
-
-def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
-                 convention: Optional[str] = None) -> VerificationRecord:
-    """Integrate one parameter point and compare against the closed form.
-
-    The quadrature tolerance is pass_tol/10 scaled by the closed-form
-    magnitude, so the PASS comparison stays a genuinely relative test
-    even for small-valued samples.
+    The conventions are None and, for a dual_convention entry, "printed".
+    One integral serves them all: the job's tolerance is pass_tol/10 of
+    the smallest closed-form magnitude (at least 1e-14), so the PASS
+    comparison stays a genuinely relative test for every record, even for
+    small-valued samples.
     """
-    entry = catalog.get_entry(entry_id)
-    entry.validate(params)
-    closed = _closed_value(entry, params, convention)
+    closed = {None: entry.closed_form(params)}
+    if "dual_convention" in entry.flags:
+        closed["printed"] = cf_3_532_1(params["n"], params["a"], params["b"], "printed")
     f, spec = entry.integrand_factory(params)
-    tol = max(abs(closed) * pass_tol / 10.0, 1e-14)
-    numeric = integrate(f, spec, tol)
+    tol = max(min(abs(c) for c in closed.values()) * pass_tol / 10.0, 1e-14)
+    return closed, (f, spec, tol)
+
+
+def _record(entry: EntryDescriptor, params: ParamPoint, closed: float,
+            numeric: QuadResult, pass_tol: float,
+            convention: Optional[str]) -> VerificationRecord:
+    """Classify one quadrature result against one closed form."""
     expected_fail = "suspect" in entry.flags or convention == "printed"
 
     if numeric.status == STATUS_DIVERGENT:
@@ -135,10 +137,26 @@ def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
     if verdict in (FAIL, SUSPECT) and closed != 0.0 and math.isfinite(numeric.value):
         ratio = numeric.value / closed
     return VerificationRecord(
-        entry_id=entry_id, params=dict(params), numeric=numeric, closed=closed,
+        entry_id=entry.id, params=dict(params), numeric=numeric, closed=closed,
         abs_diff=abs_diff, rel_diff=rel_diff, verdict=verdict, ratio_fit=ratio,
         convention=convention, expected_fail=expected_fail,
         note=entry.provenance_note if expected_fail else "")
+
+
+def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
+                 convention: Optional[str] = None) -> VerificationRecord:
+    """Integrate one parameter point and compare against the closed form.
+
+    convention is None, or "printed" for a dual_convention entry.  The
+    record equals the audit's record of the same point and convention.
+    """
+    entry = catalog.get_entry(entry_id)
+    entry.validate(params)
+    closed, job = _point(entry, params, pass_tol)
+    if convention not in closed:
+        raise DomainError(f"{entry_id} has no convention {convention!r}")
+    return _record(entry, params, closed[convention], integrate(*job), pass_tol,
+                   convention)
 
 
 def ratio_diagnose(records: Sequence[VerificationRecord]) -> Optional[float]:
@@ -164,7 +182,8 @@ def audit_all(config: AuditConfig) -> AuditReport:
 
     Per-record failures are data, not exceptions.  Records keep
     (entry order, sample order, convention order), so two runs with the
-    same config produce identical reports.
+    same config produce identical reports.  Each record equals
+    verify_entry on its own point and convention.
     """
     wanted = config.entries
     entries = [e for e in catalog.list_entries()
@@ -176,11 +195,14 @@ def audit_all(config: AuditConfig) -> AuditReport:
 
     records: List[VerificationRecord] = []
     for entry in entries:
-        for params in sample_params(entry, config.samples, config.seed):
-            records.append(verify_entry(entry.id, params, config.pass_tol))
-            if "dual_convention" in entry.flags:
-                records.append(verify_entry(entry.id, params, config.pass_tol,
-                                            convention="printed"))
+        samples = sample_params(entry, config.samples, config.seed)
+        points = [_point(entry, params, config.pass_tol) for params in samples]
+        # one integral per point, and the points share their Gauss-Kronrod rounds
+        numerics = integrate_many([job for _, job in points])
+        for params, (closed, _), numeric in zip(samples, points, numerics):
+            for convention, value in closed.items():
+                records.append(_record(entry, params, value, numeric,
+                                       config.pass_tol, convention))
 
     summary: Dict[str, Dict] = {}
     overall_ok = True

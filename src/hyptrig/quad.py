@@ -9,14 +9,24 @@ the Integrand and are never evaluated directly: subdivision is forced at
 each one and the value there comes from the supplied limit.
 
 Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
-of many intervals of the same integrand (_adaptive_gk_many), in the
-manner of QUADPACK's multi-interval scheme: each round evaluates the
-split panels of every unfinished interval in one integrand call, and each
-interval stops on its own test.  The oscillatory engine integrates its
-half-periods 1-13, then blocks of 4, this way; the decay engine its main
-range together with the first confirmation block.  The cost of an engine
-call is mostly Python dispatch per round, so fewer, larger rounds are
-what makes it faster.
+of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
+multi-interval scheme stretched across integrands: each round evaluates
+the split panels of every unfinished interval, calling each integrand
+once on its own panels, and each interval stops on its own test.
+
+Each shape has one engine, a generator that yields its Gauss-Kronrod
+requests, lists of intervals (a, b, tol, forced, panel_width), and
+receives their QuadResults.  integrate_many runs many integrals (jobs)
+at once by merging the pending requests of every job into one refinement
+loop; integrate and the integrate_* functions are its one-job calls.  A
+job keeps its own evaluation count and effort cap, and every panel sum
+is independent of the other panels in the batch, so a job's result is
+bit for bit its result alone.  The oscillatory engine asks for its
+half-periods 1-13, then blocks of 4; the decay engine for its main range
+together with the first confirmation block.  Tanh-sinh runs inside the
+engines, one integral at a time.  The cost of an engine call is mostly
+Python dispatch per round, so fewer, larger rounds are what makes it
+faster.
 """
 
 from __future__ import annotations
@@ -86,6 +96,9 @@ class IntervalSpec:
             raise DomainError(f"unknown shape {self.shape!r}")
         if not self.lower < self.upper:
             raise DomainError("lower must be < upper")
+        if self.shape in ("plain", "endpoint_singular") and \
+                not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise DomainError(f"{self.shape} shape needs finite bounds")
         if self.shape == "oscillatory" and not self.period_hint > 0.0:
             raise DomainError("oscillatory shape needs period_hint > 0")
         if self.shape == "decay" and not self.decay_hint > 0.0:
@@ -100,24 +113,9 @@ class QuadResult:
     status: str
 
 
-def _fp_errors_ignored(engine):
-    """Run a public engine under one np.errstate(all="ignore").
-
-    Integrands may produce nan/inf at removable points and endpoints, and
-    the engines test for non-finite values themselves, so no floating-point
-    warning is useful inside an engine call.
-    """
-    @functools.wraps(engine)
-    def run(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return engine(*args, **kwargs)
-
-    return run
-
-
 class _PatchedEval:
     """Evaluates an Integrand on arrays, patching removable points, and
-    counts the evaluations of one engine call against MAX_EVALUATIONS.
+    counts the evaluations of one integral (job) against MAX_EVALUATIONS.
 
     Nodes landing within snap distance of a removable point receive the
     supplied limit.
@@ -168,8 +166,27 @@ _WG = np.array([
 ])
 
 
-def _gk_batch(pe: _PatchedEval, lo: np.ndarray, hi: np.ndarray):
-    """Apply GK15 to a batch of intervals; returns (values, errors, finite?).
+def _row_dot(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # y @ w row by row; a BLAS product can give a row a different last bit
+    # by its position in the batch, this reduction cannot
+    return np.einsum("ij,j->i", y, w)
+
+
+def _at_nodes(pe: _PatchedEval, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # pe at the Kronrod nodes of panels with centres c and half-widths s,
+    # one row per panel
+    x = np.multiply.outer(s, _XK) + c[:, None]
+    return pe(x.ravel()).reshape(x.shape)
+
+
+def _gk_batch(pes: Sequence[_PatchedEval], job: np.ndarray,
+              lo: np.ndarray, hi: np.ndarray):
+    """Apply GK15 to a batch of panels; returns (values, errors, finite?).
+
+    Panel i belongs to the integrand pes[job[i]].  Each integrand is
+    called once, on the nodes of its own panels in batch order, and every
+    sum is per row, so a panel's results do not depend on the other
+    panels in the batch.
 
     Error estimate per panel follows the classic scaled form
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
@@ -178,15 +195,26 @@ def _gk_batch(pe: _PatchedEval, lo: np.ndarray, hi: np.ndarray):
     """
     c = 0.5 * (lo + hi)
     s = 0.5 * (hi - lo)
-    x = np.multiply.outer(s, _XK) + c[:, None]
-    y = pe(x.ravel()).reshape(x.shape)
-    k15 = s * (y @ _WK)
-    g7 = s * (y @ _WG)
+    if len(pes) == 1:
+        y = _at_nodes(pes[0], c, s)
+    else:
+        # one integrand at a time, so only its own nodes are held at once
+        y = np.empty((len(s), len(_XK)))
+        order = np.argsort(job, kind="stable")
+        count = np.bincount(job, minlength=len(pes))
+        end = np.cumsum(count)
+        for j in np.flatnonzero(count):
+            rows = order[end[j] - count[j]:end[j]]
+            y[rows] = _at_nodes(pes[j], c[rows], s[rows])
+    k15 = s * _row_dot(y, _WK)
+    g7 = s * _row_dot(y, _WG)
     ok = np.isfinite(y).all(axis=1)
     diff = np.abs(k15 - g7)
     mean = k15 / (2.0 * s)
-    resabs = s * (np.abs(y) @ _WK)
-    resasc = s * (np.abs(y - mean[:, None]) @ _WK)
+    t = np.abs(y)  # one scratch array for both absolute sums
+    resabs = s * _row_dot(t, _WK)
+    np.subtract(y, mean[:, None], out=t)
+    resasc = s * _row_dot(np.abs(t, out=t), _WK)
     scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & np.isfinite(scaled), scaled, diff)
     # per-panel summation roundoff: the dot product cannot be trusted
@@ -216,36 +244,40 @@ def _partition(a: float, b: float, forced: Sequence[float], panel_width: float):
     return bounds[distinct]
 
 
-def _adaptive_gk_many(pe: _PatchedEval, intervals: Sequence[tuple],
-                      forced: Sequence[float] = (),
-                      panel_width: float = 0.0) -> list:
-    """Adaptive GK15 on many intervals (a, b, tol) of one integrand at once.
+def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
+    """Adaptive GK15 on many intervals, of one or more integrands, at once.
 
-    Every interval (an owner) holds its own panels, but each round makes
-    one _gk_batch call over the split panels of all live owners, so the
-    integrand is called once per round.  An owner retires, with its own
-    QuadResult, as soon as it meets its own test: converged when its error
-    sum is within its tol after at least one refinement or on an initial
-    partition of 4 or more panels; suspected_divergent as soon as one of
-    its panels is non-finite.  Past the effort cap every live owner
-    returns max_effort.  A panel is split when its error exceeds its
-    owner's share, max(tol / 2n, toterr / 8n) over the owner's n panels;
-    an owner with no such panel splits its largest.  The owners' panels
-    keep their relative order, so an owner's sums add its panel values in
-    the same order whatever the other owners are; a panel value itself can
-    differ in its last bit with its row's position in the batch (the BLAS
-    product y @ weights), so an owner agrees with its one-owner run within
-    the error estimates, not always to the bit.
+    requests holds one (pe, intervals) pair per integrand, each interval
+    (a, b, tol, forced, panel_width); the result holds, per pair, the
+    QuadResults of its intervals in order.  Every interval (an owner)
+    holds its own panels, initially _partition(a, b, forced, panel_width),
+    but each round makes one _gk_batch call over the split panels of all
+    live owners, so each integrand is called once per round.  An owner
+    retires, with its own QuadResult, as soon as it meets its own test:
+    converged when its error sum is within its tol after at least one
+    refinement or on an initial partition of 4 or more panels;
+    suspected_divergent as soon as one of its panels is non-finite.  Once
+    an integrand's evaluations pass the effort cap, each of its live
+    owners returns max_effort.  A panel is split when its error exceeds
+    its owner's share, max(tol / 2n, toterr / 8n) over the owner's n
+    panels; an owner with no such panel splits its largest.  The owners'
+    panels keep their relative order and _gk_batch sums per row, so each
+    integrand's results, evaluation counts included, are bit for bit
+    those of a call with its own intervals alone.
     """
+    pes = [pe for pe, _ in requests]
+    intervals = [iv for _, ivs in requests for iv in ivs]
+    owner_job = np.repeat(np.arange(len(pes)), [len(ivs) for _, ivs in requests])
+    job_of = owner_job.tolist()
     m = live = len(intervals)
-    tols = np.array([tol for _, _, tol in intervals])
+    tols = np.array([iv[2] for iv in intervals])
     # 4 tol / 8n is tol / 2n to the bit, so the share is one division
     tols4 = 4.0 * tols
-    parts = [_partition(a, b, forced, panel_width) for a, b, _ in intervals]
+    parts = [_partition(a, b, forced, width) for a, b, _, forced, width in intervals]
     lo = np.concatenate([p[:-1] for p in parts])
     hi = np.concatenate([p[1:] for p in parts])
     owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
-    vals, errs, ok = _gk_batch(pe, lo, hi)
+    vals, errs, ok = _gk_batch(pes, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels
     results = [None] * m
     rounds = 0
@@ -262,24 +294,27 @@ def _adaptive_gk_many(pe: _PatchedEval, intervals: Sequence[tuple],
             # a non-finite panel makes its owner divergent, whatever its sums
             divergent = np.bincount(new_owner[~ok], minlength=m) > 0
             for i in np.flatnonzero(divergent):
-                results[i] = QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+                results[i] = QuadResult(math.nan, math.inf, pes[job_of[i]].used,
+                                        STATUS_DIVERGENT)
             converged = converged & ~divergent
             retired = converged | divergent
+        for i in np.flatnonzero(converged):
+            results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
+                                    STATUS_CONVERGED)
+        over = [pe.used > MAX_EVALUATIONS for pe in pes]
+        if any(over):
+            capped = np.array(over)[owner_job] & (tols > -math.inf) & ~retired
+            for i in np.flatnonzero(capped):
+                results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
+                                        STATUS_MAX_EFFORT)
+            retired = retired | capped
         if np.count_nonzero(retired):
-            for i in np.flatnonzero(converged):
-                results[i] = QuadResult(float(total[i]), float(toterr[i]), pe.used,
-                                        STATUS_CONVERGED)
             tols[retired] = -math.inf
             live -= np.count_nonzero(retired)
+            if not live:
+                break
             keep = ~retired[owner]
             lo, hi, owner, vals, errs = lo[keep], hi[keep], owner[keep], vals[keep], errs[keep]
-        if not live:
-            return results
-        if pe.used > MAX_EVALUATIONS:
-            for i in np.flatnonzero(tols > -math.inf):
-                results[i] = QuadResult(float(total[i]), float(toterr[i]), pe.used,
-                                        STATUS_MAX_EFFORT)
-            return results
         rounds += 1
         # refine every panel holding more than its owner's share of the
         # budget, max(tol / 2n, toterr / 8n) over the owner's n panels
@@ -299,32 +334,16 @@ def _adaptive_gk_many(pe: _PatchedEval, intervals: Sequence[tuple],
         stay = ~split
         lo_s, hi_s = lo[split], hi[split]
         mid = 0.5 * (lo_s + hi_s)
-        v2, e2, ok = _gk_batch(pe, np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]))
         new_owner = np.concatenate([new_owner, new_owner])
+        v2, e2, ok = _gk_batch(pes, owner_job[new_owner],
+                               np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]))
         lo = np.concatenate([lo[stay], lo_s, mid])
         hi = np.concatenate([hi[stay], mid, hi_s])
         owner = np.concatenate([owner[stay], new_owner])
         vals = np.concatenate([vals[stay], v2])
         errs = np.concatenate([errs[stay], e2])
-
-
-def _adaptive_gk(pe: _PatchedEval, a: float, b: float, tol: float,
-                 forced: Sequence[float] = (), panel_width: float = 0.0) -> QuadResult:
-    """Adaptive GK15 on one interval: the one-owner call of _adaptive_gk_many."""
-    return _adaptive_gk_many(pe, [(a, b, tol)], forced, panel_width)[0]
-
-
-@_fp_errors_ignored
-def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
-    """Adaptive Gauss-Kronrod integration of f over finite [a, b].
-
-    Subdivision is forced at every removable point; non-convergence after
-    the effort cap is reported as max_effort, never raised.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("integrate_finite needs finite a < b")
-    pe = _PatchedEval(f)
-    return _adaptive_gk(pe, a, b, tol, forced=f.removable_points)
+    it = iter(results)
+    return [[next(it) for _ in ivs] for _, ivs in requests]
 
 
 # tanh-sinh abscissae: node t and weight w at parameter u are
@@ -436,20 +455,25 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> Quad
     return QuadResult(value, err, pe.used, status)
 
 
-@_fp_errors_ignored
-def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
-    """Tanh-sinh integration over [a, b] tolerating endpoint singularities
-    up to (x-a)^(-1/2) and (b-x)^(-1/2), with level doubling until two
-    successive levels agree within tol."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("integrate_endpoint_singular needs finite a < b")
-    return _endpoint_singular(_PatchedEval(f), a, b, tol)
+# The engines, one per IntervalSpec shape.  Each is a generator on one
+# job's _PatchedEval: it yields lists of Gauss-Kronrod intervals
+# (a, b, tol, forced, panel_width), is sent back their QuadResults in
+# order, and returns the job's QuadResult.
 
 
-@_fp_errors_ignored
-def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
-                    lower_singular: bool = False,
-                    osc_hint: float = 0.0) -> QuadResult:
+def _plain(pe: _PatchedEval, spec: IntervalSpec, tol: float):
+    # adaptive Gauss-Kronrod on [lower, upper], split at every removable point
+    (r,) = yield [(spec.lower, spec.upper, tol, pe.f.removable_points, 0.0)]
+    return r
+
+
+def _endpoint(pe: _PatchedEval, spec: IntervalSpec, tol: float):
+    # tanh-sinh alone: no Gauss-Kronrod request
+    yield from ()
+    return _endpoint_singular(pe, spec.lower, spec.upper, tol)
+
+
+def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     """Semi-infinite integral of an exponentially damped integrand.
 
     The truncation length T comes from a probed amplitude C and the bound
@@ -458,14 +482,12 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     yet.  A tail that keeps growing is reported as suspected_divergent.
     osc_hint (an angular frequency) caps the initial panel width so the
     error estimator always resolves the oscillation.  The main range and
-    the first confirmation block are two intervals of one Gauss-Kronrod
-    call, so they share its rounds; the block's evaluations count even
-    when the main range fails.
+    the first confirmation block are requested together, so they share
+    their rounds; the block's evaluations count even when the main range
+    fails.
     """
-    if not decay_hint > 0.0:
-        raise DomainError("integrate_decay needs decay_hint > 0")
-    lam = decay_hint
-    pe = _PatchedEval(f)
+    a, lam = spec.lower, spec.decay_hint
+    forced = pe.f.removable_points
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
     amp = pe(probes) * np.exp(lam * (probes - a))
     c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
@@ -474,16 +496,15 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     c = max(c, tol)
     t_len = math.log(10.0 * c / (tol * lam)) / lam
     t_len = max(t_len, 8.0 / lam)
-    width = math.pi / osc_hint if osc_hint > 0.0 else 0.0
+    width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
 
     pieces = []
-    first_end = a + min(1.0 / lam, t_len) if lower_singular else a
-    if lower_singular:
+    first_end = a + min(1.0 / lam, t_len) if spec.lower_singular else a
+    if spec.lower_singular:
         pieces.append(_endpoint_singular(pe, a, first_end, tol / 16.0))
     lo = a + t_len
-    main_range, first_block = _adaptive_gk_many(
-        pe, [(first_end, lo, tol / 4.0), (lo, lo + t_len, tol / 16.0)],
-        forced=f.removable_points, panel_width=width)
+    main_range, block = yield [(first_end, lo, tol / 4.0, forced, width),
+                               (lo, lo + t_len, tol / 16.0, forced, width)]
     pieces.append(main_range)
     main = math.fsum(p.value for p in pieces)
     err = math.fsum(p.abs_error_est for p in pieces)
@@ -494,8 +515,8 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     # confirmation blocks, extended while still substantial
     tail_prev = math.inf
     for i in range(6):
-        block = first_block if i == 0 else _adaptive_gk(
-            pe, lo, lo + t_len, tol / 16.0, forced=f.removable_points, panel_width=width)
+        if i:
+            (block,) = yield [(lo, lo + t_len, tol / 16.0, forced, width)]
         if block.status == STATUS_DIVERGENT:
             return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value
@@ -510,58 +531,44 @@ def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
     return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
 
 
-# half-periods per Gauss-Kronrod call: the Euler stop can first fire at
-# n = 14 partial sums, so segments 1-13 go in one call; later ones go in
-# blocks of 4, so an Euler stop computes at most 3 segments past itself
+# half-periods per Gauss-Kronrod request: the Euler stop can first fire at
+# n = 14 partial sums, so segments 1-13 go in one request; later ones go
+# in blocks of 4, so an Euler stop computes at most 3 segments past itself
 _OSC_FIRST_BLOCK = 13
 _OSC_BLOCK = 4
 _OSC_MAX_SEGMENTS = 512
 
 
-def _half_periods(pe: _PatchedEval, a: float, h: float, tol: float):
-    """Yield the QuadResult of each half-period [a + k h, a + (k+1) h] in order.
-
-    Segment 0 runs on tanh-sinh, which tolerates an integrable edge
-    singularity or an undefined integrand right at the lower limit.  The
-    later ones run in blocks of _adaptive_gk_many owners, computed when the
-    consumer reaches the block; each keeps its tolerance tol / (32 (k+1)).
-    """
-    yield _endpoint_singular(pe, a, a + h, tol / 32.0)
-    k = 1
-    while k < _OSC_MAX_SEGMENTS:
-        size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
-        ks = range(k, min(k + size, _OSC_MAX_SEGMENTS))
-        yield from _adaptive_gk_many(
-            pe, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1))) for j in ks],
-            forced=pe.f.removable_points)
-        k += size
-
-
-@_fp_errors_ignored
-def integrate_oscillatory(f: Integrand, a: float, tol: float,
-                          period_hint: float) -> QuadResult:
+def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
     Consecutive contributions over [a + k h, a + (k+1) h], h = period_hint,
     are accumulated and the partial sums fed to the Euler transform at two
     depths; growth over 8 consecutive intervals, or persistent same-sign
     contributions that fail to decay, mark the integral suspected_divergent.
-    Half-periods 1-13 are integrated in one Gauss-Kronrod call, since the
-    Euler stop needs 14 partial sums, and later ones in blocks of 4
-    (_half_periods).  The stopping tests still run segment by segment, in
-    order, so the engine stops at the same segment as when each half-period
-    was integrated alone; segments computed past the stop count in
-    `evaluations`.
+    Segment 0 runs on tanh-sinh, which tolerates an integrable edge
+    singularity or an undefined integrand right at the lower limit; each
+    later one has tolerance tol / (32 (k+1)).  Half-periods 1-13 are
+    requested together, since the Euler stop needs 14 partial sums, and
+    later ones in blocks of 4, when the tests reach them.  The stopping
+    tests still run segment by segment, in order, so the engine stops at
+    the same segment as when each half-period was integrated alone;
+    segments computed past the stop count in `evaluations`.
     """
-    if not period_hint > 0.0:
-        raise DomainError("integrate_oscillatory needs period_hint > 0")
-    pe = _PatchedEval(f)
+    a, h = spec.lower, spec.period_hint
+    forced = pe.f.removable_points
+    segments = [_endpoint_singular(pe, a, a + h, tol / 32.0)]
     contribs = []
     diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
     running = 0.0
     precise = True
-    for seg in _half_periods(pe, a, period_hint, tol):
+    for k in range(_OSC_MAX_SEGMENTS):
+        if k == len(segments):
+            size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
+            segments += yield [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), forced, 0.0)
+                               for j in range(k, min(k + size, _OSC_MAX_SEGMENTS))]
+        seg = segments[k]
         if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
             return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
         if seg.status != STATUS_CONVERGED:
@@ -603,17 +610,79 @@ def integrate_oscillatory(f: Integrand, a: float, tol: float,
     return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
 
 
+_ENGINES = {"plain": _plain, "endpoint_singular": _endpoint,
+            "decay": _decay, "oscillatory": _oscillatory}
+
+
+def integrate_many(jobs: Sequence[tuple]) -> list:
+    """Integrate many jobs (f, spec, tol) together; one QuadResult per job.
+
+    Each job runs its shape's engine on its own _PatchedEval, so it keeps
+    its own evaluation count and effort cap.  The pending Gauss-Kronrod
+    requests of every job are merged into one _adaptive_gk_many call,
+    whose rounds call each live integrand once on its own panels; a job
+    whose request is answered makes its next one in the following call.
+    Every job's result is bit for bit integrate(f, spec, tol).  All runs
+    under one np.errstate(all="ignore"): integrands may produce nan/inf
+    at removable points and endpoints, and the engines test for
+    non-finite values themselves.
+    """
+    with np.errstate(all="ignore"):
+        pes = [_PatchedEval(f) for f, _, _ in jobs]
+        engines = [_ENGINES[spec.shape](pe, spec, tol)
+                   for pe, (_, spec, tol) in zip(pes, jobs)]
+        results = [None] * len(jobs)
+        replies = dict.fromkeys(range(len(jobs)))
+        while replies:
+            pending = []
+            for i, reply in replies.items():
+                try:
+                    pending.append((i, engines[i].send(reply)))
+                except StopIteration as done:
+                    results[i] = done.value
+            if not pending:
+                break
+            answers = _adaptive_gk_many([(pes[i], request) for i, request in pending])
+            replies = {i: answer for (i, _), answer in zip(pending, answers)}
+        return results
+
+
 def integrate(f: Integrand, spec: IntervalSpec, tol: float) -> QuadResult:
-    """Dispatch an integrand to the engine matching its declared shape."""
-    if spec.shape == "plain":
-        return integrate_finite(f, spec.lower, spec.upper, tol)
-    if spec.shape == "endpoint_singular":
-        return integrate_endpoint_singular(f, spec.lower, spec.upper, tol)
-    if spec.shape == "decay":
-        return integrate_decay(f, spec.lower, tol, spec.decay_hint,
-                               lower_singular=spec.lower_singular,
-                               osc_hint=spec.osc_hint)
-    return integrate_oscillatory(f, spec.lower, tol, spec.period_hint)
+    """Integrate f with the engine matching its declared shape."""
+    return integrate_many([(f, spec, tol)])[0]
+
+
+def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
+    """Adaptive Gauss-Kronrod integration of f over finite [a, b].
+
+    Subdivision is forced at every removable point; non-convergence after
+    the effort cap is reported as max_effort, never raised.
+    """
+    return integrate(f, IntervalSpec(a, b, "plain"), tol)
+
+
+def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
+    """Tanh-sinh integration over [a, b] tolerating endpoint singularities
+    up to (x-a)^(-1/2) and (b-x)^(-1/2), with level doubling until two
+    successive levels agree within tol."""
+    return integrate(f, IntervalSpec(a, b, "endpoint_singular"), tol)
+
+
+def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
+                    lower_singular: bool = False,
+                    osc_hint: float = 0.0) -> QuadResult:
+    """Semi-infinite integral of an exponentially damped integrand
+    (the decay engine, _decay)."""
+    return integrate(f, IntervalSpec(a, INF, "decay", decay_hint=decay_hint,
+                                     lower_singular=lower_singular,
+                                     osc_hint=osc_hint), tol)
+
+
+def integrate_oscillatory(f: Integrand, a: float, tol: float,
+                          period_hint: float) -> QuadResult:
+    """Oscillatory semi-infinite integral by half-period partial sums with
+    Euler acceleration (the oscillatory engine, _oscillatory)."""
+    return integrate(f, IntervalSpec(a, INF, "oscillatory", period_hint=period_hint), tol)
 
 
 def euler_transform(s: Sequence[float], depth: int) -> float:

@@ -4,7 +4,7 @@ ratio diagnosis, and report invariants."""
 import pytest
 
 from hyptrig.errors import DomainError, UnknownEntryError
-from hyptrig import auditor, catalog
+from hyptrig import auditor, catalog, quad
 from hyptrig.auditor import (AuditConfig, VerificationRecord, sample_params,
                              verify_entry, ratio_diagnose, audit_all,
                              report_to_json, PASS, FAIL, SUSPECT, DIVERGENT)
@@ -146,3 +146,57 @@ class TestAuditAll:
             AuditConfig(samples=0)
         with pytest.raises(DomainError):
             AuditConfig(pass_tol=2.0)
+
+
+def _audit_and_per_point(seed, entries=None):
+    """The audit's records, the same records verified one point at a time,
+    and the _gk_batch rounds each way took."""
+    cfg = AuditConfig(samples=25, seed=seed, entries=entries)
+    rounds = []
+    gk_batch = quad._gk_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_gk_batch", lambda *a: rounds.append(1) or gk_batch(*a))
+        records = audit_all(cfg).records
+        batched = len(rounds)
+        per_point = [verify_entry(r.entry_id, r.params, cfg.pass_tol, r.convention)
+                     for r in records]
+    return records, per_point, batched, len(rounds) - batched
+
+
+def _numbers(r):
+    n = r.numeric
+    return (r.entry_id, r.convention, r.verdict, r.closed.hex(), n.status, n.evaluations,
+            n.value.hex(), n.abs_error_est.hex())
+
+
+class TestAuditBatch:
+    """audit_all integrates an entry's points together; every record must
+    equal verify_entry run on its own point."""
+
+    @pytest.fixture(scope="class")
+    def seed17(self):
+        return _audit_and_per_point(17)
+
+    def test_batch_equals_per_point_runs(self, seed17):
+        records, per_point, _, _ = seed17
+        assert len(records) == 728
+        assert [_numbers(r) for r in records] == [_numbers(r) for r in per_point]
+
+    def test_capped_record_equals_its_per_point_run(self):
+        # audit seed 52 draws the 4.121.1 point that passes the effort cap
+        records, per_point, _, _ = _audit_and_per_point(52, ["4.121.1"])
+        assert [_numbers(r) for r in records] == [_numbers(r) for r in per_point]
+        capped = [r.numeric.evaluations for r in records
+                  if r.numeric.status == quad.STATUS_MAX_EFFORT]
+        assert len(capped) == 1 and capped[0] > quad.MAX_EVALUATIONS
+
+    def test_dual_convention_records_share_one_integral(self, seed17):
+        records = seed17[0]
+        dual = [r for r in records if r.entry_id == "3.532.1"]
+        assert [r.convention for r in dual[:2]] == [None, "printed"]
+        for derived, printed in zip(dual[::2], dual[1::2]):
+            assert printed.numeric is derived.numeric
+
+    def test_batch_takes_under_a_third_of_the_rounds(self, seed17):
+        _, _, batched, per_point = seed17
+        assert batched < per_point / 3

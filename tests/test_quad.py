@@ -345,14 +345,15 @@ def _counting(f):
 def _one_owner(f, a, b, tol, forced=(), width=0.0):
     g, calls = _counting(f)
     with np.errstate(all="ignore"):
-        r = quad._adaptive_gk(quad._PatchedEval(g), a, b, tol, forced, width)
+        [[r]] = quad._adaptive_gk_many([(quad._PatchedEval(g), [(a, b, tol, forced, width)])])
     return r, len(calls)
 
 
 def _many(f, intervals, forced=(), width=0.0):
     g, calls = _counting(f)
     with np.errstate(all="ignore"):
-        out = quad._adaptive_gk_many(quad._PatchedEval(g), intervals, forced, width)
+        [out] = quad._adaptive_gk_many([(quad._PatchedEval(g), [
+            (a, b, tol, forced, width) for a, b, tol in intervals])])
     return out, calls
 
 
@@ -379,7 +380,8 @@ class TestManyIntervals:
                 alone = [_one_owner(f, a, b, tol, forced, width) for a, b, tol in intervals]
                 for r, (solo, _) in zip(out, alone):
                     assert r.status == solo.status
-                    assert abs(r.value - solo.value) <= r.abs_error_est + solo.abs_error_est
+                    assert r.value.hex() == solo.value.hex()
+                    assert r.abs_error_est.hex() == solo.abs_error_est.hex()
                 # one integrand call per round: as many as the owner that
                 # needed the most rounds alone
                 assert len(calls) == max(n for _, n in alone)
@@ -411,8 +413,8 @@ class TestManyIntervals:
         largest, tols = {}, {}
         for k, edges in loose.items():
             with np.errstate(all="ignore"):
-                _, errs, _ = quad._gk_batch(quad._PatchedEval(f), np.array(edges[:-1]),
-                                            np.array(edges[1:]))
+                _, errs, _ = quad._gk_batch([quad._PatchedEval(f)], np.zeros(3, dtype=int),
+                                            np.array(edges[:-1]), np.array(edges[1:]))
             largest[k] = (edges[np.argmax(errs)], edges[np.argmax(errs) + 1])
             tols[k] = 8.0 * errs.max()  # share tol / 6 is above every panel
         intervals = [(0.0, 1.0, tols[0]), (2.0, 3.0, 1e-11), (4.0, 5.0, tols[2])]
@@ -434,6 +436,100 @@ class TestManyIntervals:
         intervals = [(0.0, 1.0, 1e-15), (2.0, 3.0, 1e-15), (5.0, 6.0, 1e-2)]
         out, _ = _many(f, intervals, forced=(5.25, 5.5, 5.75))
         assert [r.status for r in out] == [quad.STATUS_MAX_EFFORT] * 2 + [STATUS_CONVERGED]
+
+
+def _same(r, solo):
+    return ((r.status, r.evaluations, r.value.hex(), r.abs_error_est.hex())
+            == (solo.status, solo.evaluations, solo.value.hex(), solo.abs_error_est.hex()))
+
+
+def _recorded(jobs):
+    """jobs with each integrand recording the abscissae of its calls."""
+    out, calls = [], []
+    for f, spec, tol in jobs:
+        g, c = _counting(f)
+        out.append((g, spec, tol))
+        calls.append(c)
+    return out, calls
+
+
+class TestIntegrateMany:
+    """Jobs batched by integrate_many share their Gauss-Kronrod rounds, yet
+    each ends bit for bit as when it runs alone."""
+
+    @staticmethod
+    def light_jobs():
+        return [
+            (Integrand(eval=lambda x: np.exp(-x)),
+             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0), 1e-11),
+            (Integrand(eval=lambda x: x / np.cosh(x) ** 2),
+             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0), 1e-12),
+            (Integrand(eval=lambda x: np.exp(-x) / np.sqrt(x)),
+             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0, lower_singular=True), 1e-11),
+            (Integrand(eval=lambda x: np.sin(x) / x, removable_points=(0.0,), limit_values=(1.0,)),
+             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-10),
+            (Integrand(eval=lambda x: x * np.sin(x) / (1.0 + x * x)),
+             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
+            (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "plain"), 1e-12),
+            (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
+             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
+        ]
+
+    # 4695 evaluations alone, over 34 rounds
+    HEAVY = (Integrand(eval=lambda x: np.sqrt(np.abs(x - 0.3))), IntervalSpec(0.0, 1.0, "plain"),
+             1e-15)
+
+    def _check_against_solo(self, jobs):
+        """Run jobs batched and alone; every result and every integrand
+        call must be the same.  Returns the batched results."""
+        recorded, calls = _recorded(jobs)
+        batch = quad.integrate_many(recorded)
+        for job, r, batch_calls in zip(jobs, batch, calls):
+            [solo_job], [solo_calls] = _recorded([job])
+            assert _same(r, integrate(*solo_job))
+            # each round called the integrand once, on its own abscissae
+            assert len(batch_calls) == len(solo_calls)
+            for x, x_solo in zip(batch_calls, solo_calls):
+                assert x.tobytes() == x_solo.tobytes()
+        return batch
+
+    def test_each_job_as_if_alone(self, monkeypatch):
+        jobs = self.light_jobs() + [
+            (Integrand(eval=lambda x: np.exp(-0.5 * x) * np.cos(7.0 * x)),
+             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=7.0), 1e-10),
+            self.HEAVY]
+        rounds = []
+        gk_batch = quad._gk_batch
+        monkeypatch.setattr(quad, "_gk_batch", lambda *a: rounds.append(1) or gk_batch(*a))
+        batch = self._check_against_solo(jobs)
+        assert {r.status for r in batch} == {STATUS_CONVERGED}
+        del rounds[:]
+        quad.integrate_many(jobs)
+        batched = len(rounds)
+        del rounds[:]
+        for job in jobs:
+            integrate(*job)
+        assert batched < len(rounds)
+
+    def test_effort_cap_stops_only_its_own_job(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
+        batch = self._check_against_solo([self.HEAVY] + self.light_jobs())
+        assert batch[0].status == quad.STATUS_MAX_EFFORT
+        assert batch[0].evaluations > 2000
+        assert {r.status for r in batch[1:]} == {STATUS_CONVERGED}
+
+    def test_divergent_job_leaves_its_neighbours_alone(self):
+        divergent = [
+            (Integrand(eval=lambda x: np.where(x > 0.5, np.nan, x)),
+             IntervalSpec(0.0, 1.0, "plain"), 1e-12),
+            # the as-printed 4.124.2 form: sqrt of a negative quantity
+            (Integrand(eval=lambda x: np.cos(x) / np.sqrt(1.0 - x * x)),
+             IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
+        ]
+        light = self.light_jobs()
+        batch = self._check_against_solo(light[:3] + divergent + light[3:])
+        assert [r.status for r in batch[3:5]] == [STATUS_DIVERGENT] * 2
+        assert {r.status for r in batch[:3] + batch[5:]} == {STATUS_CONVERGED}
 
 
 class TestDispatch:
@@ -458,6 +554,13 @@ class TestDispatch:
             IntervalSpec(1.0, 0.0, "plain")
         with pytest.raises(DomainError):
             IntervalSpec(0.0, math.inf, "decay")
+        for shape in ("plain", "endpoint_singular"):
+            with pytest.raises(DomainError):
+                IntervalSpec(0.0, math.inf, shape)
+            with pytest.raises(DomainError):
+                IntervalSpec(-math.inf, 0.0, shape)
+        with pytest.raises(DomainError):
+            integrate_finite(Integrand(eval=np.sin), 0.0, math.inf, 1e-10)
 
 
 class TestEulerTransform:
