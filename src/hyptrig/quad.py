@@ -195,17 +195,14 @@ def _gk_batch(pes: Sequence[_PatchedEval], job: np.ndarray,
     """
     c = 0.5 * (lo + hi)
     s = 0.5 * (hi - lo)
-    if len(pes) == 1:
-        y = _at_nodes(pes[0], c, s)
-    else:
-        # one integrand at a time, so only its own nodes are held at once
-        y = np.empty((len(s), len(_XK)))
-        order = np.argsort(job, kind="stable")
-        count = np.bincount(job, minlength=len(pes))
-        end = np.cumsum(count)
-        for j in np.flatnonzero(count):
-            rows = order[end[j] - count[j]:end[j]]
-            y[rows] = _at_nodes(pes[j], c[rows], s[rows])
+    # one integrand at a time, so only its own nodes are held at once
+    y = np.empty((len(s), len(_XK)))
+    order = np.argsort(job, kind="stable")
+    count = np.bincount(job, minlength=len(pes))
+    end = np.cumsum(count)
+    for j in np.flatnonzero(count):
+        rows = order[end[j] - count[j]:end[j]]
+        y[rows] = _at_nodes(pes[j], c[rows], s[rows])
     k15 = s * _row_dot(y, _WK)
     g7 = s * _row_dot(y, _WG)
     ok = np.isfinite(y).all(axis=1)

@@ -148,19 +148,16 @@ class TestAuditAll:
             AuditConfig(pass_tol=2.0)
 
 
-def _audit_and_per_point(seed, entries=None):
-    """The audit's records, the same records verified one point at a time,
-    and the _gk_batch rounds each way took."""
-    cfg = AuditConfig(samples=25, seed=seed, entries=entries)
+def _per_point(records, pass_tol):
+    """The records verified again one point at a time, and the _gk_batch
+    rounds that took."""
     rounds = []
     gk_batch = quad._gk_batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk_batch", lambda *a: rounds.append(1) or gk_batch(*a))
-        records = audit_all(cfg).records
-        batched = len(rounds)
-        per_point = [verify_entry(r.entry_id, r.params, cfg.pass_tol, r.convention)
+        per_point = [verify_entry(r.entry_id, r.params, pass_tol, r.convention)
                      for r in records]
-    return records, per_point, batched, len(rounds) - batched
+    return per_point, len(rounds)
 
 
 def _numbers(r):
@@ -174,29 +171,40 @@ class TestAuditBatch:
     equal verify_entry run on its own point."""
 
     @pytest.fixture(scope="class")
-    def seed17(self):
-        return _audit_and_per_point(17)
+    def seed17_per_point(self, full_audit):
+        return _per_point(full_audit.records, full_audit.config_echo["pass_tol"])
 
-    def test_batch_equals_per_point_runs(self, seed17):
-        records, per_point, _, _ = seed17
+    def test_batch_equals_per_point_runs(self, full_audit, seed17_per_point):
+        records = full_audit.records
         assert len(records) == 728
+        per_point, _ = seed17_per_point
         assert [_numbers(r) for r in records] == [_numbers(r) for r in per_point]
 
     def test_capped_record_equals_its_per_point_run(self):
         # audit seed 52 draws the 4.121.1 point that passes the effort cap
-        records, per_point, _, _ = _audit_and_per_point(52, ["4.121.1"])
+        cfg = AuditConfig(samples=25, seed=52, entries=["4.121.1"])
+        records = audit_all(cfg).records
+        per_point, _ = _per_point(records, cfg.pass_tol)
         assert [_numbers(r) for r in records] == [_numbers(r) for r in per_point]
         capped = [r.numeric.evaluations for r in records
                   if r.numeric.status == quad.STATUS_MAX_EFFORT]
         assert len(capped) == 1 and capped[0] > quad.MAX_EVALUATIONS
 
-    def test_dual_convention_records_share_one_integral(self, seed17):
-        records = seed17[0]
-        dual = [r for r in records if r.entry_id == "3.532.1"]
+    def test_dual_convention_records_share_one_integral(self, full_audit):
+        dual = [r for r in full_audit.records if r.entry_id == "3.532.1"]
         assert [r.convention for r in dual[:2]] == [None, "printed"]
         for derived, printed in zip(dual[::2], dual[1::2]):
             assert printed.numeric is derived.numeric
 
-    def test_batch_takes_under_a_third_of_the_rounds(self, seed17):
-        _, _, batched, per_point = seed17
-        assert batched < per_point / 3
+    def test_dual_convention_tolerance_comes_from_the_derived_form(self):
+        entry = catalog.get_entry("3.532.1")
+        smaller_printed = 0
+        for params in sample_params(entry, 25, 17):
+            closed, (_, _, tol) = auditor._point(entry, params, 1e-9)
+            assert tol == max(abs(closed[None]) * 1e-9 / 10.0, 1e-14)
+            smaller_printed += abs(closed["printed"]) < abs(closed[None])
+        assert smaller_printed > 0
+
+    def test_batch_takes_under_a_third_of_the_rounds(self, full_audit, seed17_per_point):
+        _, per_point = seed17_per_point
+        assert full_audit.config_echo["gk_rounds"] < per_point / 3
