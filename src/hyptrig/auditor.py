@@ -143,6 +143,22 @@ def _record(entry: EntryDescriptor, params: ParamPoint, closed: float,
         note=entry.provenance_note if expected_fail else "")
 
 
+def verify_point(entry_id: str, params: ParamPoint,
+                 pass_tol: float) -> List[VerificationRecord]:
+    """Every convention's record of one parameter point, from one integral.
+
+    The records come in the audit's order: convention None, then
+    "printed" for a dual_convention entry.  They equal the audit's
+    records of the same point.
+    """
+    entry = catalog.get_entry(entry_id)
+    entry.validate(params)
+    closed, job = _point(entry, params, pass_tol)
+    numeric = integrate(*job)
+    return [_record(entry, params, value, numeric, pass_tol, convention)
+            for convention, value in closed.items()]
+
+
 def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
                  convention: Optional[str] = None) -> VerificationRecord:
     """Integrate one parameter point and compare against the closed form.
@@ -150,13 +166,10 @@ def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
     convention is None, or "printed" for a dual_convention entry.  The
     record equals the audit's record of the same point and convention.
     """
-    entry = catalog.get_entry(entry_id)
-    entry.validate(params)
-    closed, job = _point(entry, params, pass_tol)
-    if convention not in closed:
-        raise DomainError(f"{entry_id} has no convention {convention!r}")
-    return _record(entry, params, closed[convention], integrate(*job), pass_tol,
-                   convention)
+    for record in verify_point(entry_id, params, pass_tol):
+        if record.convention == convention:
+            return record
+    raise DomainError(f"{entry_id} has no convention {convention!r}")
 
 
 def ratio_diagnose(records: Sequence[VerificationRecord]) -> Optional[float]:

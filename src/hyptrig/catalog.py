@@ -7,6 +7,18 @@ results carry short labels (L1, C1, L3a, L3b, L4, HW1-HW3).  Provenance
 notes record where each closed form comes from and any known defect.  The
 catalog audits the table as printed: a suspect entry keeps its printed
 form and is expected to fail verification.
+
+Factory contract: each entry's integrand is a module-level kernel
+k(x, *args), elementwise in x, and its factory returns
+Integrand(eval=k, args=...) with the point's values in args.  The
+quadrature calls one kernel once for many points, with each arg a
+(panels, 1) column, so a kernel broadcasts its args and uses numpy only.
+Parameter-only math (math.cos(pi beta), signs, absolute values, removable
+point limits) is done in the factory, in Python floats, so every point's
+node values are the same bits whether its kernel call holds one point or
+many (except where x ** e meets numpy's scalar-exponent shortcuts, at
+e = 2, 0.5 and -1 exactly).  The endpoint-distance callbacks
+eval_lower_dist / eval_upper_dist stay one-argument closures.
 """
 
 from __future__ import annotations
@@ -50,17 +62,16 @@ def _sinh_minus_sin(u):
     return np.where(small, series, direct)
 
 
-def _cosh_over_sinh(b, a, x):
-    """cosh(bx)/sinh(ax) for a > |b|, overflow-free on all of (0, inf)."""
-    bb = abs(b)
+def _cosh_over_sinh(bb, a, x):
+    """cosh(bx)/sinh(ax) for a > bb = |b|, overflow-free on all of (0, inf)."""
     return (np.exp((bb - a) * x) * (1.0 + np.exp(-2.0 * bb * x))
             / (-np.expm1(-2.0 * a * x)))
 
 
-def _sinh_over_sinh(b, a, x):
-    """sinh(bx)/sinh(ax) for a > |b|, overflow-free on all of (0, inf)."""
-    bb = abs(b)
-    return (math.copysign(1.0, b) * np.exp((bb - a) * x)
+def _sinh_over_sinh(sign, bb, a, x):
+    """sinh(bx)/sinh(ax) for a > bb = |b|, sign = copysign(1, b),
+    overflow-free on all of (0, inf)."""
+    return (sign * np.exp((bb - a) * x)
             * np.expm1(-2.0 * bb * x) / np.expm1(-2.0 * a * x))
 
 
@@ -157,14 +168,14 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # auxiliary closed forms kept as checkable entries
 
+def _l1_kernel(x, bb, a, pm1):
+    return _cosh_over_sinh(bb, a, x) * x ** pm1
+
+
 def _l1_factory(pp):
     p, a, b = pp["p"], pp["a"], pp["b"]
     lam = a - abs(b)
-
-    def ev(x):
-        return _cosh_over_sinh(b, a, x) * x ** (p - 1.0)
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_l1_kernel, args=(abs(b), a, p - 1.0)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=lam,
                          lower_singular=p < 2.0))
 
@@ -196,13 +207,13 @@ _register(EntryDescriptor(
 ))
 
 
+def _c1_kernel(x, bb, a):
+    return x * _cosh_over_sinh(bb, a, x)
+
+
 def _c1_factory(pp):
     a, b = pp["a"], pp["b"]
-
-    def ev(x):
-        return x * _cosh_over_sinh(b, a, x)
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_c1_kernel, args=(abs(b), a)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a - abs(b)))
 
 
@@ -221,13 +232,14 @@ _register(EntryDescriptor(
 ))
 
 
+def _l3a_kernel(x, a, b):
+    return np.exp(-a * x) * np.sin(b * x) / x
+
+
 def _l3a_factory(pp):
     a, b = pp["a"], pp["b"]
-
-    def ev(x):
-        return np.exp(-a * x) * np.sin(b * x) / x
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(b,)),
+    return (Integrand(eval=_l3a_kernel, args=(a, b), removable_points=(0.0,),
+                      limit_values=(b,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=abs(b)))
 
 
@@ -243,13 +255,14 @@ _register(EntryDescriptor(
 ))
 
 
+def _l3b_kernel(x, a, b):
+    return np.exp(-a * x) * np.sin(b * x) ** 2 / x
+
+
 def _l3b_factory(pp):
     a, b = pp["a"], pp["b"]
-
-    def ev(x):
-        return np.exp(-a * x) * np.sin(b * x) ** 2 / x
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(0.0,)),
+    return (Integrand(eval=_l3b_kernel, args=(a, b), removable_points=(0.0,),
+                      limit_values=(0.0,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a,
                          osc_hint=2.0 * abs(b)))
 
@@ -266,13 +279,14 @@ _register(EntryDescriptor(
 ))
 
 
+def _l4_kernel(x, a, beta):
+    return np.sin(a * x) / (x * np.cosh(beta * x))
+
+
 def _l4_factory(pp):
     a, beta = pp["a"], pp["beta"]
-
-    def ev(x):
-        return np.sin(a * x) / (x * np.cosh(beta * x))
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(a,)),
+    return (Integrand(eval=_l4_kernel, args=(a, beta), removable_points=(0.0,),
+                      limit_values=(a,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta, osc_hint=a))
 
 
@@ -293,13 +307,13 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table sections 4.118 - 4.122
 
+def _e4118_kernel(x, a):
+    return x * np.sin(a * x) / np.cosh(x) ** 2
+
+
 def _e4118_factory(pp):
     a = pp["a"]
-
-    def ev(x):
-        return x * np.sin(a * x) / np.cosh(x) ** 2
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e4118_kernel, args=(a,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0, osc_hint=a))
 
 
@@ -320,13 +334,13 @@ _register(EntryDescriptor(
 ))
 
 
+def _e4119_kernel(x, half_p, q):
+    return 2.0 * np.sin(half_p * x) ** 2 / (x * np.sinh(q * x))
+
+
 def _e4119_factory(pp):
     p, q = pp["p"], pp["q"]
-
-    def ev(x):
-        return 2.0 * np.sin(0.5 * p * x) ** 2 / (x * np.sinh(q * x))
-
-    return (Integrand(eval=ev, removable_points=(0.0,),
+    return (Integrand(eval=_e4119_kernel, args=(0.5 * p, q), removable_points=(0.0,),
                       limit_values=(p * p / (2.0 * q),)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=q, osc_hint=p))
 
@@ -345,15 +359,16 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41211_kernel(x, half_sum, half_diff, beta):
+    # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2)
+    return (2.0 * np.cos(half_sum * x) * np.sin(half_diff * x)
+            / (x * np.cosh(beta * x)))
+
+
 def _e41211_factory(pp):
     a, b, beta = pp["a"], pp["b"], pp["beta"]
-
-    def ev(x):
-        # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2)
-        return (2.0 * np.cos(0.5 * (a + b) * x) * np.sin(0.5 * (a - b) * x)
-                / (x * np.cosh(beta * x)))
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(a - b,)),
+    return (Integrand(eval=_e41211_kernel, args=(0.5 * (a + b), 0.5 * (a - b), beta),
+                      removable_points=(0.0,), limit_values=(a - b,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
                          osc_hint=max(a, b)))
 
@@ -385,15 +400,16 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41212_kernel(x, half_sum, half_diff, beta):
+    # cos ax - cos bx = 2 sin((a+b)x/2) sin((b-a)x/2)
+    return (2.0 * np.sin(half_sum * x) * np.sin(half_diff * x)
+            / (x * np.sinh(beta * x)))
+
+
 def _e41212_factory(pp):
     a, b, beta = pp["a"], pp["b"], pp["beta"]
-
-    def ev(x):
-        # cos ax - cos bx = 2 sin((a+b)x/2) sin((b-a)x/2)
-        return (2.0 * np.sin(0.5 * (a + b) * x) * np.sin(0.5 * (b - a) * x)
-                / (x * np.sinh(beta * x)))
-
-    return (Integrand(eval=ev, removable_points=(0.0,),
+    return (Integrand(eval=_e41212_kernel, args=(0.5 * (a + b), 0.5 * (b - a), beta),
+                      removable_points=(0.0,),
                       limit_values=((b * b - a * a) / (2.0 * beta),)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
                          osc_hint=max(a, b)))
@@ -413,13 +429,14 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41221_kernel(x, beta, gamma, delta):
+    return np.cos(beta * x) * np.sin(gamma * x) / (x * np.cosh(delta * x))
+
+
 def _e41221_factory(pp):
     beta, gamma, delta = pp["beta"], pp["gamma"], pp["delta"]
-
-    def ev(x):
-        return np.cos(beta * x) * np.sin(gamma * x) / (x * np.cosh(delta * x))
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(gamma,)),
+    return (Integrand(eval=_e41221_kernel, args=(beta, gamma, delta),
+                      removable_points=(0.0,), limit_values=(gamma,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=delta,
                          osc_hint=beta + gamma))
 
@@ -450,13 +467,14 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41222_kernel(x, a, bb):
+    return np.sin(a * x) ** 2 * _cosh_over_sinh(bb, 1.0, x) / x
+
+
 def _e41222_factory(pp):
     a, beta = pp["a"], pp["beta"]
-
-    def ev(x):
-        return np.sin(a * x) ** 2 * _cosh_over_sinh(beta, 1.0, x) / x
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(a * a,)),
+    return (Integrand(eval=_e41222_kernel, args=(a, abs(beta)), removable_points=(0.0,),
+                      limit_values=(a * a,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0 - beta,
                          osc_hint=2.0 * a))
 
@@ -480,14 +498,15 @@ _register(EntryDescriptor(
 ))
 
 
+def _e39815_kernel(x, a, sign, bb, gamma):
+    return np.cos(a * x) * _sinh_over_sinh(sign, bb, gamma, x)
+
+
 def _e39815_factory(pp):
     a, beta, gamma = pp["a"], pp["beta"], pp["gamma"]
-
-    def ev(x):
-        return np.cos(a * x) * _sinh_over_sinh(beta, gamma, x)
-
-    return (Integrand(eval=ev, removable_points=(0.0,),
-                      limit_values=(beta / gamma,)),
+    return (Integrand(eval=_e39815_kernel,
+                      args=(a, math.copysign(1.0, beta), abs(beta), gamma),
+                      removable_points=(0.0,), limit_values=(beta / gamma,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=gamma - abs(beta),
                          osc_hint=a))
 
@@ -530,17 +549,18 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table section 4.123
 
+def _e4123_sin_kernel(x, a, m):
+    den = _cosh_plus_cos(a * x, m * x) * (x * x - _PI ** 2)
+    return np.sin(m * x) * x / den
+
+
 def _e4123_sin_factory(m: int):
     def factory(pp):
         a = pp["a"]
-
-        def ev(x):
-            den = _cosh_plus_cos(a * x, m * x) * (x * x - _PI ** 2)
-            return np.sin(m * x) * x / den
-
         sign = -1.0 if m % 2 else 1.0
         lim = sign * m / (2.0 * (math.cosh(a * _PI) + sign))
-        return (Integrand(eval=ev, removable_points=(_PI,), limit_values=(lim,)),
+        return (Integrand(eval=_e4123_sin_kernel, args=(a, float(m)),
+                          removable_points=(_PI,), limit_values=(lim,)),
                 IntervalSpec(0.0, math.inf, "decay", decay_hint=a,
                              osc_hint=float(m)))
 
@@ -569,16 +589,16 @@ for _m, _eid, _cf in (
     ))
 
 
+def _e41232_kernel(x, a):
+    den = _cosh_minus_cos(a * x, x) * (x * x - _PI ** 2)
+    return np.sin(x) * x / den
+
+
 def _e41232_factory(pp):
     a = pp["a"]
-
-    def ev(x):
-        den = _cosh_minus_cos(a * x, x) * (x * x - _PI ** 2)
-        return np.sin(x) * x / den
-
     lim0 = -2.0 / ((a * a + 1.0) * _PI ** 2)
     limpi = -1.0 / (2.0 * (math.cosh(a * _PI) + 1.0))
-    return (Integrand(eval=ev, removable_points=(0.0, _PI),
+    return (Integrand(eval=_e41232_kernel, args=(a,), removable_points=(0.0, _PI),
                       limit_values=(lim0, limpi)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=1.0))
 
@@ -595,16 +615,16 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41233_kernel(x, two_a):
+    den = _cosh_minus_cos(two_a * x, 2.0 * x) * (x * x - _PI ** 2)
+    return np.sin(2.0 * x) * x / den
+
+
 def _e41233_factory(pp):
     a = pp["a"]
-
-    def ev(x):
-        den = _cosh_minus_cos(2.0 * a * x, 2.0 * x) * (x * x - _PI ** 2)
-        return np.sin(2.0 * x) * x / den
-
     lim0 = -1.0 / ((a * a + 1.0) * _PI ** 2)
     limpi = 1.0 / (math.cosh(2.0 * a * _PI) - 1.0)
-    return (Integrand(eval=ev, removable_points=(0.0, _PI),
+    return (Integrand(eval=_e41233_kernel, args=(2.0 * a,), removable_points=(0.0, _PI),
                       limit_values=(lim0, limpi)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
                          osc_hint=2.0))
@@ -622,19 +642,19 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41234_kernel(x, a):
+    # cosh(ax)/(cosh^2 ax - cos^2 x) = 1/(cosh ax - cos^2 x / cosh ax):
+    # free of inf/inf overflow for large ax
+    ch = np.cosh(a * x)
+    den = (ch - np.cos(x) ** 2 / ch) * (x * x - _PI ** 2)
+    return np.sin(x) * x / den
+
+
 def _e41234_factory(pp):
     a = pp["a"]
-
-    def ev(x):
-        # cosh(ax)/(cosh^2 ax - cos^2 x) = 1/(cosh ax - cos^2 x / cosh ax):
-        # free of inf/inf overflow for large ax
-        ch = np.cosh(a * x)
-        den = (ch - np.cos(x) ** 2 / ch) * (x * x - _PI ** 2)
-        return np.sin(x) * x / den
-
     lim0 = -1.0 / ((a * a + 1.0) * _PI ** 2)
     limpi = -math.cosh(a * _PI) / (2.0 * math.sinh(a * _PI) ** 2)
-    return (Integrand(eval=ev, removable_points=(0.0, _PI),
+    return (Integrand(eval=_e41234_kernel, args=(a,), removable_points=(0.0, _PI),
                       limit_values=(lim0, limpi)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=2.0))
 
@@ -690,14 +710,15 @@ def rhs_4_123_5(a: float, beta: float, gamma: float,
     return first + total / math.sin(beta * _PI)
 
 
+def _e41235_kernel(x, a, cos_pi_beta, gamma_sq):
+    return (np.cos(a * x)
+            / ((np.cosh(_PI * x) + cos_pi_beta) * (x * x + gamma_sq)))
+
+
 def _e41235_factory(pp):
     a, beta, gamma = pp["a"], pp["beta"], pp["gamma"]
-
-    def ev(x):
-        return (np.cos(a * x)
-                / ((np.cosh(_PI * x) + math.cos(_PI * beta)) * (x * x + gamma * gamma)))
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e41235_kernel,
+                      args=(a, math.cos(_PI * beta), gamma * gamma)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=_PI, osc_hint=a))
 
 
@@ -727,17 +748,18 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41236_kernel(x, a, b, pm1):
+    # sinh(bx)/(cos 2ax + cosh 2bx) in exponential form: bounded and
+    # overflow-free, with no cancellation anywhere on (0, inf)
+    e = np.exp(-2.0 * b * x)
+    ratio = -np.expm1(-2.0 * b * x) / (1.0 + e * e + 2.0 * np.cos(2.0 * a * x) * e)
+    return np.sin(a * x) * np.exp(-b * x) * ratio * x ** pm1
+
+
 def _e41236_factory(pp):
     a, b, p = pp["a"], pp["b"], pp["p"]
-
-    def ev(x):
-        # sinh(bx)/(cos 2ax + cosh 2bx) in exponential form: bounded and
-        # overflow-free, with no cancellation anywhere on (0, inf)
-        e = np.exp(-2.0 * b * x)
-        ratio = -np.expm1(-2.0 * b * x) / (1.0 + e * e + 2.0 * np.cos(2.0 * a * x) * e)
-        return np.sin(a * x) * np.exp(-b * x) * ratio * x ** (p - 1.0)
-
-    return (Integrand(eval=ev, removable_points=(0.0,), limit_values=(0.0,)),
+    return (Integrand(eval=_e41236_kernel, args=(a, b, p - 1.0), removable_points=(0.0,),
+                      limit_values=(0.0,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=b,
                          osc_hint=2.0 * a))
 
@@ -778,17 +800,17 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41237_kernel(t, half_a):
+    # substituted variable t = 2 x^2: removes the sin(a x^2) chirp
+    y = np.sqrt(0.5 * t)
+    g = (np.sin(0.5 * _PI * y) * np.sinh(0.5 * _PI * y)
+         / _cosh_plus_cos(_PI * y, _PI * y))
+    return 0.5 * np.sin(half_a * t) * g
+
+
 def _e41237_factory(pp):
     a = pp["a"]
-
-    def ev(t):
-        # substituted variable t = 2 x^2: removes the sin(a x^2) chirp
-        y = np.sqrt(0.5 * t)
-        g = (np.sin(0.5 * _PI * y) * np.sinh(0.5 * _PI * y)
-             / _cosh_plus_cos(_PI * y, _PI * y))
-        return 0.5 * np.sin(0.5 * a * t) * g
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e41237_kernel, args=(0.5 * a,)),
             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=2.0 * _PI / a))
 
 
@@ -813,18 +835,19 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table section 4.124 and the Bessel family
 
+def _e41241_kernel(x, p, q, u):
+    w = (u - x) * (u + x)
+    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+
+
 def _e41241_factory(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
-
-    def ev(x):
-        w = (u - x) * (u + x)
-        return np.cos(p * x) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
 
     def ev_upper(d):
         w = d * (2.0 * u - d)
         return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
 
-    return (Integrand(eval=ev, eval_upper_dist=ev_upper),
+    return (Integrand(eval=_e41241_kernel, args=(p, q, u), eval_upper_dist=ev_upper),
             IntervalSpec(0.0, u, "endpoint_singular"))
 
 
@@ -862,18 +885,19 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41241m1_kernel(x, p, q, u):
+    w = (u - x) * (u + x)
+    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
+
+
 def _e41241m1_factory(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
-
-    def ev(x):
-        w = (u - x) * (u + x)
-        return np.cos(p * x) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
 
     def ev_upper(d):
         w = d * (2.0 * u - d)
         return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
 
-    return (Integrand(eval=ev, eval_upper_dist=ev_upper),
+    return (Integrand(eval=_e41241m1_kernel, args=(p, q, u), eval_upper_dist=ev_upper),
             IntervalSpec(0.0, u, "endpoint_singular"))
 
 
@@ -925,14 +949,14 @@ _E41242_NOTE = (
 )
 
 
+def _e41242_kernel(x, a, beta, u):
+    w = beta * (u - x) * (u + x)  # negative on (u, inf): sqrt -> nan
+    return np.cos(a * x) * np.cosh(np.sqrt(w)) / np.sqrt((u - x) * (u + x))
+
+
 def _e41242_factory(pp):
     a, beta, u = pp["a"], pp["beta"], pp["u"]
-
-    def ev(x):
-        w = beta * (u - x) * (u + x)  # negative on (u, inf): sqrt -> nan
-        return np.cos(a * x) * np.cosh(np.sqrt(w)) / np.sqrt((u - x) * (u + x))
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e41242_kernel, args=(a, beta, u)),
             IntervalSpec(u, math.inf, "oscillatory", period_hint=_PI / a))
 
 
@@ -985,13 +1009,13 @@ def cf_4_124_1_ext(p: float, q: float, u: float, nu: float, terms: int = 60) -> 
 # ---------------------------------------------------------------------------
 # appendix entries
 
+def _e35273_kernel(x, mum1, a):
+    return x ** mum1 / np.cosh(a * x) ** 2
+
+
 def _e35273_factory(pp):
     mu, a = pp["mu"], pp["a"]
-
-    def ev(x):
-        return x ** (mu - 1.0) / np.cosh(a * x) ** 2
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e35273_kernel, args=(mu - 1.0, a)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
                          lower_singular=mu < 1.0))
 
@@ -1054,13 +1078,13 @@ def cf_3_532_1(n: float, a: float, b: float, convention: str) -> float:
     return sf.gamma(2.0 * n + 1.0).value / (a + b) * total
 
 
+def _e35321_kernel(x, n, a, b):
+    return x ** n / (a * np.cosh(x) + b * np.sinh(x))
+
+
 def _e35321_factory(pp):
     n, a, b = pp["n"], pp["a"], pp["b"]
-
-    def ev(x):
-        return x ** n / (a * np.cosh(x) + b * np.sinh(x))
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_e35321_kernel, args=(n, a, b)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0,
                          lower_singular=n < 0.0))
 
@@ -1089,13 +1113,13 @@ _register(EntryDescriptor(
 ))
 
 
+def _e41179c_kernel(x, a):
+    return np.sin(a * x) / ((1.0 + x * x) * np.tanh(0.25 * _PI * x))
+
+
 def _e41179c_factory(pp):
     a = pp["a"]
-
-    def ev(x):
-        return np.sin(a * x) / ((1.0 + x * x) * np.tanh(0.25 * _PI * x))
-
-    return (Integrand(eval=ev, removable_points=(0.0,),
+    return (Integrand(eval=_e41179c_kernel, args=(a,), removable_points=(0.0,),
                       limit_values=(4.0 * a / _PI,)),
             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=_PI / a))
 
@@ -1121,30 +1145,33 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # lemniscatic-constant integrals
 
-def _hw1_factory(pp):
-    def ev(t):
-        return (0.5 * (np.cos(t) + 1.0) * _sinh_minus_sin(0.5 * t)
-                / _cosh_minus_cos(t, t))
+def _hw1_kernel(t):
+    return (0.5 * (np.cos(t) + 1.0) * _sinh_minus_sin(0.5 * t)
+            / _cosh_minus_cos(t, t))
 
-    return (Integrand(eval=ev),
+
+def _hw1_factory(pp):
+    return (Integrand(eval=_hw1_kernel),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
+
+
+def _hw2_kernel(t):
+    return ((np.cos(t) + 1.0) * t * t
+            * (np.sinh(0.5 * t) + np.sin(0.5 * t)) / _cosh_minus_cos(t, t))
 
 
 def _hw2_factory(pp):
-    def ev(t):
-        return ((np.cos(t) + 1.0) * t * t
-                * (np.sinh(0.5 * t) + np.sin(0.5 * t)) / _cosh_minus_cos(t, t))
-
-    return (Integrand(eval=ev),
+    return (Integrand(eval=_hw2_kernel),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
 
 
-def _hw3_factory(pp):
-    def ev(t):
-        return ((np.cos(t) + 1.0) * t * _cosh_minus_cos(0.5 * t, 0.5 * t)
-                / _cosh_minus_cos(t, t))
+def _hw3_kernel(t):
+    return ((np.cos(t) + 1.0) * t * _cosh_minus_cos(0.5 * t, 0.5 * t)
+            / _cosh_minus_cos(t, t))
 
-    return (Integrand(eval=ev),
+
+def _hw3_factory(pp):
+    return (Integrand(eval=_hw3_kernel),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
 
 

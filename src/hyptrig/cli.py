@@ -119,14 +119,9 @@ def _cmd_show(args) -> int:
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
     tol = _build_config(args).pass_tol
-    entry = catalog.get_entry(args.entry)
-    conventions = [None]
-    if "dual_convention" in entry.flags:
-        conventions = [None, "printed"]
     exit_code = 0
-    for conv in conventions:
-        rec = auditor.verify_entry(args.entry, params, tol, convention=conv)
-        tag = f"[{conv}]" if conv else ""
+    for rec in auditor.verify_point(args.entry, params, tol):
+        tag = f"[{rec.convention}]" if rec.convention else ""
         print(f"{rec.verdict:<9s} {rec.entry_id}{tag} params={rec.params} "
               f"closed={rec.closed!r} numeric={rec.numeric.value!r} "
               f"rel_diff={rec.rel_diff:.3e}"

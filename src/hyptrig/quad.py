@@ -11,22 +11,26 @@ each one and the value there comes from the supplied limit.
 Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
 of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
 multi-interval scheme stretched across integrands: each round evaluates
-the split panels of every unfinished interval, calling each integrand
-once on its own panels, and each interval stops on its own test.
+the split panels of every unfinished interval, and each interval stops
+on its own test.  An Integrand is a kernel eval(x, *args) plus its
+per-integral floats args; the integrands of a round that share one
+kernel are evaluated in one broadcast call (Shampine's vectorised
+quadgk, carried over to parameters), with each arg a column of per-panel
+values, at most _MAX_ABSCISSAE abscissae per call.
 
 Each shape has one engine, a generator that yields its Gauss-Kronrod
 requests, lists of intervals (a, b, tol, forced, panel_width), and
 receives their QuadResults.  integrate_many runs many integrals (jobs)
 at once by merging the pending requests of every job into one refinement
 loop; integrate and the integrate_* functions are its one-job calls.  A
-job keeps its own evaluation count and effort cap, and every panel sum
-is independent of the other panels in the batch, so a job's result is
-bit for bit its result alone.  The oscillatory engine asks for its
-half-periods 1-13, then blocks of 4; the decay engine for its main range
-together with the first confirmation block.  Tanh-sinh runs inside the
-engines, one integral at a time.  The cost of an engine call is mostly
-Python dispatch per round, so fewer, larger rounds are what makes it
-faster.
+job keeps its own evaluation count and effort cap, and every node value
+and panel sum is independent of the other panels in the batch, so a
+job's result is bit for bit its result alone.  The oscillatory engine
+asks for its half-periods 1-13, then blocks of 4; the decay engine for
+its main range together with the first confirmation block.  Tanh-sinh
+and the decay probes run inside the engines, one integral at a time.
+The cost of an engine call is mostly Python dispatch per round and per
+kernel call, so fewer, larger calls are what makes it faster.
 """
 
 from __future__ import annotations
@@ -53,22 +57,31 @@ MAX_EVALUATIONS = 2_000_000
 class Integrand:
     """A vectorised real integrand with its removable 0/0 points annotated.
 
-    eval maps an ndarray of abscissae to an ndarray of values; it may
-    return nan/inf at the listed removable points (and only there, for a
-    well-formed integrand).  limit_values holds the finite limit at each
-    point, in the same order; the pairs are stored sorted by point.
+    The integrand is eval(x, *args): eval maps an ndarray of abscissae to
+    an ndarray of values of the same shape, elementwise, and args holds
+    the integral's own floats (its parameters).  Integrands that share
+    one eval object are evaluated together: x then has one row per panel
+    and each arg is a column holding the value of the panel's own
+    integral, so eval must broadcast its args against x.  A module-level
+    kernel with the parameters in args is batched this way; a closure
+    (args = ()) is a batch of one.  eval may return nan/inf at the
+    listed removable points (and only there, for a well-formed
+    integrand).  limit_values holds the finite limit at each point, in
+    the same order; the pairs are stored sorted by point.
 
     eval_lower_dist / eval_upper_dist optionally evaluate f as a function
-    of the distance to the singular endpoint.  The tanh-sinh rule uses
-    them where rounding x to the endpoint would otherwise destroy the
-    distance information (x within ~1e-16 of the endpoint).
+    of the distance to the singular endpoint, with no args.  The
+    tanh-sinh rule uses them where rounding x to the endpoint would
+    otherwise destroy the distance information (x within ~1e-16 of the
+    endpoint).
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[..., np.ndarray]
     removable_points: tuple = ()
     limit_values: tuple = ()
     eval_lower_dist: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_upper_dist: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    args: tuple = ()
 
     def __post_init__(self):
         if len(self.limit_values) != len(self.removable_points):
@@ -113,12 +126,28 @@ class QuadResult:
     status: str
 
 
+def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence,
+              patches: Sequence[tuple]) -> np.ndarray:
+    """kernel(x, *args), with each removable point's limit patched in.
+
+    patches holds one (point, snap, limit) triple per removable point.
+    The args and triples are scalars for one integral, or columns with one
+    value per row of x for many; each value takes the same arithmetic
+    either way, except that numpy's x ** e takes square, sqrt and
+    reciprocal shortcuts for a scalar e of exactly 2, 0.5 and -1.  Nodes
+    within snap distance of a point receive its limit.
+    """
+    y = np.asarray(kernel(x, *args), dtype=float)
+    for p, snap, lim in patches:
+        near = np.abs(x - p) <= snap
+        if np.count_nonzero(near):
+            y = np.where(near, lim, y)
+    return y
+
+
 class _PatchedEval:
     """Evaluates an Integrand on arrays, patching removable points, and
     counts the evaluations of one integral (job) against MAX_EVALUATIONS.
-
-    Nodes landing within snap distance of a removable point receive the
-    supplied limit.
     """
 
     def __init__(self, f: Integrand):
@@ -134,12 +163,7 @@ class _PatchedEval:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.spend(x.size)
-        y = np.asarray(self.f.eval(x), dtype=float)
-        for p, snap, lim in self.patches:
-            near = np.abs(x - p) <= snap
-            if np.count_nonzero(near):
-                y = np.where(near, lim, y)
-        return y
+        return _evaluate(self.f.eval, x, self.f.args, self.patches)
 
 
 # 15-point Kronrod nodes on [-1, 1] with Kronrod weights and the embedded
@@ -172,52 +196,95 @@ def _row_dot(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", y, w)
 
 
-def _at_nodes(pe: _PatchedEval, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # pe at the Kronrod nodes of panels with centres c and half-widths s,
-    # one row per panel
-    x = np.multiply.outer(s, _XK) + c[:, None]
-    return pe(x.ravel()).reshape(x.shape)
+# a kernel call evaluates at most this many abscissae, so the temporaries
+# of one call stay bounded however many panels a round holds
+_MAX_ABSCISSAE = 1 << 14
+_CHUNK = _MAX_ABSCISSAE // len(_XK)  # panels per kernel call
 
 
-def _gk_batch(pes: Sequence[_PatchedEval], job: np.ndarray,
+def _kernel_groups(pes: Sequence[_PatchedEval]):
+    """The integrals pes grouped by kernel (Integrand.eval), for _gk_batch.
+
+    Returns (group, slot, kernels): pes[j] is member slot[j] of group
+    group[j], and kernels[g] is (kernel, nargs, table), where table holds
+    one column per member: its args, then its (point, snap, limit)
+    triples.  A member with fewer removable points is padded with nan
+    triples, which are never near a node.
+    """
+    members = {}
+    for j, pe in enumerate(pes):
+        members.setdefault(pe.f.eval, []).append(j)
+    group = np.empty(len(pes), dtype=int)
+    slot = np.empty(len(pes), dtype=int)
+    kernels = []
+    for g, (kernel, js) in enumerate(members.items()):
+        group[js] = g
+        slot[js] = np.arange(len(js))
+        rows = [(*pes[j].f.args, *(v for patch in pes[j].patches for v in patch))
+                for j in js]
+        width = max(map(len, rows))
+        table = np.array([row + (math.nan,) * (width - len(row)) for row in rows]).T
+        kernels.append((kernel, len(pes[js[0]].f.args), table))
+    return group, slot, kernels
+
+
+def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
               lo: np.ndarray, hi: np.ndarray):
     """Apply GK15 to a batch of panels; returns (values, errors, finite?).
 
-    Panel i belongs to the integrand pes[job[i]].  Each integrand is
-    called once, on the nodes of its own panels in batch order, and every
-    sum is per row, so a panel's results do not depend on the other
-    panels in the batch.
+    Panel i belongs to the integral pes[job[i]], which spends its own
+    evaluations; groups is _kernel_groups(pes).  The panels, ordered by
+    group and within a group by batch order, are evaluated in chunks of
+    at most _CHUNK panels: one kernel call per group in a chunk, on nodes
+    of shape (panels, 15), with each arg and removable-point value a
+    (panels, 1) column gathered by job.  Every node value and sum is per
+    row, so a panel's results do not depend on the other panels in the
+    batch.
 
     Error estimate per panel follows the classic scaled form
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
     difference on unresolved panels and deflates it on resolved ones,
     instead of over-reporting resolved panels by orders of magnitude.
     """
-    c = 0.5 * (lo + hi)
-    s = 0.5 * (hi - lo)
-    # one integrand at a time, so only its own nodes are held at once
-    y = np.empty((len(s), len(_XK)))
-    order = np.argsort(job, kind="stable")
+    group, slot, kernels = groups
     count = np.bincount(job, minlength=len(pes))
-    end = np.cumsum(count)
-    for j in np.flatnonzero(count):
-        rows = order[end[j] - count[j]:end[j]]
-        y[rows] = _at_nodes(pes[j], c[rows], s[rows])
-    k15 = s * _row_dot(y, _WK)
-    g7 = s * _row_dot(y, _WG)
-    ok = np.isfinite(y).all(axis=1)
+    for j in np.flatnonzero(count).tolist():
+        pes[j].spend(len(_XK) * int(count[j]))
+    order = np.argsort(group[job], kind="stable")
+    job = job[order]
+    c = (0.5 * (lo + hi))[order]
+    s = (0.5 * (hi - lo))[order]
+    k15, g7, resabs, resasc = (np.empty(len(s)) for _ in range(4))
+    ok = np.empty(len(s), dtype=bool)
+    for start in range(0, len(s), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        sp, jp = s[part], job[part]
+        x = np.multiply.outer(sp, _XK) + c[part][:, None]
+        y = np.empty_like(x)
+        gp = group[jp]
+        cuts = [0, *(np.flatnonzero(gp[1:] != gp[:-1]) + 1).tolist(), len(gp)]
+        for a, b in zip(cuts, cuts[1:]):
+            kernel, nargs, table = kernels[gp[a]]
+            cols = table[:, slot[jp[a:b]], None]
+            y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
+                               cols[nargs:].reshape(-1, 3, b - a, 1))
+        k = sp * _row_dot(y, _WK)
+        k15[part] = k
+        g7[part] = sp * _row_dot(y, _WG)
+        ok[part] = np.isfinite(y).all(axis=1)
+        t = np.abs(y)  # one scratch array for both absolute sums
+        resabs[part] = sp * _row_dot(t, _WK)
+        np.subtract(y, (k / (2.0 * sp))[:, None], out=t)
+        resasc[part] = sp * _row_dot(np.abs(t, out=t), _WK)
     diff = np.abs(k15 - g7)
-    mean = k15 / (2.0 * s)
-    t = np.abs(y)  # one scratch array for both absolute sums
-    resabs = s * _row_dot(t, _WK)
-    np.subtract(y, mean[:, None], out=t)
-    resasc = s * _row_dot(np.abs(t, out=t), _WK)
     scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & np.isfinite(scaled), scaled, diff)
     # per-panel summation roundoff: the dot product cannot be trusted
     # below ~log2(15) ulps of the absolute mass
     err = np.maximum(err, 4.0 * 2.220446049250313e-16 * resabs)
-    return k15, err, ok
+    vals, errs, finite = np.empty_like(k15), np.empty_like(err), np.empty_like(ok)
+    vals[order], errs[order], finite[order] = k15, err, ok  # back in batch order
+    return vals, errs, finite
 
 
 def _partition(a: float, b: float, forced: Sequence[float], panel_width: float):
@@ -249,7 +316,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     QuadResults of its intervals in order.  Every interval (an owner)
     holds its own panels, initially _partition(a, b, forced, panel_width),
     but each round makes one _gk_batch call over the split panels of all
-    live owners, so each integrand is called once per round.  An owner
+    live owners, so each kernel is called once per round and chunk.  An owner
     retires, with its own QuadResult, as soon as it meets its own test:
     converged when its error sum is within its tol after at least one
     refinement or on an initial partition of 4 or more panels;
@@ -258,9 +325,9 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     owners returns max_effort.  A panel is split when its error exceeds
     its owner's share, max(tol / 2n, toterr / 8n) over the owner's n
     panels; an owner with no such panel splits its largest.  The owners'
-    panels keep their relative order and _gk_batch sums per row, so each
-    integrand's results, evaluation counts included, are bit for bit
-    those of a call with its own intervals alone.
+    panels keep their relative order and _gk_batch evaluates and sums per
+    row, so each integrand's results, evaluation counts included, are bit
+    for bit those of a call with its own intervals alone.
     """
     pes = [pe for pe, _ in requests]
     intervals = [iv for _, ivs in requests for iv in ivs]
@@ -274,7 +341,8 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     lo = np.concatenate([p[:-1] for p in parts])
     hi = np.concatenate([p[1:] for p in parts])
     owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
-    vals, errs, ok = _gk_batch(pes, owner_job[owner], lo, hi)
+    groups = _kernel_groups(pes)
+    vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels
     results = [None] * m
     rounds = 0
@@ -332,7 +400,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
         lo_s, hi_s = lo[split], hi[split]
         mid = 0.5 * (lo_s + hi_s)
         new_owner = np.concatenate([new_owner, new_owner])
-        v2, e2, ok = _gk_batch(pes, owner_job[new_owner],
+        v2, e2, ok = _gk_batch(pes, groups, owner_job[new_owner],
                                np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]))
         lo = np.concatenate([lo[stay], lo_s, mid])
         hi = np.concatenate([hi[stay], mid, hi_s])
@@ -617,7 +685,8 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
     Each job runs its shape's engine on its own _PatchedEval, so it keeps
     its own evaluation count and effort cap.  The pending Gauss-Kronrod
     requests of every job are merged into one _adaptive_gk_many call,
-    whose rounds call each live integrand once on its own panels; a job
+    whose rounds call each kernel once, on the panels of every live job
+    that shares it (in chunks of at most _MAX_ABSCISSAE abscissae); a job
     whose request is answered makes its next one in the following call.
     Every job's result is bit for bit integrate(f, spec, tol).  All runs
     under one np.errstate(all="ignore"): integrands may produce nan/inf

@@ -208,3 +208,9 @@ class TestAuditBatch:
     def test_batch_takes_under_a_third_of_the_rounds(self, full_audit, seed17_per_point):
         _, per_point = seed17_per_point
         assert full_audit.config_echo["gk_rounds"] < per_point / 3
+
+    def test_one_kernel_call_per_chunk_of_each_round(self, full_audit):
+        # an entry's points share one kernel, so each round calls it once
+        # per chunk of at most quad._CHUNK panels, not once per point
+        echo = full_audit.config_echo
+        assert echo["gk_rounds"] <= echo["gk_kernel_calls"] <= echo["gk_chunks"]

@@ -12,6 +12,8 @@ from hyptrig.catalog import (closed_form, integrand, list_entries, get_entry,
                              lemma5_lhs, lemma5_rhs, rhs_4_123_5, cf_3_532_1,
                              cf_4_124_1_ext, lemniscatic_period)
 from hyptrig.quad import integrate, integrate_finite, Integrand
+from hyptrig.auditor import sample_params
+from hyptrig import quad
 from hyptrig import specfun as sf
 
 PI = math.pi
@@ -59,7 +61,7 @@ class TestIntegrandMetadata:
         assert spec.shape == "decay"
         xs = np.array([0.5, 1.0, 2.0])
         expect = xs * np.sin(xs) / np.cosh(xs) ** 2
-        assert np.allclose(f.eval(xs), expect, rtol=1e-14)
+        assert np.allclose(f.eval(xs, *f.args), expect, rtol=1e-14)
 
     def test_41241_shape(self):
         f, spec = integrand("4.124.1", {"p": 2.0, "q": 1.0, "u": 1.0})
@@ -76,8 +78,8 @@ class TestIntegrandMetadata:
         assert lim0 == pytest.approx(-2.0 / ((a * a + 1.0) * PI ** 2), rel=1e-13)
         assert limpi == pytest.approx(-1.0 / (2.0 * (math.cosh(a * PI) + 1.0)), rel=1e-13)
         eps = 1e-5
-        near0 = float(f.eval(np.array([eps]))[0])
-        nearpi = float(f.eval(np.array([PI + eps]))[0])
+        near0 = float(f.eval(np.array([eps]), *f.args)[0])
+        nearpi = float(f.eval(np.array([PI + eps]), *f.args)[0])
         assert near0 == pytest.approx(lim0, rel=1e-4)
         assert nearpi == pytest.approx(limpi, rel=1e-4)
 
@@ -90,14 +92,62 @@ class TestIntegrandMetadata:
         x = math.sqrt(1.0)
         g = (math.sin(PI * x / 2) * math.sinh(PI * x / 2)
              / (math.cos(PI * x) + math.cosh(PI * x)))
-        assert float(f.eval(t)[0]) == pytest.approx(0.5 * math.sin(1.0) * g, rel=1e-13)
+        assert float(f.eval(t, *f.args)[0]) == pytest.approx(0.5 * math.sin(1.0) * g, rel=1e-13)
 
     def test_41242_undefined_as_printed(self):
         f, spec = integrand("4.124.2", {"a": 1.0, "beta": 0.5, "u": 1.0})
         assert spec.lower == 1.0 and spec.shape == "oscillatory"
         with np.errstate(invalid="ignore"):
-            vals = f.eval(np.array([1.5, 2.0, 10.0]))
+            vals = f.eval(np.array([1.5, 2.0, 10.0]), *f.args)
         assert np.all(~np.isfinite(vals))
+
+
+def _hex(y):
+    return [v.hex() for v in y.ravel().tolist()]
+
+
+class TestKernelBatch:
+    """One kernel call over many points of an entry gives each point, bit
+    for bit, the node values of its own call with scalar args (the
+    arithmetic of a closure over the point's parameters)."""
+
+    @pytest.mark.parametrize("entry", [e for e in list_entries() if e.param_names],
+                             ids=lambda e: e.id)
+    def test_batched_nodes_equal_each_points_own_call(self, entry, monkeypatch):
+        fs = [entry.integrand_factory(pp)[0] for pp in sample_params(entry, 25, 17)]
+        rng = np.random.default_rng(list_entries().index(entry))
+        # random panels on (0, 30), more than one kernel call holds
+        n = quad._CHUNK + 300
+        ends = np.sort(rng.uniform(0.0, 30.0, (n, 2)), axis=1)
+        lo, hi = ends[:, 0], ends[:, 1]
+        job = rng.integers(len(fs), size=n)
+        # panels around each removable point, with nodes inside and
+        # outside its snap distance, on both sides of the chunk boundary
+        k = len(fs)
+        for p in fs[0].removable_points:
+            w = 3e-12 * (1.0 + abs(p))  # 3 snap distances
+            lo = np.concatenate([np.full(k, max(p - w, 0.0)), lo, np.full(k, max(p - w, 0.0))])
+            hi = np.concatenate([np.full(k, p + w), hi, np.full(k, p + w)])
+            job = np.concatenate([np.arange(k), job, np.arange(k)])
+        calls = []
+        evaluate = quad._evaluate
+        with monkeypatch.context() as mp:
+            mp.setattr(quad, "_evaluate", lambda kernel, x, *rest: calls.append(
+                (x, evaluate(kernel, x, *rest))) or calls[-1][1])
+            with np.errstate(all="ignore"):
+                pes = [quad._PatchedEval(f) for f in fs]
+                quad._gk_batch(pes, quad._kernel_groups(pes), job, lo, hi)
+        assert len(calls) == 2
+        assert max(x.size for x, _ in calls) <= quad._MAX_ABSCISSAE
+        x = np.concatenate([x for x, _ in calls])
+        y = np.concatenate([y for _, y in calls])
+        c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        assert x.tobytes() == (np.multiply.outer(s, quad._XK) + c[:, None]).tobytes()
+        for j, f in enumerate(fs):
+            mine = job == j
+            with np.errstate(all="ignore"):
+                own = quad._PatchedEval(f)(x[mine])
+            assert _hex(y[mine]) == _hex(own)
 
 
 class TestLemma5:

@@ -3,6 +3,7 @@ config files, and output stability."""
 
 import json
 
+from hyptrig import quad
 from hyptrig.cli import run
 
 
@@ -51,12 +52,18 @@ class TestVerify:
         assert code == 0
         assert "DIVERGENT" in out
 
-    def test_dual_convention_output(self, capsys):
+    def test_dual_convention_output(self, capsys, monkeypatch):
+        # both conventions' lines come from one integral of the point
+        jobs = []
+        integrate_many = quad.integrate_many
+        monkeypatch.setattr(quad, "integrate_many",
+                            lambda batch: jobs.extend(batch) or integrate_many(batch))
         code = run(["verify", "3.532.1", "--param", "n=2", "--param", "a=1",
                     "--param", "b=1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" in out and "[printed]" in out
+        assert len(jobs) == 1
 
     def test_usage_error(self):
         assert run(["verify"]) == 2

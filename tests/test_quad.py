@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from hyptrig import quad
+from hyptrig import catalog, quad
+from hyptrig.auditor import sample_params
 from hyptrig.errors import DomainError
 from hyptrig.quad import (Integrand, IntervalSpec, integrate,
                           integrate_finite, integrate_endpoint_singular,
@@ -413,7 +414,8 @@ class TestManyIntervals:
         largest, tols = {}, {}
         for k, edges in loose.items():
             with np.errstate(all="ignore"):
-                _, errs, _ = quad._gk_batch([quad._PatchedEval(f)], np.zeros(3, dtype=int),
+                pes = [quad._PatchedEval(f)]
+                _, errs, _ = quad._gk_batch(pes, quad._kernel_groups(pes), np.zeros(3, dtype=int),
                                             np.array(edges[:-1]), np.array(edges[1:]))
             largest[k] = (edges[np.argmax(errs)], edges[np.argmax(errs) + 1])
             tols[k] = 8.0 * errs.max()  # share tol / 6 is above every panel
@@ -530,6 +532,48 @@ class TestIntegrateMany:
         batch = self._check_against_solo(light[:3] + divergent + light[3:])
         assert [r.status for r in batch[3:5]] == [STATUS_DIVERGENT] * 2
         assert {r.status for r in batch[:3] + batch[5:]} == {STATUS_CONVERGED}
+
+    def test_shared_kernels_and_closures_together(self):
+        # the points of each entry share its kernel, each closure is a
+        # batch of one, and every job still ends as when it runs alone
+        jobs = [(*catalog.integrand(entry.id, pp), 1e-10)
+                for entry in (catalog.get_entry("L1"), catalog.get_entry("4.119"))
+                for pp in sample_params(entry, 6, 17)]
+        jobs += self.light_jobs()
+        batch = quad.integrate_many(jobs)
+        for job, r in zip(jobs, batch):
+            assert _same(r, integrate(*job))
+
+
+class TestKernelChunks:
+    """A round hands a shared kernel at most _MAX_ABSCISSAE abscissae per
+    call, however many panels its jobs hold."""
+
+    def test_heavy_job_never_hands_its_kernel_more_than_the_cap(self):
+        sizes = []
+
+        def kernel(x, k):
+            sizes.append(x.size)
+            return np.abs(x - k)
+
+        def run(ks):
+            # 4096 panels per interval from round 0 on
+            pes = [quad._PatchedEval(Integrand(eval=kernel, args=(k,))) for k in ks]
+            with np.errstate(all="ignore"):
+                return quad._adaptive_gk_many([(pe, [(0.0, 4096.0, 1e-6, (), 1.0)])
+                                               for pe in pes])
+
+        ks = (1000.5 + 1.0 / 3.0, 3000.25 + 1.0 / 7.0)  # kinks off the grid
+        batch = run(ks)
+        assert len(sizes) > 2 * 4096 // quad._CHUNK  # round 0 alone takes 8 calls
+        for k, [r] in zip(ks, batch):
+            exact = 0.5 * (k * k + (4096.0 - k) ** 2)
+            assert r.status == STATUS_CONVERGED
+            assert abs(r.value - exact) <= r.abs_error_est
+            [[solo]] = run([k])
+            assert _same(r, solo)
+        # batched and alone
+        assert max(sizes) <= quad._MAX_ABSCISSAE
 
 
 class TestDispatch:
