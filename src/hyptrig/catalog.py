@@ -12,17 +12,19 @@ Factory contract: each entry's integrand is a module-level kernel
 k(x, *args), elementwise in x, and its factory returns
 Integrand(eval=k, args=...) with the point's values in args.  The
 quadrature calls one kernel once for many points, with each arg a
-(panels, 1) column, so a kernel broadcasts its args and uses numpy only.
+(rows, 1) column, so a kernel broadcasts its args and uses numpy only.
 Parameter-only math (math.cos(pi beta), signs, absolute values, removable
 point limits) is done in the factory, in Python floats, so every point's
 node values are the same bits whether its kernel call holds one point or
-many (except where x ** e meets numpy's scalar-exponent shortcuts, at
-e = 2, 0.5 and -1 exactly).  The endpoint-distance callbacks
-eval_lower_dist / eval_upper_dist stay one-argument closures.
+many.  An endpoint-distance callback (eval_lower_dist / eval_upper_dist)
+is functools.partial(k, p=..., ...) of a module-level kernel k(d, ...)
+with the point's values as keywords: it still takes one argument, and
+the tanh-sinh levels call k once for many points, each keyword a column.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -840,14 +842,16 @@ def _e41241_kernel(x, p, q, u):
     return np.cos(p * x) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
 
 
+def _e41241_upper(d, p, q, u):
+    # the integrand at x = u - d, from the distance d to the upper end
+    w = d * (2.0 * u - d)
+    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+
+
 def _e41241_factory(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
-
-    def ev_upper(d):
-        w = d * (2.0 * u - d)
-        return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
-
-    return (Integrand(eval=_e41241_kernel, args=(p, q, u), eval_upper_dist=ev_upper),
+    return (Integrand(eval=_e41241_kernel, args=(p, q, u),
+                      eval_upper_dist=functools.partial(_e41241_upper, p=p, q=q, u=u)),
             IntervalSpec(0.0, u, "endpoint_singular"))
 
 
@@ -890,14 +894,15 @@ def _e41241m1_kernel(x, p, q, u):
     return np.cos(p * x) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
 
 
+def _e41241m1_upper(d, p, q, u):
+    w = d * (2.0 * u - d)
+    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
+
+
 def _e41241m1_factory(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
-
-    def ev_upper(d):
-        w = d * (2.0 * u - d)
-        return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
-
-    return (Integrand(eval=_e41241m1_kernel, args=(p, q, u), eval_upper_dist=ev_upper),
+    return (Integrand(eval=_e41241m1_kernel, args=(p, q, u),
+                      eval_upper_dist=functools.partial(_e41241m1_upper, p=p, q=q, u=u)),
             IntervalSpec(0.0, u, "endpoint_singular"))
 
 

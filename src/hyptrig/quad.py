@@ -12,25 +12,32 @@ Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
 of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
 multi-interval scheme stretched across integrands: each round evaluates
 the split panels of every unfinished interval, and each interval stops
-on its own test.  An Integrand is a kernel eval(x, *args) plus its
-per-integral floats args; the integrands of a round that share one
+on its own test.  Tanh-sinh runs in one level loop over many halves
+(_tanh_sinh_many), Shampine's vectorised design carried over to the
+double-exponential rule: a level's nodes are the same for every
+integral, so a level of many halves is one array of rows, and each half
+stops on its own test.  An Integrand is a kernel eval(x, *args) plus its
+per-integral floats args; the rows of a round or level that share one
 kernel are evaluated in one broadcast call (Shampine's vectorised
-quadgk, carried over to parameters), with each arg a column of per-panel
-values, at most _MAX_ABSCISSAE abscissae per call.
+quadgk, carried over to parameters), with each arg a column of per-row
+values, at most _MAX_ABSCISSAE abscissae per call (_eval_rows).
 
-Each shape has one engine, a generator that yields its Gauss-Kronrod
-requests, lists of intervals (a, b, tol, forced, panel_width), and
-receives their QuadResults.  integrate_many runs many integrals (jobs)
-at once by merging the pending requests of every job into one refinement
-loop; integrate and the integrate_* functions are its one-job calls.  A
-job keeps its own evaluation count and effort cap, and every node value
-and panel sum is independent of the other panels in the batch, so a
-job's result is bit for bit its result alone.  The oscillatory engine
-asks for its half-periods 1-13, then blocks of 4; the decay engine for
-its main range together with the first confirmation block.  Tanh-sinh
-and the decay probes run inside the engines, one integral at a time.
-The cost of an engine call is mostly Python dispatch per round and per
-kernel call, so fewer, larger calls are what makes it faster.
+Each shape has one engine, a generator that yields its requests, each a
+kind and a list of items: Gauss-Kronrod intervals (a, b, tol, forced,
+panel_width), tanh-sinh halves (end, s, lower, tol), or abscissae at
+which it wants the integrand's values (the decay probes); it is sent the
+answers back.  integrate_many runs many integrals (jobs) at once by
+answering the pending requests of every job together, one call of
+_adaptive_gk_many, _tanh_sinh_many or _points_many per kind;
+integrate and the integrate_* functions are its one-job calls.  A job
+keeps its own evaluation count and effort cap, and every node value and
+sum is independent of the other rows in the batch, so a job's result is
+bit for bit its result alone.  No integrand is evaluated one integral at
+a time.  The oscillatory engine asks for its half-periods 1-13, then
+blocks of 4; the decay engine for its main range together with the
+first confirmation block.  The cost of an engine call is mostly Python
+dispatch per round and per kernel call, so fewer, larger calls are what
+makes it faster.
 """
 
 from __future__ import annotations
@@ -70,10 +77,13 @@ class Integrand:
     the same order; the pairs are stored sorted by point.
 
     eval_lower_dist / eval_upper_dist optionally evaluate f as a function
-    of the distance to the singular endpoint, with no args.  The
-    tanh-sinh rule uses them where rounding x to the endpoint would
+    of the distance d to the singular endpoint, as a one-argument call.
+    The tanh-sinh rule uses them where rounding x to the endpoint would
     otherwise destroy the distance information (x within ~1e-16 of the
-    endpoint).
+    endpoint).  A callback functools.partial(k, name=value, ...) of a
+    module-level kernel k(d, **params) is batched like eval: the halves
+    whose callbacks are keyword partials of one k are evaluated in one
+    call, each keyword a column; any other callback is a batch of one.
     """
 
     eval: Callable[..., np.ndarray]
@@ -131,11 +141,9 @@ def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence,
     """kernel(x, *args), with each removable point's limit patched in.
 
     patches holds one (point, snap, limit) triple per removable point.
-    The args and triples are scalars for one integral, or columns with one
-    value per row of x for many; each value takes the same arithmetic
-    either way, except that numpy's x ** e takes square, sqrt and
-    reciprocal shortcuts for a scalar e of exactly 2, 0.5 and -1.  Nodes
-    within snap distance of a point receive its limit.
+    The args and triples are columns with one value per row of x, for
+    one integral as for many, so a row's values do not depend on the
+    other rows.  Nodes within snap distance of a point receive its limit.
     """
     y = np.asarray(kernel(x, *args), dtype=float)
     for p, snap, lim in patches:
@@ -146,8 +154,8 @@ def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence,
 
 
 class _PatchedEval:
-    """Evaluates an Integrand on arrays, patching removable points, and
-    counts the evaluations of one integral (job) against MAX_EVALUATIONS.
+    """One integral (job): its Integrand, the (point, snap, limit) patch
+    of each removable point, and its evaluations against MAX_EVALUATIONS.
     """
 
     def __init__(self, f: Integrand):
@@ -160,10 +168,6 @@ class _PatchedEval:
         """Count n evaluations; False once the cap is passed."""
         self.used += n
         return self.used <= MAX_EVALUATIONS
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.spend(x.size)
-        return _evaluate(self.f.eval, x, self.f.args, self.patches)
 
 
 # 15-point Kronrod nodes on [-1, 1] with Kronrod weights and the embedded
@@ -203,29 +207,58 @@ _CHUNK = _MAX_ABSCISSAE // len(_XK)  # panels per kernel call
 
 
 def _kernel_groups(pes: Sequence[_PatchedEval]):
-    """The integrals pes grouped by kernel (Integrand.eval), for _gk_batch.
+    """The integrals pes grouped by kernel (Integrand.eval): _member_groups
+    of their (eval, args, patches)."""
+    return _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
 
-    Returns (group, slot, kernels): pes[j] is member slot[j] of group
+
+def _member_groups(members: Sequence[tuple]):
+    """Members (kernel, args, patches) grouped by kernel, for _eval_rows.
+
+    Returns (group, slot, kernels): members[j] is member slot[j] of group
     group[j], and kernels[g] is (kernel, nargs, table), where table holds
     one column per member: its args, then its (point, snap, limit)
     triples.  A member with fewer removable points is padded with nan
     triples, which are never near a node.
     """
-    members = {}
-    for j, pe in enumerate(pes):
-        members.setdefault(pe.f.eval, []).append(j)
-    group = np.empty(len(pes), dtype=int)
-    slot = np.empty(len(pes), dtype=int)
+    by_kernel = {}
+    for j, (kernel, _, _) in enumerate(members):
+        by_kernel.setdefault(kernel, []).append(j)
+    group = np.empty(len(members), dtype=int)
+    slot = np.empty(len(members), dtype=int)
     kernels = []
-    for g, (kernel, js) in enumerate(members.items()):
+    for g, (kernel, js) in enumerate(by_kernel.items()):
         group[js] = g
         slot[js] = np.arange(len(js))
-        rows = [(*pes[j].f.args, *(v for patch in pes[j].patches for v in patch))
+        rows = [(*members[j][1], *(v for patch in members[j][2] for v in patch))
                 for j in js]
         width = max(map(len, rows))
         table = np.array([row + (math.nan,) * (width - len(row)) for row in rows]).T
-        kernels.append((kernel, len(pes[js[0]].f.args), table))
+        kernels.append((kernel, len(members[js[0]][1]), table))
     return group, slot, kernels
+
+
+def _eval_rows(groups: tuple, member: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of x, of shape (rows, n), evaluated by member[i] of groups.
+
+    groups is _member_groups(...), and the rows come ordered by group.
+    Each kernel is called once per run of its rows and per chunk of at
+    most _MAX_ABSCISSAE abscissae (whole rows), on that slice of x with
+    each arg and removable-point value a (rows, 1) column gathered by
+    member.
+    """
+    group, slot, kernels = groups
+    y = np.empty_like(x)
+    gr = group[member]
+    per_call = max(1, _MAX_ABSCISSAE // x.shape[1])
+    cuts = sorted({*range(0, len(gr), per_call), len(gr),
+                   *(np.flatnonzero(gr[1:] != gr[:-1]) + 1).tolist()})
+    for a, b in zip(cuts, cuts[1:]):
+        kernel, nargs, table = kernels[gr[a]]
+        cols = table[:, slot[member[a:b]], None]
+        y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
+                           cols[nargs:].reshape(-1, 3, b - a, 1))
+    return y
 
 
 def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
@@ -235,22 +268,20 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     Panel i belongs to the integral pes[job[i]], which spends its own
     evaluations; groups is _kernel_groups(pes).  The panels, ordered by
     group and within a group by batch order, are evaluated in chunks of
-    at most _CHUNK panels: one kernel call per group in a chunk, on nodes
-    of shape (panels, 15), with each arg and removable-point value a
-    (panels, 1) column gathered by job.  Every node value and sum is per
-    row, so a panel's results do not depend on the other panels in the
-    batch.
+    at most _CHUNK panels: one kernel call per group in a chunk
+    (_eval_rows), on nodes of shape (panels, 15).  Every node value and
+    sum is per row, so a panel's results do not depend on the other
+    panels in the batch.
 
     Error estimate per panel follows the classic scaled form
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
     difference on unresolved panels and deflates it on resolved ones,
     instead of over-reporting resolved panels by orders of magnitude.
     """
-    group, slot, kernels = groups
     count = np.bincount(job, minlength=len(pes))
     for j in np.flatnonzero(count).tolist():
         pes[j].spend(len(_XK) * int(count[j]))
-    order = np.argsort(group[job], kind="stable")
+    order = np.argsort(groups[0][job], kind="stable")
     job = job[order]
     c = (0.5 * (lo + hi))[order]
     s = (0.5 * (hi - lo))[order]
@@ -259,15 +290,7 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     for start in range(0, len(s), _CHUNK):
         part = slice(start, start + _CHUNK)
         sp, jp = s[part], job[part]
-        x = np.multiply.outer(sp, _XK) + c[part][:, None]
-        y = np.empty_like(x)
-        gp = group[jp]
-        cuts = [0, *(np.flatnonzero(gp[1:] != gp[:-1]) + 1).tolist(), len(gp)]
-        for a, b in zip(cuts, cuts[1:]):
-            kernel, nargs, table = kernels[gp[a]]
-            cols = table[:, slot[jp[a:b]], None]
-            y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
-                               cols[nargs:].reshape(-1, 3, b - a, 1))
+        y = _eval_rows(groups, jp, np.multiply.outer(sp, _XK) + c[part][:, None])
         k = sp * _row_dot(y, _WK)
         k15[part] = k
         g7[part] = sp * _row_dot(y, _WG)
@@ -449,93 +472,179 @@ def _ts_level(level: int):
     return w, x
 
 
-def _tanh_sinh_01(g: Callable[[np.ndarray], np.ndarray], tol: float,
-                  pe: _PatchedEval) -> QuadResult:
-    # integrate g over (0, 1); g never gets called at the endpoints, and
-    # each level's nodes are counted against pe's evaluation cap
-    total = 0.0
-    prev = None
-    diff = math.inf
-    for level in range(13):
-        w, x = _ts_level(level)
-        if not pe.spend(x.size):
-            return QuadResult(total, diff, pe.used, STATUS_MAX_EFFORT)
-        y = np.asarray(g(x), dtype=float)
-        bad = ~np.isfinite(y)
-        if bad.any():
-            if bad.all():
-                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
-            # endpoint rounding garbage: snap to the nearest finite value;
-            # legitimate bounded integrands vary slowly there
-            idx = np.arange(len(y))
-            good = ~bad
-            nearest = np.interp(idx[bad], idx[good], idx[good])
-            y[bad] = y[good][np.searchsorted(idx[good], np.round(nearest))
-                             .clip(0, good.sum() - 1)]
-        h = 1.0 / (1 << level)
-        s = 0.5 * h * float(w @ y)
-        total = s if level == 0 else 0.5 * total + s
-        if prev is not None:
-            diff = abs(total - prev)
-            if level >= 3 and diff <= tol:
-                return QuadResult(total, diff, pe.used, STATUS_CONVERGED)
-        prev = total
-    return QuadResult(total, diff, pe.used, STATUS_MAX_EFFORT)
+def _keyword_kernel(func: Callable, names: tuple) -> Callable:
+    # the kernel of the callbacks partial(func, name=value, ...): func with
+    # each keyword a column
+    return lambda d, *cols: func(d, **dict(zip(names, cols)))
 
 
-def _half_integrand(pe: _PatchedEval, end: float, s: float,
-                    lower: bool) -> Callable[[np.ndarray], np.ndarray]:
-    # the half of length s at `end`, in v with x = end + s v^2 (lower end)
-    # or x = end - s v^2 (upper end); the integrand's distance callback for
-    # that end, if it has one, takes the distance s v^2 directly
-    dist_eval = pe.f.eval_lower_dist if lower else pe.f.eval_upper_dist
+def _snap_to_finite(y: np.ndarray, bad: np.ndarray) -> None:
+    # endpoint rounding garbage: snap each non-finite value of the row y to
+    # the nearest finite one; legitimate bounded integrands vary slowly there
+    idx = np.arange(len(y))
+    good = ~bad
+    nearest = np.interp(idx[bad], idx[good], idx[good])
+    y[bad] = y[good][np.searchsorted(idx[good], np.round(nearest))
+                     .clip(0, good.sum() - 1)]
 
-    def g(v):
-        d = s * v * v
-        if dist_eval is None:
-            y = pe(end + d if lower else end - d)
+
+def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
+    """Tanh-sinh on many halves, of one or more integrands, at once.
+
+    requests holds one (pe, halves) pair per integrand, each half (end, s,
+    lower, tol): the integral over the half of length s at `end`, in v on
+    (0, 1) with x = end + s v^2 (lower end) or x = end - s v^2 (upper
+    end), so that the factor 2 s v turns an inverse-square-root endpoint
+    singularity into a bounded smooth one.  The result holds, per pair,
+    the QuadResults of its halves in order.  A half whose end has a
+    distance callback (eval_lower_dist / eval_upper_dist) is evaluated
+    on the distance s v^2 itself, with no removable-point patches.
+
+    One level loop serves every half.  A level's nodes v are the same for
+    all, so the live halves are the rows of one array, ordered by kernel
+    group (callbacks that are keyword partials of one function form one
+    group, with each keyword a column), and are evaluated by _eval_rows in
+    chunks of whole rows of at most _MAX_ABSCISSAE abscissae.  Each level
+    first counts its nodes against the half's cap and retires it as
+    max_effort once passed; a row with non-finite values is snapped to
+    its nearest finite ones, or makes its half suspected_divergent if it
+    has none; a row's level sum is its own dot product with the weights,
+    and a half converges once two successive levels from level 3 on agree
+    within its tol.  So each half, and its evaluation count, is bit for
+    bit its result alone.
+    """
+    halves = [(pe, *half) for pe, hs in requests for half in hs]
+    m = len(halves)
+    pes = [half[0] for half in halves]
+    members = []
+    end = np.zeros(m)
+    sign = np.ones(m)
+    adapters = {}
+    for i, (pe, e, _, lower, _) in enumerate(halves):
+        cb = pe.f.eval_lower_dist if lower else pe.f.eval_upper_dist
+        if cb is None:
+            members.append((pe.f.eval, pe.f.args, pe.patches))
+            end[i], sign[i] = e, 1.0 if lower else -1.0
+        elif isinstance(cb, functools.partial) and not cb.args:
+            key = (cb.func, tuple(cb.keywords))
+            if key not in adapters:
+                adapters[key] = _keyword_kernel(*key)
+            members.append((adapters[key], tuple(cb.keywords.values()), ()))
         else:
-            pe.spend(v.size)
-            y = np.asarray(dist_eval(d), dtype=float)
-        return 2.0 * s * v * y
+            members.append((cb, (), ()))
+    s = np.array([half[2] for half in halves])
+    two_s = 2.0 * s
+    tol = np.array([half[4] for half in halves])
+    groups = _member_groups(members)
+    live = np.argsort(groups[0], kind="stable")
+    total = np.zeros(m)
+    diff = np.full(m, math.inf)
+    results = [None] * m
+    for level in range(13):
+        w, v = _ts_level(level)
+        spent = []
+        for i in live.tolist():
+            if pes[i].spend(v.size):
+                pes[i].spend(v.size)  # the evaluation counts the nodes again
+                spent.append(i)
+            else:
+                results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used,
+                                        STATUS_MAX_EFFORT)
+        live = np.array(spent, dtype=int)
+        if not live.size:
+            break
+        sums = np.empty(len(live))
+        divergent = np.zeros(len(live), dtype=bool)
+        per_chunk = _MAX_ABSCISSAE // v.size  # a row of level 12 holds 15,770
+        for start in range(0, len(live), per_chunk):
+            rows = live[start:start + per_chunk]
+            # end + (-d) is end - d to the bit; a callback row gets 0 + d = d
+            d = s[rows, None] * v * v
+            y = two_s[rows, None] * v * _eval_rows(groups, rows,
+                                                   end[rows, None] + sign[rows, None] * d)
+            finite = np.isfinite(y)
+            for r in np.flatnonzero(~finite.all(axis=1)).tolist():
+                if finite[r].any():
+                    _snap_to_finite(y[r], ~finite[r])
+                else:
+                    divergent[start + r] = True
+            sums[start:start + len(rows)] = [w @ row for row in y]
+        level_sum = 0.5 / (1 << level) * sums
+        if level:
+            level_sum = 0.5 * total[live] + level_sum
+            diff[live] = np.abs(level_sum - total[live])
+        total[live] = level_sum
+        converged = ~divergent & (diff[live] <= tol[live]) & (level >= 3)
+        for i in live[divergent].tolist():
+            results[i] = QuadResult(math.nan, math.inf, pes[i].used, STATUS_DIVERGENT)
+        for i in live[converged].tolist():
+            results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used,
+                                    STATUS_CONVERGED)
+        live = live[~(divergent | converged)]
+    for i in live.tolist():
+        results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used, STATUS_MAX_EFFORT)
+    it = iter(results)
+    return [[next(it) for _ in hs] for _, hs in requests]
 
-    return g
+
+def _points_many(requests: Sequence[tuple]) -> list:
+    """The integrand of each (pe, x) request at its abscissae x, one array
+    of values per request; every x has the same length (the decay
+    probes).  Each point counts against its job's cap, and the rows are
+    evaluated by _eval_rows, one kernel call per group (and chunk)."""
+    pes = [pe for pe, _ in requests]
+    for pe, x in requests:
+        pe.spend(x.size)
+    groups = _kernel_groups(pes)
+    order = np.argsort(groups[0], kind="stable")
+    y = _eval_rows(groups, order, np.stack([requests[j][1] for j in order.tolist()]))
+    out = [None] * len(requests)
+    for j, row in zip(order.tolist(), y):
+        out[j] = row
+    return out
 
 
-def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float) -> QuadResult:
-    # substitute x = a + (m-a) v^2 on the left half and x = b - (b-m) v^2 on
-    # the right; this keeps endpoint distances exactly representable, so
-    # inverse-square-root singularities become bounded smooth factors
+# The kinds of request an engine yields, with the solver of each: a list
+# of Gauss-Kronrod intervals (a, b, tol, forced, panel_width) or of
+# tanh-sinh halves (end, s, lower, tol), answered by a list of
+# QuadResults, or an array of abscissae, answered by the integrand's
+# values there.
+_GK = "gauss_kronrod"
+_TANH_SINH = "tanh_sinh"
+_POINTS = "points"
+
+
+def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float):
+    # tanh-sinh on the halves at a and at b of [a, b]: the left half is
+    # asked for first, then the right, so each spends its evaluations
+    # against the cap in that order
     m = 0.5 * (a + b)
-    out = [_tanh_sinh_01(_half_integrand(pe, a, m - a, lower=True), 0.5 * tol, pe),
-           _tanh_sinh_01(_half_integrand(pe, b, b - m, lower=False), 0.5 * tol, pe)]
-    value = out[0].value + out[1].value
-    err = out[0].abs_error_est + out[1].abs_error_est
+    (left,) = yield _TANH_SINH, [(a, m - a, True, 0.5 * tol)]
+    (right,) = yield _TANH_SINH, [(b, b - m, False, 0.5 * tol)]
     status = STATUS_CONVERGED
-    for r in out:
+    for r in (left, right):
         if r.status == STATUS_DIVERGENT:
             status = STATUS_DIVERGENT
         elif r.status == STATUS_MAX_EFFORT and status != STATUS_DIVERGENT:
             status = STATUS_MAX_EFFORT
-    return QuadResult(value, err, pe.used, status)
+    return QuadResult(left.value + right.value, left.abs_error_est + right.abs_error_est,
+                      pe.used, status)
 
 
 # The engines, one per IntervalSpec shape.  Each is a generator on one
-# job's _PatchedEval: it yields lists of Gauss-Kronrod intervals
-# (a, b, tol, forced, panel_width), is sent back their QuadResults in
-# order, and returns the job's QuadResult.
+# job's _PatchedEval: it yields (kind, request) pairs, is sent back each
+# request's answer, and returns the job's QuadResult.
 
 
 def _plain(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     # adaptive Gauss-Kronrod on [lower, upper], split at every removable point
-    (r,) = yield [(spec.lower, spec.upper, tol, pe.f.removable_points, 0.0)]
+    (r,) = yield _GK, [(spec.lower, spec.upper, tol, pe.f.removable_points, 0.0)]
     return r
 
 
 def _endpoint(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     # tanh-sinh alone: no Gauss-Kronrod request
-    yield from ()
-    return _endpoint_singular(pe, spec.lower, spec.upper, tol)
+    return (yield from _endpoint_singular(pe, spec.lower, spec.upper, tol))
 
 
 def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
@@ -554,7 +663,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     a, lam = spec.lower, spec.decay_hint
     forced = pe.f.removable_points
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
-    amp = pe(probes) * np.exp(lam * (probes - a))
+    amp = (yield _POINTS, probes) * np.exp(lam * (probes - a))
     c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
     if not math.isfinite(c):
         return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
@@ -566,9 +675,9 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     pieces = []
     first_end = a + min(1.0 / lam, t_len) if spec.lower_singular else a
     if spec.lower_singular:
-        pieces.append(_endpoint_singular(pe, a, first_end, tol / 16.0))
+        pieces.append((yield from _endpoint_singular(pe, a, first_end, tol / 16.0)))
     lo = a + t_len
-    main_range, block = yield [(first_end, lo, tol / 4.0, forced, width),
+    main_range, block = yield _GK, [(first_end, lo, tol / 4.0, forced, width),
                                (lo, lo + t_len, tol / 16.0, forced, width)]
     pieces.append(main_range)
     main = math.fsum(p.value for p in pieces)
@@ -581,7 +690,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     tail_prev = math.inf
     for i in range(6):
         if i:
-            (block,) = yield [(lo, lo + t_len, tol / 16.0, forced, width)]
+            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, width)]
         if block.status == STATUS_DIVERGENT:
             return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value
@@ -622,7 +731,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     """
     a, h = spec.lower, spec.period_hint
     forced = pe.f.removable_points
-    segments = [_endpoint_singular(pe, a, a + h, tol / 32.0)]
+    segments = [(yield from _endpoint_singular(pe, a, a + h, tol / 32.0))]
     contribs = []
     diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
@@ -631,7 +740,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     for k in range(_OSC_MAX_SEGMENTS):
         if k == len(segments):
             size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
-            segments += yield [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), forced, 0.0)
+            segments += yield _GK, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), forced, 0.0)
                                for j in range(k, min(k + size, _OSC_MAX_SEGMENTS))]
         seg = segments[k]
         if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
@@ -677,21 +786,25 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
 
 _ENGINES = {"plain": _plain, "endpoint_singular": _endpoint,
             "decay": _decay, "oscillatory": _oscillatory}
+_SOLVERS = {_GK: _adaptive_gk_many, _TANH_SINH: _tanh_sinh_many, _POINTS: _points_many}
 
 
 def integrate_many(jobs: Sequence[tuple]) -> list:
     """Integrate many jobs (f, spec, tol) together; one QuadResult per job.
 
     Each job runs its shape's engine on its own _PatchedEval, so it keeps
-    its own evaluation count and effort cap.  The pending Gauss-Kronrod
-    requests of every job are merged into one _adaptive_gk_many call,
-    whose rounds call each kernel once, on the panels of every live job
-    that shares it (in chunks of at most _MAX_ABSCISSAE abscissae); a job
-    whose request is answered makes its next one in the following call.
-    Every job's result is bit for bit integrate(f, spec, tol).  All runs
-    under one np.errstate(all="ignore"): integrands may produce nan/inf
-    at removable points and endpoints, and the engines test for
-    non-finite values themselves.
+    its own evaluation count and effort cap.  The pending requests of
+    every job are answered together, one solver call per kind: the
+    Gauss-Kronrod intervals by _adaptive_gk_many, whose rounds call each
+    kernel once on the panels of every live job that shares it, the
+    tanh-sinh halves by _tanh_sinh_many, whose levels do the same with
+    rows of nodes, and the probe points by _points_many (each in chunks
+    of at most _MAX_ABSCISSAE abscissae).  A job whose request is
+    answered makes its next one in the following wave.  Every job's
+    result is bit for bit integrate(f, spec, tol).  All runs under one
+    np.errstate(all="ignore"): integrands may produce nan/inf at
+    removable points and endpoints, and the engines test for non-finite
+    values themselves.
     """
     with np.errstate(all="ignore"):
         pes = [_PatchedEval(f) for f, _, _ in jobs]
@@ -700,16 +813,18 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
         results = [None] * len(jobs)
         replies = dict.fromkeys(range(len(jobs)))
         while replies:
-            pending = []
+            pending = {}
             for i, reply in replies.items():
                 try:
-                    pending.append((i, engines[i].send(reply)))
+                    kind, request = engines[i].send(reply)
                 except StopIteration as done:
                     results[i] = done.value
-            if not pending:
-                break
-            answers = _adaptive_gk_many([(pes[i], request) for i, request in pending])
-            replies = {i: answer for (i, _), answer in zip(pending, answers)}
+                else:
+                    pending.setdefault(kind, []).append((i, request))
+            replies = {}
+            for kind, asked in pending.items():
+                answers = _SOLVERS[kind]([(pes[i], request) for i, request in asked])
+                replies.update((i, answer) for (i, _), answer in zip(asked, answers))
         return results
 
 

@@ -8,7 +8,8 @@ from hyptrig import quad
 from hyptrig.auditor import AuditConfig, audit_all
 
 # the config_echo keys full_audit adds to the audit's own
-FIXTURE_ECHO_KEYS = ("elapsed_seconds", "gk_rounds", "gk_kernel_calls", "gk_chunks")
+FIXTURE_ECHO_KEYS = ("elapsed_seconds", "gk_rounds", "gk_kernel_calls", "gk_chunks",
+                     "ts_kernel_calls", "probe_kernel_calls")
 
 
 @pytest.fixture(scope="session")
@@ -17,34 +18,45 @@ def full_audit():
 
     Its config_echo also carries (FIXTURE_ECHO_KEYS) the run's elapsed
     seconds, the number of _gk_batch rounds it made, the kernel calls
-    made inside those rounds, and the rounds' chunks: ceil(panels /
-    quad._CHUNK) per round.
+    made inside those rounds, the rounds' chunks (ceil(panels /
+    quad._CHUNK) per round), and the kernel calls made by the tanh-sinh
+    levels (_tanh_sinh_many) and by the decay probes (_points_many).
     """
-    rounds, chunks, calls = [], [], []
-    in_round = []
+    rounds, chunks = [], []
+    calls = {"gk": 0, "ts": 0, "probe": 0}
+    phase = []
     gk_batch, evaluate = quad._gk_batch, quad._evaluate
+
+    def counting(solver, name):
+        def run(*args):
+            phase.append(name)
+            try:
+                return solver(*args)
+            finally:
+                phase.pop()
+        return run
 
     def counting_batch(pes, groups, job, lo, hi):
         rounds.append(1)
         chunks.append(-(-len(lo) // quad._CHUNK))
-        in_round.append(1)
-        try:
-            return gk_batch(pes, groups, job, lo, hi)
-        finally:
-            in_round.pop()
+        return counting(gk_batch, "gk")(pes, groups, job, lo, hi)
 
     def counting_evaluate(*args):
-        if in_round:
-            calls.append(1)
+        if phase:
+            calls[phase[-1]] += 1
         return evaluate(*args)
 
     t0 = time.time()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk_batch", counting_batch)
         mp.setattr(quad, "_evaluate", counting_evaluate)
+        mp.setitem(quad._SOLVERS, quad._TANH_SINH, counting(quad._tanh_sinh_many, "ts"))
+        mp.setitem(quad._SOLVERS, quad._POINTS, counting(quad._points_many, "probe"))
         report = audit_all(AuditConfig(samples=25, seed=17, pass_tol=1e-9))
     report.config_echo["elapsed_seconds"] = time.time() - t0
     report.config_echo["gk_rounds"] = len(rounds)
-    report.config_echo["gk_kernel_calls"] = len(calls)
+    report.config_echo["gk_kernel_calls"] = calls["gk"]
     report.config_echo["gk_chunks"] = sum(chunks)
+    report.config_echo["ts_kernel_calls"] = calls["ts"]
+    report.config_echo["probe_kernel_calls"] = calls["probe"]
     return report

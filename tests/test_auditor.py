@@ -214,3 +214,10 @@ class TestAuditBatch:
         # per chunk of at most quad._CHUNK panels, not once per point
         echo = full_audit.config_echo
         assert echo["gk_rounds"] <= echo["gk_kernel_calls"] <= echo["gk_chunks"]
+
+    def test_tanh_sinh_levels_and_probes_share_their_kernel_calls(self, full_audit):
+        # an entry's points share each tanh-sinh level's and each probe
+        # wave's kernel calls; integrated one at a time, the same audit
+        # makes 1,137 tanh-sinh and 578 probe integrand calls
+        echo = full_audit.config_echo
+        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (64, 26)

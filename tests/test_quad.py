@@ -2,6 +2,7 @@
 shape dispatch, acceleration, and the kernel/product identities the
 integrand rewrites rely on."""
 
+import functools
 import math
 import random
 
@@ -185,13 +186,23 @@ class TestTanhSinhNodes:
             w, x = quad._ts_level(level)
             assert not w.flags.writeable and not x.flags.writeable
 
+            with pytest.raises(ValueError):
+                x[0] = 0.5
+
         def writes_into_its_argument(v):
             v *= 2.0
             return v
 
-        with pytest.raises(ValueError):
-            quad._tanh_sinh_01(writes_into_its_argument, 1e-12,
-                               quad._PatchedEval(Integrand(eval=np.cos)))
+        # an integrand or distance callback that writes into its argument
+        # writes into its own abscissae, never into the shared tables
+        g = Integrand(eval=writes_into_its_argument, eval_upper_dist=writes_into_its_argument)
+        with np.errstate(all="ignore"):
+            quad._tanh_sinh_many([(quad._PatchedEval(g), [(0.0, 0.5, True, 0.0),
+                                                          (1.0, 0.5, False, 0.0)])])
+        for level in range(13):
+            w, x = quad._ts_level(level)
+            fresh_w, fresh_x = _fresh_ts_level(level)
+            assert w.tobytes() == fresh_w.tobytes() and x.tobytes() == fresh_x.tobytes()
         assert integrate_endpoint_singular(f, 0.0, 1.0, 1e-12) == before
 
 
@@ -455,6 +466,84 @@ def _recorded(jobs):
     return out, calls
 
 
+def _tagged(jobs):
+    """jobs whose kernels and distance callbacks record the rows they get.
+
+    Each kernel k becomes one wrapper, shared by every job of k, that
+    takes the job's index as its first arg and logs each row of x under
+    that job before calling k; a keyword-partial callback becomes a
+    partial of one shared wrapper of its function the same way, and a
+    closure callback logs its own calls.  So the jobs batch exactly as
+    before.  Returns (tagged jobs, rows), rows[j] the rows of job j in
+    call order.
+    """
+    rows = [[] for _ in jobs]
+    wrappers = {}
+
+    def shared(fn, wrap):
+        if fn not in wrappers:
+            wrappers[fn] = wrap(fn)
+        return wrappers[fn]
+
+    def kernel_wrapper(kernel):
+        def rec(x, job, *args):
+            for row, j in zip(x, job[:, 0].tolist()):
+                rows[int(j)].append(np.array(row))
+            return kernel(x, *args)
+        return rec
+
+    def keyword_wrapper(func):
+        def rec(d, job, **kw):
+            for row, j in zip(d, np.broadcast_to(job, (len(d), 1))[:, 0].tolist()):
+                rows[int(j)].append(np.array(row))
+            return func(d, **kw)
+        return rec
+
+    def closure(cb, j):
+        def rec(d):
+            rows[j].extend(np.array(row) for row in d)
+            return cb(d)
+        return rec
+
+    out = []
+    for j, (f, spec, tol) in enumerate(jobs):
+        callbacks = {}
+        for name in ("eval_lower_dist", "eval_upper_dist"):
+            cb = getattr(f, name)
+            if isinstance(cb, functools.partial):
+                cb = functools.partial(shared(cb.func, keyword_wrapper), job=float(j),
+                                       **cb.keywords)
+            elif cb is not None:
+                cb = closure(cb, j)
+            callbacks[name] = cb
+        g = Integrand(eval=shared(f.eval, kernel_wrapper), args=(float(j), *f.args),
+                      removable_points=f.removable_points, limit_values=f.limit_values,
+                      **callbacks)
+        out.append((g, spec, tol))
+    return out, rows
+
+
+def _check_tagged_against_solo(jobs):
+    """Run jobs batched and each alone, all _tagged; every result and the
+    rows each job's kernels got must be the same.  Returns the batch."""
+    tagged, rows = _tagged(jobs)
+    batch = quad.integrate_many(tagged)
+    for j, (job, r) in enumerate(zip(jobs, batch)):
+        [solo_job], [solo_rows] = _tagged([job])
+        assert _same(r, integrate(*solo_job))
+        assert len(rows[j]) > 0
+        assert np.concatenate(rows[j]).tobytes() == np.concatenate(solo_rows).tobytes()
+    return batch
+
+
+def _bessel_jobs(n):
+    # the seed-17 points of 4.124.1 and its nu = -1 member, whose upper
+    # ends are integrated by keyword-partial distance kernels
+    return [(*catalog.integrand(eid, pp), 1e-10)
+            for eid in ("4.124.1", "4.124.1-nu-1")
+            for pp in sample_params(catalog.get_entry(eid), n, 17)]
+
+
 class TestIntegrateMany:
     """Jobs batched by integrate_many share their Gauss-Kronrod rounds, yet
     each ends bit for bit as when it runs alone."""
@@ -545,6 +634,87 @@ class TestIntegrateMany:
             assert _same(r, integrate(*job))
 
 
+    @staticmethod
+    def tanh_sinh_jobs():
+        u = 1.5
+        return _bessel_jobs(5) + [
+            # a closure distance callback: a batch of its own
+            (Integrand(eval=lambda x: np.cos(x) / np.sqrt((u - x) * (u + x)),
+                       eval_upper_dist=lambda d: np.cos(u - d) / np.sqrt(d * (2.0 * u - d))),
+             IntervalSpec(0.0, u, "endpoint_singular"), 1e-12),
+            # non-finite at the nodes nearest 0 of every level: snapped
+            (Integrand(eval=lambda x: np.where(x < 1e-14, np.nan, np.cos(x))),
+             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-10),
+            # nan everywhere: divergent
+            (Integrand(eval=lambda x: np.full_like(x, np.nan)),
+             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
+        ]
+
+    def test_tanh_sinh_jobs_as_if_alone(self, monkeypatch):
+        snapped = []
+        snap = quad._snap_to_finite
+        monkeypatch.setattr(quad, "_snap_to_finite", lambda *a: snapped.append(1) or snap(*a))
+        jobs = self.tanh_sinh_jobs()
+        batch = _check_tagged_against_solo(jobs + self.light_jobs())
+        assert snapped
+        n = len(jobs)
+        assert [r.status for r in batch[n - 3:n]] == [STATUS_CONVERGED, STATUS_CONVERGED,
+                                                      STATUS_DIVERGENT]
+        assert {r.status for r in batch[:n - 3] + batch[n:]} == {STATUS_CONVERGED}
+        for (f, spec, _), r in zip(jobs[:10], batch):
+            pp = dict(zip(("p", "q", "u"), f.args))
+            entry = "4.124.1" if f.eval is catalog._e41241_kernel else "4.124.1-nu-1"
+            assert abs(r.value - catalog.closed_form(entry, pp)) <= 1e-8
+
+    def test_tanh_sinh_effort_cap_stops_only_its_own_job(self, monkeypatch):
+        monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
+        capped = (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
+                  IntervalSpec(0.0, 1.0, "endpoint_singular"), 0.0)
+        batch = _check_tagged_against_solo([capped] + _bessel_jobs(3) + self.light_jobs())
+        assert batch[0].status == quad.STATUS_MAX_EFFORT
+        assert batch[0].evaluations > 2000
+        assert {r.status for r in batch[1:]} == {STATUS_CONVERGED}
+
+    def test_every_kernel_call_takes_columns(self):
+        # probes, tanh-sinh levels and Gauss-Kronrod rounds all hand a
+        # kernel 2-D abscissae with each arg a (rows, 1) column
+        seen = []
+
+        def kernel(x, a):
+            seen.append((x.shape, np.shape(a)))
+            return np.exp(-a * x) / np.sqrt(x)
+
+        def upper(d, a, u):
+            seen.append((d.shape, np.shape(a), np.shape(u)))
+            return np.exp(-a * (u - d)) / np.sqrt(u - d)
+
+        jobs = [(Integrand(eval=kernel, args=(a,)),
+                 IntervalSpec(0.0, math.inf, "decay", decay_hint=a, lower_singular=True), 1e-10)
+                for a in (1.0, 2.0)]
+        jobs += [(Integrand(eval=kernel, args=(a,),
+                            eval_upper_dist=functools.partial(upper, a=a, u=2.0)),
+                  IntervalSpec(0.0, 2.0, "endpoint_singular"), 1e-10) for a in (0.5, 3.0)]
+        for batch in ([jobs], [[job] for job in jobs]):
+            del seen[:]
+            for part in batch:
+                quad.integrate_many(part)
+            widths = {x[1] for x, *_ in seen}
+            assert {8, len(quad._XK), quad._ts_level(0)[1].size} <= widths
+            for x, *args in seen:
+                assert len(x) == 2 and all(a == (x[0], 1) for a in args)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+    def test_l1_at_special_exponents_alone_and_batched(self, p):
+        # x ** (p - 1) at exponents 1, 2 and 0.5: numpy's scalar-exponent
+        # shortcuts must not make a point's bits depend on its batch
+        entry = catalog.get_entry("L1")
+        points = [{"p": p, "a": 1.0, "b": 0.5}] + sample_params(entry, 5, 17)
+        jobs = [(*catalog.integrand("L1", pp), 1e-10) for pp in points]
+        batch = quad.integrate_many(jobs)
+        assert batch[0].status == STATUS_CONVERGED
+        assert _same(batch[0], integrate(*jobs[0]))
+
+
 class TestKernelChunks:
     """A round hands a shared kernel at most _MAX_ABSCISSAE abscissae per
     call, however many panels its jobs hold."""
@@ -574,6 +744,30 @@ class TestKernelChunks:
             assert _same(r, solo)
         # batched and alone
         assert max(sizes) <= quad._MAX_ABSCISSAE
+
+    def test_no_tanh_sinh_level_hands_its_kernel_more_than_the_cap(self):
+        sizes = []
+
+        def kernel(x, k):
+            sizes.append(x.size)
+            return np.cos(k * x) / np.sqrt(x)
+
+        def lower(d, k):
+            sizes.append(d.size)
+            return np.cos(k * d) / np.sqrt(d)
+
+        # tol -1 runs every half through level 12, whose rows hold 15,770
+        # nodes each; the halves of 40 jobs share each level's calls
+        ks = 1.0 + np.arange(40) / 7.0
+        jobs = [(Integrand(eval=kernel, args=(k,),
+                           eval_lower_dist=functools.partial(lower, k=k)),
+                 IntervalSpec(0.0, 1.0, "endpoint_singular"), -1.0) for k in ks]
+        batch = quad.integrate_many(jobs)
+        assert max(sizes) <= quad._MAX_ABSCISSAE
+        assert len(sizes) < 2 * 13 * len(ks)  # levels are shared
+        for k, r in zip(ks[:3], batch):
+            assert r.status == quad.STATUS_MAX_EFFORT
+            assert _same(r, integrate(*jobs[int(round((k - 1.0) * 7.0))]))
 
 
 class TestDispatch:
