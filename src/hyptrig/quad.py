@@ -545,7 +545,6 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
         spent = []
         for i in live.tolist():
             if pes[i].spend(v.size):
-                pes[i].spend(v.size)  # the evaluation counts the nodes again
                 spent.append(i)
             else:
                 results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used,
