@@ -13,10 +13,9 @@ of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
 multi-interval scheme stretched across integrands: each round evaluates
 the split panels of every unfinished interval, and each interval stops
 on its own test.  Tanh-sinh runs in one level loop over many halves
-(_tanh_sinh_many), Shampine's vectorised design carried over to the
-double-exponential rule: a level's nodes are the same for every
-integral, so a level of many halves is one array of rows, and each half
-stops on its own test.  An Integrand is a kernel eval(x, *args) plus its
+(_tanh_sinh_many): the nodes of a level of the double-exponential rule
+are the same for every integral, so a level of many halves is one array
+of rows, and each half stops on its own test.  An Integrand is a kernel eval(x, *args) plus its
 per-integral floats args; the rows of a round or level that share one
 kernel are evaluated in one broadcast call (Shampine's vectorised
 quadgk, carried over to parameters), with each arg a column of per-row
@@ -603,11 +602,10 @@ def _points_many(requests: Sequence[tuple]) -> list:
     return out
 
 
-# The kinds of request an engine yields, with the solver of each: a list
-# of Gauss-Kronrod intervals (a, b, tol, forced, panel_width) or of
-# tanh-sinh halves (end, s, lower, tol), answered by a list of
-# QuadResults, or an array of abscissae, answered by the integrand's
-# values there.
+# The kinds of request an engine yields (_SOLVERS answers each): a list of
+# Gauss-Kronrod intervals (a, b, tol, forced, panel_width) or of tanh-sinh
+# halves (end, s, lower, tol), answered by a list of QuadResults, or an
+# array of abscissae, answered by the integrand's values there.
 _GK = "gauss_kronrod"
 _TANH_SINH = "tanh_sinh"
 _POINTS = "points"
