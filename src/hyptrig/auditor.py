@@ -2,21 +2,23 @@
 
 The audit draws seeded parameter points from each entry's validity
 domain, integrates the entry's integrand at every point with the
-shape-matched engine (all of an entry's points in one integrate_many
-call, so they share their Gauss-Kronrod rounds), compares against the
-closed form, and classifies the outcome.  Suspect entries are expected
-to fail and are counted separately; an unexpected PASS there would
-indicate an integrand transcription error and fails the run.  Reports
-are deterministic functions of the configuration.
+shape-matched engine (every point of every entry in one integrate_many
+call, so the whole audit shares its rounds and kernel calls), compares
+against the closed form, and classifies the outcome.  Suspect entries
+are expected to fail and are counted separately; an unexpected PASS
+there would indicate an integrand transcription error and fails the
+run.  Reports are deterministic functions of the configuration, and
+are written in one pass, record by record, with the layout of
+json.dumps(..., indent=2).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, is_dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnknownEntryError
 from . import catalog
@@ -195,7 +197,8 @@ def audit_all(config: AuditConfig) -> AuditReport:
 
     Per-record failures are data, not exceptions.  Records keep
     (entry order, sample order, convention order), so two runs with the
-    same config produce identical reports.  Each record equals
+    same config produce identical reports.  The points of all entries are
+    integrated in one integrate_many call, yet each record equals
     verify_entry on its own point and convention.
     """
     wanted = config.entries
@@ -206,16 +209,16 @@ def audit_all(config: AuditConfig) -> AuditReport:
         if unknown:
             raise UnknownEntryError(", ".join(sorted(unknown)))
 
-    records: List[VerificationRecord] = []
-    for entry in entries:
-        samples = sample_params(entry, config.samples, config.seed)
-        points = [_point(entry, params, config.pass_tol) for params in samples]
-        # one integral per point, and the points share their Gauss-Kronrod rounds
-        numerics = integrate_many([job for _, job in points])
-        for params, (closed, _), numeric in zip(samples, points, numerics):
-            for convention, value in closed.items():
-                records.append(_record(entry, params, value, numeric,
-                                       config.pass_tol, convention))
+    # every point of every entry first, then one integral per point, all in
+    # one integrate_many call, so the whole audit shares its rounds
+    points = [(entry, params, *_point(entry, params, config.pass_tol))
+              for entry in entries
+              for params in sample_params(entry, config.samples, config.seed)]
+    numerics = integrate_many([job for *_, job in points])
+    records: List[VerificationRecord] = [
+        _record(entry, params, value, numeric, config.pass_tol, convention)
+        for (entry, params, closed, _), numeric in zip(points, numerics)
+        for convention, value in closed.items()]
 
     summary: Dict[str, Dict] = {}
     overall_ok = True
@@ -247,36 +250,71 @@ def audit_all(config: AuditConfig) -> AuditReport:
                        config_echo=config_echo, overall_ok=overall_ok)
 
 
-def _json_safe(obj):
+def _to_json(obj, indent: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it at nesting `indent`.
+
+    A float that is nan or infinite is written as the string "nan", "inf"
+    or "-inf", a dataclass as the dict of its fields, and a tuple as a
+    list; strings are ASCII-escaped as json.dumps does.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
     if is_dataclass(obj):
         # a dataclass instance's __dict__ holds its fields in field order
-        return _json_safe(vars(obj))
-    return obj
+        obj = vars(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}"
+                 for k, v in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (_to_json(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _report_chunks(report: AuditReport) -> Iterator[str]:
+    """The report's JSON text, as json.dumps(..., indent=2) lays it out: the
+    config, overall_ok and summary in one chunk, then one per record."""
+    head = (f'{{\n  "config": {_to_json(report.config_echo, "  ")},\n'
+            f'  "overall_ok": {_to_json(report.overall_ok)},\n'
+            f'  "summary": {_to_json(report.summary, "  ")},\n'
+            f'  "records": ')
+    if not report.records:
+        yield head + "[]\n}"
+        return
+    yield head + "["
+    sep = "\n    "
+    for r in report.records:
+        yield sep + _to_json(r, "    ")
+        sep = ",\n    "
+    yield "\n  ]\n}"
 
 
 def report_to_json(report: AuditReport) -> str:
-    payload = {
-        "config": _json_safe(report.config_echo),
-        "overall_ok": report.overall_ok,
-        "summary": _json_safe(report.summary),
-        "records": [_json_safe(r) for r in report.records],
-    }
-    return json.dumps(payload, indent=2)
+    return "".join(_report_chunks(report))
 
 
 def save_report(report: AuditReport, path: str) -> None:
+    """Write the report to path, record by record."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+        fh.writelines(_report_chunks(report))
         fh.write("\n")
 
 

@@ -993,10 +993,12 @@ def cf_4_124_1_ext(p: float, q: float, u: float, nu: float, terms: int = 60) -> 
     pi sum_n q^(2n) 2^-(n+nu+1) (u/p)^(n-nu) Gamma(n+1/2-nu)/Gamma(n+1/2)
     J_(n-nu)(pu) / n!.  Convergent for nu < 1/2; at nu = 1/2 the n = 0
     term contains Gamma(0) and the matching integral has a non-integrable
-    endpoint, so evaluation raises a domain error.
+    endpoint, so nu >= 1/2 raises a domain error.
     """
     if not (p > 0.0 and q > 0.0 and u > 0.0):
         raise DomainError("cf_4_124_1_ext requires p, q, u > 0")
+    if not nu < 0.5:
+        raise DomainError("cf_4_124_1_ext requires nu < 1/2")
     total = 0.0
     fact = 1.0
     for n in range(terms + 1):

@@ -27,16 +27,19 @@ panel_width), tanh-sinh halves (end, s, lower, tol), or abscissae at
 which it wants the integrand's values (the decay probes); it is sent the
 answers back.  integrate_many runs many integrals (jobs) at once by
 answering the pending requests of every job together, one call of
-_adaptive_gk_many, _tanh_sinh_many or _points_many per kind;
-integrate and the integrate_* functions are its one-job calls.  A job
-keeps its own evaluation count and effort cap, and every node value and
-sum is independent of the other rows in the batch, so a job's result is
-bit for bit its result alone.  No integrand is evaluated one integral at
-a time.  The oscillatory engine asks for its half-periods 1-13, then
-blocks of 4; the decay engine for its main range together with the
-first confirmation block.  The cost of an engine call is mostly Python
-dispatch per round and per kernel call, so fewer, larger calls are what
-makes it faster.
+_adaptive_gk_many, _tanh_sinh_many or _points_many per kind; the audit
+makes one integrate_many call for all its points, so a round can hold
+tens of thousands of panels, and a kernel call's temporaries stay
+bounded by the _MAX_ABSCISSAE chunks.  integrate and the integrate_*
+functions are its one-job calls.  A job keeps its own evaluation count
+and effort cap, and every node value and sum is independent of the other
+rows in the batch, so a job's result is bit for bit its result alone.
+No integrand is evaluated one integral at a time.  The oscillatory
+engine asks for its half-periods 1-13, then blocks of 4; the decay
+engine for its main range together with the first confirmation block;
+the endpoint-singular pair asks for both its halves in one request.  The
+cost of an engine call is mostly Python dispatch per round and per
+kernel call, so fewer, larger calls are what makes it faster.
 """
 
 from __future__ import annotations
@@ -276,36 +279,41 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
     difference on unresolved panels and deflates it on resolved ones,
     instead of over-reporting resolved panels by orders of magnitude.
+    Each chunk is finished, error estimate included, and written to the
+    outputs before the next is evaluated, so the only temporaries as long
+    as the batch are the outputs themselves (a merged audit's first round
+    holds tens of thousands of panels).
     """
     count = np.bincount(job, minlength=len(pes))
     for j in np.flatnonzero(count).tolist():
         pes[j].spend(len(_XK) * int(count[j]))
-    order = np.argsort(groups[0][job], kind="stable")
-    job = job[order]
-    c = (0.5 * (lo + hi))[order]
-    s = (0.5 * (hi - lo))[order]
-    k15, g7, resabs, resasc = (np.empty(len(s)) for _ in range(4))
-    ok = np.empty(len(s), dtype=bool)
-    for start in range(0, len(s), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        sp, jp = s[part], job[part]
-        y = _eval_rows(groups, jp, np.multiply.outer(sp, _XK) + c[part][:, None])
-        k = sp * _row_dot(y, _WK)
-        k15[part] = k
-        g7[part] = sp * _row_dot(y, _WG)
-        ok[part] = np.isfinite(y).all(axis=1)
+    gr = groups[0][job]
+    # a batch already in group order needs no reordering: one kernel, or a
+    # first round, whose panels come job by job and an entry's jobs together
+    order = None if np.all(gr[1:] >= gr[:-1]) else np.argsort(gr, kind="stable")
+    del gr  # as long as the batch, and not needed by the chunks
+    n = len(lo)
+    vals, errs = np.empty(n), np.empty(n)
+    finite = np.empty(n, dtype=bool)
+    for start in range(0, n, _CHUNK):
+        part = slice(start, start + _CHUNK) if order is None else order[start:start + _CHUNK]
+        lp, hp = lo[part], hi[part]
+        c, s = 0.5 * (lp + hp), 0.5 * (hp - lp)
+        y = _eval_rows(groups, job[part], np.multiply.outer(s, _XK) + c[:, None])
+        k15 = s * _row_dot(y, _WK)
+        g7 = s * _row_dot(y, _WG)
+        finite[part] = np.isfinite(y).all(axis=1)
         t = np.abs(y)  # one scratch array for both absolute sums
-        resabs[part] = sp * _row_dot(t, _WK)
-        np.subtract(y, (k / (2.0 * sp))[:, None], out=t)
-        resasc[part] = sp * _row_dot(np.abs(t, out=t), _WK)
-    diff = np.abs(k15 - g7)
-    scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = np.where((resasc > 0.0) & np.isfinite(scaled), scaled, diff)
-    # per-panel summation roundoff: the dot product cannot be trusted
-    # below ~log2(15) ulps of the absolute mass
-    err = np.maximum(err, 4.0 * 2.220446049250313e-16 * resabs)
-    vals, errs, finite = np.empty_like(k15), np.empty_like(err), np.empty_like(ok)
-    vals[order], errs[order], finite[order] = k15, err, ok  # back in batch order
+        resabs = s * _row_dot(t, _WK)
+        np.subtract(y, (k15 / (2.0 * s))[:, None], out=t)
+        resasc = s * _row_dot(np.abs(t, out=t), _WK)
+        diff = np.abs(k15 - g7)
+        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+        err = np.where((resasc > 0.0) & np.isfinite(scaled), scaled, diff)
+        # per-panel summation roundoff: the dot product cannot be trusted
+        # below ~log2(15) ulps of the absolute mass
+        errs[part] = np.maximum(err, 4.0 * 2.220446049250313e-16 * resabs)
+        vals[part] = k15
     return vals, errs, finite
 
 
@@ -363,6 +371,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     lo = np.concatenate([p[:-1] for p in parts])
     hi = np.concatenate([p[1:] for p in parts])
     owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
+    del parts  # a merged audit's first round holds tens of thousands of panels
     groups = _kernel_groups(pes)
     vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels
@@ -505,12 +514,14 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     group, with each keyword a column), and are evaluated by _eval_rows in
     chunks of whole rows of at most _MAX_ABSCISSAE abscissae.  Each level
     first counts its nodes against the half's cap and retires it as
-    max_effort once passed; a row with non-finite values is snapped to
-    its nearest finite ones, or makes its half suspected_divergent if it
-    has none; a row's level sum is its own dot product with the weights,
-    and a half converges once two successive levels from level 3 on agree
-    within its tol.  So each half, and its evaluation count, is bit for
-    bit its result alone.
+    max_effort once passed, so the two halves of an endpoint-singular
+    pair, asked for in one request, spend against their job's cap level
+    by level; a row with non-finite values is snapped to its nearest
+    finite ones, or makes its half suspected_divergent if it has none; a
+    row's level sum is its own dot product with the weights, and a half
+    converges once two successive levels from level 3 on agree within its
+    tol.  So each half, and its evaluation count, is bit for bit its
+    result alone.
     """
     halves = [(pe, *half) for pe, hs in requests for half in hs]
     m = len(halves)
@@ -612,12 +623,12 @@ _POINTS = "points"
 
 
 def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float):
-    # tanh-sinh on the halves at a and at b of [a, b]: the left half is
-    # asked for first, then the right, so each spends its evaluations
-    # against the cap in that order
+    # tanh-sinh on the halves at a and at b of [a, b], asked for in one
+    # request: each level spends the nodes of both halves against the cap
+    # before the next level, so a pair that reaches the cap stops at a
+    # different point than had the left half run all its levels first
     m = 0.5 * (a + b)
-    (left,) = yield _TANH_SINH, [(a, m - a, True, 0.5 * tol)]
-    (right,) = yield _TANH_SINH, [(b, b - m, False, 0.5 * tol)]
+    left, right = yield _TANH_SINH, [(a, m - a, True, 0.5 * tol), (b, b - m, False, 0.5 * tol)]
     status = STATUS_CONVERGED
     for r in (left, right):
         if r.status == STATUS_DIVERGENT:

@@ -2,13 +2,15 @@
 
 import time
 
+import numpy as np
 import pytest
 
-from hyptrig import quad
+from hyptrig import auditor, quad
 from hyptrig.auditor import AuditConfig, audit_all
 
 # the config_echo keys full_audit adds to the audit's own
-FIXTURE_ECHO_KEYS = ("elapsed_seconds", "gk_rounds", "gk_kernel_calls", "gk_chunks",
+FIXTURE_ECHO_KEYS = ("elapsed_seconds", "integrate_many_calls", "gk_rounds",
+                     "gk_kernel_calls", "gk_kernel_chunks",
                      "ts_kernel_calls", "probe_kernel_calls")
 
 
@@ -17,12 +19,14 @@ def full_audit():
     """The seed-17 audit of every entry at 25 samples, run once per session.
 
     Its config_echo also carries (FIXTURE_ECHO_KEYS) the run's elapsed
-    seconds, the number of _gk_batch rounds it made, the kernel calls
-    made inside those rounds, the rounds' chunks (ceil(panels /
-    quad._CHUNK) per round), and the kernel calls made by the tanh-sinh
-    levels (_tanh_sinh_many) and by the decay probes (_points_many).
+    seconds, its integrate_many calls, the number of _gk_batch rounds it
+    made, the kernel calls made inside those rounds, the chunks each
+    kernel spans in them (summed over kernels and rounds: a round
+    evaluates its panels ordered by kernel, quad._CHUNK at a time), and
+    the kernel calls made by the tanh-sinh levels (_tanh_sinh_many) and
+    by the decay probes (_points_many).
     """
-    rounds, chunks = [], []
+    rounds, kernel_chunks, integrations = [], [], []
     calls = {"gk": 0, "ts": 0, "probe": 0}
     phase = []
     gk_batch, evaluate = quad._gk_batch, quad._evaluate
@@ -38,7 +42,12 @@ def full_audit():
 
     def counting_batch(pes, groups, job, lo, hi):
         rounds.append(1)
-        chunks.append(-(-len(lo) // quad._CHUNK))
+        # the chunks from each kernel's first panel to its last, the panels
+        # ordered by kernel
+        counts = np.unique(groups[0][job], return_counts=True)[1]
+        lasts = np.cumsum(counts) - 1
+        firsts = lasts - counts + 1
+        kernel_chunks.append(int((lasts // quad._CHUNK - firsts // quad._CHUNK + 1).sum()))
         return counting(gk_batch, "gk")(pes, groups, job, lo, hi)
 
     def counting_evaluate(*args):
@@ -46,17 +55,21 @@ def full_audit():
             calls[phase[-1]] += 1
         return evaluate(*args)
 
+    integrate_many = auditor.integrate_many
     t0 = time.time()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auditor, "integrate_many",
+                   lambda jobs: integrations.append(1) or integrate_many(jobs))
         mp.setattr(quad, "_gk_batch", counting_batch)
         mp.setattr(quad, "_evaluate", counting_evaluate)
         mp.setitem(quad._SOLVERS, quad._TANH_SINH, counting(quad._tanh_sinh_many, "ts"))
         mp.setitem(quad._SOLVERS, quad._POINTS, counting(quad._points_many, "probe"))
         report = audit_all(AuditConfig(samples=25, seed=17, pass_tol=1e-9))
     report.config_echo["elapsed_seconds"] = time.time() - t0
+    report.config_echo["integrate_many_calls"] = len(integrations)
     report.config_echo["gk_rounds"] = len(rounds)
     report.config_echo["gk_kernel_calls"] = calls["gk"]
-    report.config_echo["gk_chunks"] = sum(chunks)
+    report.config_echo["gk_kernel_chunks"] = sum(kernel_chunks)
     report.config_echo["ts_kernel_calls"] = calls["ts"]
     report.config_echo["probe_kernel_calls"] = calls["probe"]
     return report

@@ -1,13 +1,16 @@
 """Auditor tests: sampling determinism and validity, verification verdicts,
 ratio diagnosis, and report invariants."""
 
+import tracemalloc
+
 import pytest
 
 from hyptrig.errors import DomainError, UnknownEntryError
 from hyptrig import auditor, catalog, quad
 from hyptrig.auditor import (AuditConfig, VerificationRecord, sample_params,
                              verify_entry, ratio_diagnose, audit_all,
-                             report_to_json, PASS, FAIL, SUSPECT, DIVERGENT)
+                             report_to_json, save_report, PASS, FAIL, SUSPECT,
+                             DIVERGENT)
 from hyptrig.quad import QuadResult
 
 
@@ -167,8 +170,8 @@ def _numbers(r):
 
 
 class TestAuditBatch:
-    """audit_all integrates an entry's points together; every record must
-    equal verify_entry run on its own point."""
+    """audit_all integrates every point of every entry together; every
+    record must equal verify_entry run on its own point."""
 
     @pytest.fixture(scope="class")
     def seed17_per_point(self, full_audit):
@@ -205,19 +208,52 @@ class TestAuditBatch:
             smaller_printed += abs(closed["printed"]) < abs(closed[None])
         assert smaller_printed > 0
 
+    def test_one_integration_per_audit(self, full_audit):
+        assert full_audit.config_echo["integrate_many_calls"] == 1
+
     def test_batch_takes_under_a_third_of_the_rounds(self, full_audit, seed17_per_point):
         _, per_point = seed17_per_point
         assert full_audit.config_echo["gk_rounds"] < per_point / 3
 
     def test_one_kernel_call_per_chunk_of_each_round(self, full_audit):
-        # an entry's points share one kernel, so each round calls it once
-        # per chunk of at most quad._CHUNK panels, not once per point
+        # the points of an entry share one kernel, so each round calls a
+        # kernel at most once per chunk of quad._CHUNK panels it spans, not
+        # once per point
         echo = full_audit.config_echo
-        assert echo["gk_rounds"] <= echo["gk_kernel_calls"] <= echo["gk_chunks"]
+        assert echo["gk_rounds"] <= echo["gk_kernel_calls"] <= echo["gk_kernel_chunks"]
 
     def test_tanh_sinh_levels_and_probes_share_their_kernel_calls(self, full_audit):
-        # an entry's points share each tanh-sinh level's and each probe
-        # wave's kernel calls; integrated one at a time, the same audit
-        # makes 1,137 tanh-sinh and 578 probe integrand calls
+        # the points of all entries share each tanh-sinh level's and each
+        # probe wave's kernel calls; integrated one at a time, the same
+        # audit makes 1,137 tanh-sinh and 578 probe integrand calls
         echo = full_audit.config_echo
-        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (64, 26)
+        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (43, 23)
+
+
+def _traced_peak(run):
+    """The peak of the memory run allocates, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The seed-17 audit integrates all its points in one call, whose first
+    Gauss-Kronrod round holds about 28,000 panels, and its report is about
+    420 kB.  (full_audit runs first, so the tanh-sinh levels are cached.)"""
+
+    def test_audit_peak_stays_bounded(self, full_audit):
+        # 1.8 MB when each entry was integrated on its own, 4.5 MB now;
+        # 5.6 MB if _gk_batch held a whole round's sums and estimates, and
+        # 6.0 MB if _adaptive_gk_many also kept its initial partitions
+        peak = _traced_peak(lambda: audit_all(AuditConfig(samples=25, seed=17)))
+        assert peak < 5.5e6
+
+    def test_report_is_written_record_by_record(self, full_audit, tmp_path):
+        # 3.3 MB when the whole text was built first
+        peak = _traced_peak(lambda: save_report(full_audit, str(tmp_path / "r.json")))
+        assert peak < 0.5e6

@@ -254,6 +254,12 @@ class TestNuExtension:
         with pytest.raises(DomainError):
             cf_4_124_1_ext(2.0, 1.0, 1.0, 0.5)
 
+    def test_domain_named_from_one_half_up(self):
+        # the error names the series' domain, not a gamma argument inside it
+        for nu in (0.5, 0.75, 2.0, math.nan):
+            with pytest.raises(DomainError, match="nu < 1/2"):
+                cf_4_124_1_ext(2.0, 1.0, 1.0, nu)
+
 
 class TestRegistry:
     def test_contents(self):

@@ -145,25 +145,32 @@ class TestEndpointSingular:
         assert r.value == pytest.approx(oracle.value, abs=1e-11)
 
     def test_each_node_counts_once(self):
-        # one call per level of each half, the left half's levels from 0
-        # up, then the right half's; evaluations is the nodes they hold
-        widths = []
+        # both halves are one request, so the calls go level by level: each
+        # level is one call per kernel, on the rows of the live halves (one
+        # call of both rows when the halves share their kernel, one call of
+        # one row each when the right half has a distance callback);
+        # evaluations is the nodes they hold
+        shapes = []
 
         def ev(x):
-            widths.append(x.size)
+            shapes.append(x.shape)
             return np.cos(x) / np.sqrt(x)
 
         def ev_upper(d):
-            widths.append(d.size)
+            shapes.append(d.shape)
             return np.cos(1.0 - d)
 
         sizes = [quad._ts_level(level)[1].size for level in range(13)]
-        for f in (Integrand(eval=ev), Integrand(eval=ev, eval_upper_dist=ev_upper)):
-            del widths[:]
+        for f, rows in ((Integrand(eval=ev), [2]),
+                        (Integrand(eval=ev, eval_upper_dist=ev_upper), [1, 1])):
+            del shapes[:]
             r = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
             assert r.status == STATUS_CONVERGED
-            right = widths.index(sizes[0], 1)
-            assert widths == sizes[:right] + sizes[:len(widths) - right]
+            levels = [sizes.index(n) for _, n in shapes]
+            assert levels == sorted(levels)
+            assert all(levels.count(level) <= len(rows) for level in levels)
+            assert shapes[:len(rows)] == [(k, sizes[0]) for k in rows]
+            widths = [k * n for k, n in shapes]
             assert r.evaluations == sum(widths)
 
     def test_smooth_integrand_also_fine(self):
