@@ -3,11 +3,9 @@ trigonometric definite integrals from the Gradshteyn-Ryzhik table."""
 
 from .errors import DomainError, UnknownEntryError
 from .specfun import (SpecialValue, gamma, log_gamma, hurwitz_zeta,
-                      riemann_zeta, dirichlet_beta, dirichlet_eta, bessel_j,
-                      theta1_prime0)
+                      dirichlet_beta, dirichlet_eta, bessel_j, theta1_prime0)
 from .quad import (Integrand, IntervalSpec, QuadResult, integrate,
-                   integrate_many, integrate_finite, integrate_endpoint_singular,
-                   integrate_decay, integrate_oscillatory, euler_transform)
+                   integrate_many, euler_transform)
 from . import catalog
 from . import auditor
 

@@ -99,15 +99,18 @@ def _point(entry: EntryDescriptor, params: ParamPoint,
 
     The conventions are None and, for a dual_convention entry, "printed".
     One integral serves them all.  Its tolerance is pass_tol/10 of the
-    convention-None closed form's magnitude (at least 1e-14), so the PASS
-    comparison stays a genuinely relative test, even for small-valued
-    samples; the printed form is known to be wrong and sets nothing.
+    convention-None closed form's magnitude (at least 1e-14, and 1e-14 for
+    a closed form that is not finite), so the PASS comparison stays a
+    genuinely relative test, even for small-valued samples; the printed
+    form is known to be wrong and sets nothing.
     """
     closed = {None: entry.closed_form(params)}
     if "dual_convention" in entry.flags:
         closed["printed"] = cf_3_532_1(params["n"], params["a"], params["b"], "printed")
     f, spec = entry.integrand_factory(params)
-    tol = max(abs(closed[None]) * pass_tol / 10.0, 1e-14)
+    tol = abs(closed[None]) * pass_tol / 10.0
+    if not 1e-14 <= tol < math.inf:  # nan included
+        tol = 1e-14
     return closed, (f, spec, tol)
 
 
@@ -161,19 +164,6 @@ def verify_point(entry_id: str, params: ParamPoint,
             for convention, value in closed.items()]
 
 
-def verify_entry(entry_id: str, params: ParamPoint, pass_tol: float,
-                 convention: Optional[str] = None) -> VerificationRecord:
-    """Integrate one parameter point and compare against the closed form.
-
-    convention is None, or "printed" for a dual_convention entry.  The
-    record equals the audit's record of the same point and convention.
-    """
-    for record in verify_point(entry_id, params, pass_tol):
-        if record.convention == convention:
-            return record
-    raise DomainError(f"{entry_id} has no convention {convention!r}")
-
-
 def ratio_diagnose(records: Sequence[VerificationRecord]) -> Optional[float]:
     """Constant numeric/closed ratio across failing records, if one exists.
 
@@ -198,8 +188,8 @@ def audit_all(config: AuditConfig) -> AuditReport:
     Per-record failures are data, not exceptions.  Records keep
     (entry order, sample order, convention order), so two runs with the
     same config produce identical reports.  The points of all entries are
-    integrated in one integrate_many call, yet each record equals
-    verify_entry on its own point and convention.
+    integrated in one integrate_many call, yet each point's records
+    equal verify_point on that point.
     """
     wanted = config.entries
     entries = [e for e in catalog.list_entries()

@@ -1157,19 +1157,9 @@ def _hw1_kernel(t):
             / _cosh_minus_cos(t, t))
 
 
-def _hw1_factory(pp):
-    return (Integrand(eval=_hw1_kernel),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
-
-
 def _hw2_kernel(t):
     return ((np.cos(t) + 1.0) * t * t
             * (np.sinh(0.5 * t) + np.sin(0.5 * t)) / _cosh_minus_cos(t, t))
-
-
-def _hw2_factory(pp):
-    return (Integrand(eval=_hw2_kernel),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
 
 
 def _hw3_kernel(t):
@@ -1177,22 +1167,17 @@ def _hw3_kernel(t):
             / _cosh_minus_cos(t, t))
 
 
-def _hw3_factory(pp):
-    return (Integrand(eval=_hw3_kernel),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0))
-
-
 def lemniscatic_period() -> float:
     """The real lemniscatic period (sqrt(pi)/2) Gamma(1/4)/Gamma(3/4)."""
     return 0.5 * math.sqrt(_PI) * sf.gamma(0.25).value / sf.gamma(0.75).value
 
 
-for _eid, _factory, _cf, _note in (
-    ("HW1", _hw1_factory, lambda pp: 1.0 - _PI / 4.0,
+for _eid, _kernel, _cf, _note in (
+    ("HW1", _hw1_kernel, lambda pp: 1.0 - _PI / 4.0,
      "(1/2)(cos t+1)(sinh(t/2)-sin(t/2))/(cosh t - cos t) = 1 - pi/4"),
-    ("HW2", _hw2_factory, lambda pp: 16.0,
+    ("HW2", _hw2_kernel, lambda pp: 16.0,
      "(cos t+1) t^2 (sinh(t/2)+sin(t/2))/(cosh t - cos t) = 16"),
-    ("HW3", _hw3_factory, lambda pp: lemniscatic_period() ** 2 - 4.0,
+    ("HW3", _hw3_kernel, lambda pp: lemniscatic_period() ** 2 - 4.0,
      "(cos t+1) t (cosh(t/2)-cos(t/2))/(cosh t - cos t) = omega^2 - 4, "
      "omega the lemniscatic period"),
 ):
@@ -1200,7 +1185,10 @@ for _eid, _factory, _cf, _note in (
         id=_eid,
         param_names=(),
         validity=(),
-        integrand_factory=_factory,
+        # every HW integrand is its kernel on [0, inf), damped like e^(-t/2)
+        integrand_factory=lambda pp, kernel=_kernel: (
+            Integrand(eval=kernel),
+            IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0)),
         closed_form=_cf,
         sampler=lambda rng, i: {},
         flags=frozenset({"constant_entry"}),

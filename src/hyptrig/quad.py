@@ -30,8 +30,8 @@ answering the pending requests of every job together, one call of
 _adaptive_gk_many, _tanh_sinh_many or _points_many per kind; the audit
 makes one integrate_many call for all its points, so a round can hold
 tens of thousands of panels, and a kernel call's temporaries stay
-bounded by the _MAX_ABSCISSAE chunks.  integrate and the integrate_*
-functions are its one-job calls.  A job keeps its own evaluation count
+bounded by the _MAX_ABSCISSAE chunks.  integrate is its one-job call;
+the two are the public entry points.  A job keeps its own evaluation count
 and effort cap, and every node value and sum is independent of the other
 rows in the batch, so a job's result is bit for bit its result alone.
 No integrand is evaluated one integral at a time.  The oscillatory
@@ -52,8 +52,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-
-INF = math.inf
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_EFFORT = "max_effort"
@@ -110,20 +108,23 @@ class IntervalSpec:
 
     lower: float
     upper: float  # math.inf for semi-infinite shapes
-    shape: str  # decay | oscillatory | endpoint_singular | plain
+    shape: str  # decay | oscillatory | endpoint_singular (_ENGINES)
     period_hint: float = 0.0  # half-period length (oscillatory)
     decay_hint: float = 0.0  # exponential rate (decay)
     lower_singular: bool = False  # decay shape with an integrable singularity at lower
     osc_hint: float = 0.0  # angular frequency riding on a decay shape, if any
 
     def __post_init__(self):
-        if self.shape not in ("decay", "oscillatory", "endpoint_singular", "plain"):
+        if self.shape not in _ENGINES:
             raise DomainError(f"unknown shape {self.shape!r}")
-        if not self.lower < self.upper:
-            raise DomainError("lower must be < upper")
-        if self.shape in ("plain", "endpoint_singular") and \
-                not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise DomainError(f"{self.shape} shape needs finite bounds")
+        if not math.isfinite(self.lower):
+            raise DomainError("lower must be finite")
+        if self.shape == "endpoint_singular":
+            if not (self.lower < self.upper and math.isfinite(self.upper)):
+                raise DomainError("endpoint_singular shape needs finite lower < upper")
+        elif self.upper != math.inf:
+            # the semi-infinite engines never read upper
+            raise DomainError(f"{self.shape} shape needs upper = inf")
         if self.shape == "oscillatory" and not self.period_hint > 0.0:
             raise DomainError("oscillatory shape needs period_hint > 0")
         if self.shape == "decay" and not self.decay_hint > 0.0:
@@ -208,12 +209,6 @@ _MAX_ABSCISSAE = 1 << 14
 _CHUNK = _MAX_ABSCISSAE // len(_XK)  # panels per kernel call
 
 
-def _kernel_groups(pes: Sequence[_PatchedEval]):
-    """The integrals pes grouped by kernel (Integrand.eval): _member_groups
-    of their (eval, args, patches)."""
-    return _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
-
-
 def _member_groups(members: Sequence[tuple]):
     """Members (kernel, args, patches) grouped by kernel, for _eval_rows.
 
@@ -268,12 +263,12 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     """Apply GK15 to a batch of panels; returns (values, errors, finite?).
 
     Panel i belongs to the integral pes[job[i]], which spends its own
-    evaluations; groups is _kernel_groups(pes).  The panels, ordered by
-    group and within a group by batch order, are evaluated in chunks of
-    at most _CHUNK panels: one kernel call per group in a chunk
-    (_eval_rows), on nodes of shape (panels, 15).  Every node value and
-    sum is per row, so a panel's results do not depend on the other
-    panels in the batch.
+    evaluations; groups is _member_groups of their (eval, args, patches).
+    The panels, ordered by group and within a group by batch order, are
+    evaluated in chunks of at most _CHUNK panels: one kernel call per
+    group in a chunk (_eval_rows), on nodes of shape (panels, 15).  Every
+    node value and sum is per row, so a panel's results do not depend on
+    the other panels in the batch.
 
     Error estimate per panel follows the classic scaled form
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
@@ -372,7 +367,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     hi = np.concatenate([p[1:] for p in parts])
     owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
     del parts  # a merged audit's first round holds tens of thousands of panels
-    groups = _kernel_groups(pes)
+    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
     vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels
     results = [None] * m
@@ -604,7 +599,7 @@ def _points_many(requests: Sequence[tuple]) -> list:
     pes = [pe for pe, _ in requests]
     for pe, x in requests:
         pe.spend(x.size)
-    groups = _kernel_groups(pes)
+    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
     order = np.argsort(groups[0], kind="stable")
     y = _eval_rows(groups, order, np.stack([requests[j][1] for j in order.tolist()]))
     out = [None] * len(requests)
@@ -644,12 +639,6 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float):
 # request's answer, and returns the job's QuadResult.
 
 
-def _plain(pe: _PatchedEval, spec: IntervalSpec, tol: float):
-    # adaptive Gauss-Kronrod on [lower, upper], split at every removable point
-    (r,) = yield _GK, [(spec.lower, spec.upper, tol, pe.f.removable_points, 0.0)]
-    return r
-
-
 def _endpoint(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     # tanh-sinh alone: no Gauss-Kronrod request
     return (yield from _endpoint_singular(pe, spec.lower, spec.upper, tol))
@@ -673,6 +662,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
     amp = (yield _POINTS, probes) * np.exp(lam * (probes - a))
     c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
+    del probes, amp  # the frame lives until the job ends
     if not math.isfinite(c):
         return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
     c = max(c, tol)
@@ -792,8 +782,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
 
 
-_ENGINES = {"plain": _plain, "endpoint_singular": _endpoint,
-            "decay": _decay, "oscillatory": _oscillatory}
+_ENGINES = {"endpoint_singular": _endpoint, "decay": _decay, "oscillatory": _oscillatory}
 _SOLVERS = {_GK: _adaptive_gk_many, _TANH_SINH: _tanh_sinh_many, _POINTS: _points_many}
 
 
@@ -809,11 +798,13 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
     rows of nodes, and the probe points by _points_many (each in chunks
     of at most _MAX_ABSCISSAE abscissae).  A job whose request is
     answered makes its next one in the following wave.  Every job's
-    result is bit for bit integrate(f, spec, tol).  All runs under one
-    np.errstate(all="ignore"): integrands may produce nan/inf at
-    removable points and endpoints, and the engines test for non-finite
-    values themselves.
+    result is bit for bit integrate(f, spec, tol).  Every tol must be
+    finite and > 0.  All runs under one np.errstate(all="ignore"):
+    integrands may produce nan/inf at removable points and endpoints, and
+    the engines test for non-finite values themselves.
     """
+    if not all(0.0 < tol < math.inf for _, _, tol in jobs):
+        raise DomainError("tol must be finite and > 0")
     with np.errstate(all="ignore"):
         pes = [_PatchedEval(f) for f, _, _ in jobs]
         engines = [_ENGINES[spec.shape](pe, spec, tol)
@@ -839,39 +830,6 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
 def integrate(f: Integrand, spec: IntervalSpec, tol: float) -> QuadResult:
     """Integrate f with the engine matching its declared shape."""
     return integrate_many([(f, spec, tol)])[0]
-
-
-def integrate_finite(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
-    """Adaptive Gauss-Kronrod integration of f over finite [a, b].
-
-    Subdivision is forced at every removable point; non-convergence after
-    the effort cap is reported as max_effort, never raised.
-    """
-    return integrate(f, IntervalSpec(a, b, "plain"), tol)
-
-
-def integrate_endpoint_singular(f: Integrand, a: float, b: float, tol: float) -> QuadResult:
-    """Tanh-sinh integration over [a, b] tolerating endpoint singularities
-    up to (x-a)^(-1/2) and (b-x)^(-1/2), with level doubling until two
-    successive levels agree within tol."""
-    return integrate(f, IntervalSpec(a, b, "endpoint_singular"), tol)
-
-
-def integrate_decay(f: Integrand, a: float, tol: float, decay_hint: float,
-                    lower_singular: bool = False,
-                    osc_hint: float = 0.0) -> QuadResult:
-    """Semi-infinite integral of an exponentially damped integrand
-    (the decay engine, _decay)."""
-    return integrate(f, IntervalSpec(a, INF, "decay", decay_hint=decay_hint,
-                                     lower_singular=lower_singular,
-                                     osc_hint=osc_hint), tol)
-
-
-def integrate_oscillatory(f: Integrand, a: float, tol: float,
-                          period_hint: float) -> QuadResult:
-    """Oscillatory semi-infinite integral by half-period partial sums with
-    Euler acceleration (the oscillatory engine, _oscillatory)."""
-    return integrate(f, IntervalSpec(a, INF, "oscillatory", period_hint=period_hint), tol)
 
 
 def euler_transform(s: Sequence[float], depth: int) -> float:

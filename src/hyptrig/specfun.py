@@ -159,13 +159,6 @@ def hurwitz_zeta(s: float, a: float) -> SpecialValue:
         prev = cur
 
 
-def riemann_zeta(s: float) -> SpecialValue:
-    """zeta(s) = hurwitz_zeta(s, 1), s > 1."""
-    if not (s > 1.0):
-        raise DomainError("riemann_zeta requires s > 1")
-    return hurwitz_zeta(s, 1.0)
-
-
 def _alternating_series(step: int, s: float) -> SpecialValue:
     """sum_k (-1)^k / (step k + 1)^s from 60 terms, Euler-accelerated."""
     partial = []
@@ -204,7 +197,7 @@ def dirichlet_eta(s: float) -> SpecialValue:
     if s < 0.0:
         raise DomainError("dirichlet_eta requires s >= 0")
     if s > 1.25:
-        z = riemann_zeta(s)
+        z = hurwitz_zeta(s, 1.0)  # the Riemann zeta
         return SpecialValue((1.0 - 2.0 ** (1.0 - s)) * z.value, z.est_rel_error)
     return _alternating_series(1, s)
 

@@ -15,6 +15,19 @@ FIXTURE_ECHO_KEYS = ("elapsed_seconds", "integrate_many_calls", "gk_rounds",
 
 
 @pytest.fixture(scope="session")
+def gauss_kronrod():
+    """gauss_kronrod(f, a, b, tol): adaptive Gauss-Kronrod alone on finite
+    [a, b], split at each removable point of f, for the tests and oracles
+    that need no tanh-sinh and no semi-infinite engine."""
+    def run(f, a, b, tol):
+        with np.errstate(all="ignore"):
+            [[r]] = quad._adaptive_gk_many([(quad._PatchedEval(f),
+                                             [(a, b, tol, f.removable_points, 0.0)])])
+        return r
+    return run
+
+
+@pytest.fixture(scope="session")
 def full_audit():
     """The seed-17 audit of every entry at 25 samples, run once per session.
 

@@ -101,9 +101,9 @@ class TestCriterion4ConventionAudit:
             assert got == pytest.approx(expected, rel=1e-8)
             assert r.ratio_fit == pytest.approx(1.0 / expected, rel=1e-8)
         # the designed n = 2 point gives exactly 6
-        from hyptrig.auditor import verify_entry
-        rec = verify_entry("3.532.1", {"n": 2.0, "a": 1.0, "b": 1.0}, 1e-9,
-                           convention="printed")
+        from hyptrig.auditor import verify_point
+        _, rec = verify_point("3.532.1", {"n": 2.0, "a": 1.0, "b": 1.0}, 1e-9)
+        assert rec.convention == "printed"
         assert rec.verdict == FAIL
         assert rec.closed / rec.numeric.value == pytest.approx(6.0, rel=1e-10)
         _report("criterion 4", True,

@@ -1,6 +1,8 @@
 """Auditor tests: sampling determinism and validity, verification verdicts,
 ratio diagnosis, and report invariants."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from hyptrig.errors import DomainError, UnknownEntryError
 from hyptrig import auditor, catalog, quad
 from hyptrig.auditor import (AuditConfig, VerificationRecord, sample_params,
-                             verify_entry, ratio_diagnose, audit_all,
+                             verify_point, ratio_diagnose, audit_all,
                              report_to_json, save_report, PASS, FAIL, SUSPECT,
                              DIVERGENT)
 from hyptrig.quad import QuadResult
@@ -53,20 +55,20 @@ class TestSampleParams:
 
 class TestVerifyEntry:
     def test_pass(self):
-        rec = verify_entry("4.119", {"p": 1.0, "q": 1.0}, 1e-9)
+        [rec] = verify_point("4.119", {"p": 1.0, "q": 1.0}, 1e-9)
         assert rec.verdict == PASS
         assert rec.rel_diff <= 1e-9
         assert rec.numeric.status == "converged"
 
     def test_suspect_divergent(self):
-        rec = verify_entry("4.124.2", {"a": 1.0, "beta": 0.5, "u": 1.0}, 1e-9)
+        [rec] = verify_point("4.124.2", {"a": 1.0, "beta": 0.5, "u": 1.0}, 1e-9)
         assert rec.verdict == DIVERGENT
         assert rec.expected_fail
         assert "transposed" in rec.note
 
     def test_printed_convention_fails_with_ratio(self):
-        rec = verify_entry("3.532.1", {"n": 2.0, "a": 1.0, "b": 1.0}, 1e-9,
-                           convention="printed")
+        derived, rec = verify_point("3.532.1", {"n": 2.0, "a": 1.0, "b": 1.0}, 1e-9)
+        assert (derived.convention, rec.convention) == (None, "printed")
         assert rec.verdict == FAIL
         assert rec.expected_fail
         # the table's printed value overstates the integral by exactly
@@ -75,8 +77,9 @@ class TestVerifyEntry:
         assert rec.ratio_fit == pytest.approx(1.0 / 6.0, rel=1e-10)
 
     def test_convention_rejected_elsewhere(self):
-        with pytest.raises(DomainError):
-            verify_entry("4.119", {"p": 1.0, "q": 1.0}, 1e-9, convention="printed")
+        # only a dual_convention entry has a printed record
+        records = verify_point("4.119", {"p": 1.0, "q": 1.0}, 1e-9)
+        assert [r.convention for r in records] == [None]
 
 
 class TestRatioDiagnose:
@@ -138,6 +141,21 @@ class TestAuditAll:
             if tighter_pass:
                 assert r.verdict == PASS
 
+    def test_non_finite_closed_form_is_a_failed_record(self, monkeypatch):
+        # the tolerance of a point whose closed form is nan or inf falls to
+        # the 1e-14 floor, which integrate_many accepts: the failure is data
+        entry = catalog.get_entry("4.118")
+        for bad in (math.nan, math.inf):
+            broken = dataclasses.replace(entry, closed_form=lambda pp, bad=bad: bad)
+            monkeypatch.setitem(catalog._REGISTRY, "4.118", broken)
+            for params in sample_params(broken, 2, 17):
+                _, (_, _, tol) = auditor._point(broken, params, 1e-9)
+                assert tol == 1e-14
+            rep = audit_all(AuditConfig(samples=2, seed=17, entries=["4.118"]))
+            assert [r.verdict for r in rep.records] == [FAIL, FAIL]
+            assert all(math.isfinite(r.numeric.value) for r in rep.records)
+            assert not rep.overall_ok
+
     def test_record_order(self):
         cfg = AuditConfig(samples=2, seed=17, entries=["4.118", "4.119"])
         rep = audit_all(cfg)
@@ -153,13 +171,13 @@ class TestAuditAll:
 
 def _per_point(records, pass_tol):
     """The records verified again one point at a time, and the _gk_batch
-    rounds that took."""
+    rounds that took; each point's records start with convention None."""
     rounds = []
     gk_batch = quad._gk_batch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_gk_batch", lambda *a: rounds.append(1) or gk_batch(*a))
-        per_point = [verify_entry(r.entry_id, r.params, pass_tol, r.convention)
-                     for r in records]
+        per_point = [rec for r in records if r.convention is None
+                     for rec in verify_point(r.entry_id, r.params, pass_tol)]
     return per_point, len(rounds)
 
 
@@ -171,7 +189,7 @@ def _numbers(r):
 
 class TestAuditBatch:
     """audit_all integrates every point of every entry together; every
-    record must equal verify_entry run on its own point."""
+    record must equal verify_point run on its own point."""
 
     @pytest.fixture(scope="class")
     def seed17_per_point(self, full_audit):

@@ -12,12 +12,18 @@ import pytest
 from hyptrig import catalog, quad
 from hyptrig.auditor import sample_params
 from hyptrig.errors import DomainError
-from hyptrig.quad import (Integrand, IntervalSpec, integrate,
-                          integrate_finite, integrate_endpoint_singular,
-                          integrate_decay, integrate_oscillatory,
-                          euler_transform, STATUS_CONVERGED, STATUS_DIVERGENT)
+from hyptrig.quad import (Integrand, IntervalSpec, integrate, euler_transform,
+                          STATUS_CONVERGED, STATUS_DIVERGENT)
 
 PI = math.pi
+
+# the domains most of the engine tests integrate over
+UNIT_ENDS = IntervalSpec(0.0, 1.0, "endpoint_singular")
+SINE_HALF_PERIODS = IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI)
+
+
+def _decay_spec(decay_hint, **hints):
+    return IntervalSpec(0.0, math.inf, "decay", decay_hint=decay_hint, **hints)
 
 
 class TestIntegrand:
@@ -35,21 +41,24 @@ class TestIntegrand:
 
 
 class TestIntegrateFinite:
-    def test_sine(self):
-        r = integrate_finite(Integrand(eval=np.sin), 0.0, PI, 1e-12)
+    """Adaptive Gauss-Kronrod on finite intervals (the gauss_kronrod
+    fixture), and the finite bounds integrate requires."""
+
+    def test_sine(self, gauss_kronrod):
+        r = gauss_kronrod(Integrand(eval=np.sin), 0.0, PI, 1e-12)
         assert r.status == STATUS_CONVERGED
         assert r.value == pytest.approx(2.0, abs=1e-12)
         assert abs(r.value - 2.0) <= r.abs_error_est <= 1e-12
 
-    def test_cubic(self):
-        r = integrate_finite(Integrand(eval=lambda x: x ** 3), 0.0, 1.0, 1e-12)
+    def test_cubic(self, gauss_kronrod):
+        r = gauss_kronrod(Integrand(eval=lambda x: x ** 3), 0.0, 1.0, 1e-12)
         assert r.value == pytest.approx(0.25, abs=1e-13)
 
-    def test_removable_point_vs_midpoint_oracle(self):
+    def test_removable_point_vs_midpoint_oracle(self, gauss_kronrod):
         # sin(x) x/(x^2 - pi^2) over [0, 2 pi] with the 0/0 at pi
         f = Integrand(eval=lambda x: np.sin(x) * x / (x * x - PI ** 2),
                       removable_points=(PI,), limit_values=(-0.5,))
-        r = integrate_finite(f, 0.0, 2.0 * PI, 1e-11)
+        r = gauss_kronrod(f, 0.0, 2.0 * PI, 1e-11)
         xs = (np.arange(1_000_000) + 0.5) * (2.0 * PI / 1_000_000)
         oracle = float(np.sum(np.sin(xs) * xs / (xs * xs - PI ** 2))
                        * (2.0 * PI / 1_000_000))
@@ -58,32 +67,32 @@ class TestIntegrateFinite:
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_finite(Integrand(eval=np.sin), 1.0, 1.0, 1e-10)
+            integrate(Integrand(eval=np.sin), IntervalSpec(1.0, 1.0, "endpoint_singular"), 1e-10)
 
-    def test_linearity_property(self):
+    def test_linearity_property(self, gauss_kronrod):
         rng = random.Random(99)
         f = Integrand(eval=np.sin)
         g = Integrand(eval=lambda x: x * x)
-        rf = integrate_finite(f, 0.0, 2.0, 1e-12)
-        rg = integrate_finite(g, 0.0, 2.0, 1e-12)
+        rf = gauss_kronrod(f, 0.0, 2.0, 1e-12)
+        rg = gauss_kronrod(g, 0.0, 2.0, 1e-12)
         for _ in range(10):
             al = rng.uniform(-2.0, 2.0)
             be = rng.uniform(-2.0, 2.0)
             h = Integrand(eval=lambda x, al=al, be=be: al * np.sin(x) + be * x * x)
-            rh = integrate_finite(h, 0.0, 2.0, 1e-12)
+            rh = gauss_kronrod(h, 0.0, 2.0, 1e-12)
             bound = 2.0 * (rh.abs_error_est
                            + abs(al) * rf.abs_error_est + abs(be) * rg.abs_error_est)
             assert abs(rh.value - (al * rf.value + be * rg.value)) <= max(bound, 1e-13)
 
-    def test_interval_additivity_property(self):
+    def test_interval_additivity_property(self, gauss_kronrod):
         f = Integrand(eval=lambda x: np.exp(-x) * np.cos(3.0 * x))
-        whole = integrate_finite(f, 0.0, 5.0, 1e-12)
-        left = integrate_finite(f, 0.0, 1.7, 1e-12)
-        right = integrate_finite(f, 1.7, 5.0, 1e-12)
+        whole = gauss_kronrod(f, 0.0, 5.0, 1e-12)
+        left = gauss_kronrod(f, 0.0, 1.7, 1e-12)
+        right = gauss_kronrod(f, 1.7, 5.0, 1e-12)
         bound = whole.abs_error_est + left.abs_error_est + right.abs_error_est
         assert abs(whole.value - left.value - right.value) <= max(bound, 1e-13)
 
-    def test_elementary_antiderivative_oracles(self):
+    def test_elementary_antiderivative_oracles(self, gauss_kronrod):
         # 20 integrands with known antiderivatives on assorted intervals
         cases = [
             (lambda x: np.cos(x), lambda x: math.sin(x), 0.0, 1.3),
@@ -113,7 +122,7 @@ class TestIntegrateFinite:
         ]
         assert len(cases) == 20
         for fe, F, a, b in cases:
-            r = integrate_finite(Integrand(eval=fe), a, b, 1e-11)
+            r = gauss_kronrod(Integrand(eval=fe), a, b, 1e-11)
             exact = F(b) - F(a)
             assert r.status == STATUS_CONVERGED
             assert abs(r.value - exact) <= max(r.abs_error_est, 2e-13 * max(1, abs(exact)))
@@ -124,23 +133,23 @@ class TestEndpointSingular:
     def test_arcsine(self):
         f = Integrand(eval=lambda x: 1.0 / np.sqrt((1.0 - x) * (1.0 + x)),
                       eval_upper_dist=lambda d: 1.0 / np.sqrt(d * (2.0 - d)))
-        r = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
+        r = integrate(f, UNIT_ENDS, 1e-12)
         assert r.status == STATUS_CONVERGED
         assert r.value == pytest.approx(PI / 2.0, abs=1e-12)
 
     def test_inverse_sqrt(self):
         f = Integrand(eval=lambda x: 1.0 / np.sqrt(x))
-        r = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
+        r = integrate(f, UNIT_ENDS, 1e-12)
         assert r.value == pytest.approx(2.0, abs=1e-12)
 
-    def test_cosine_kernel_vs_theta_substitution(self):
+    def test_cosine_kernel_vs_theta_substitution(self, gauss_kronrod):
         # int_0^u cos(px)/sqrt(u^2-x^2) dx vs the theta-substituted oracle
         p, u = 1.0, 1.0
         f = Integrand(
             eval=lambda x: np.cos(p * x) / np.sqrt((u - x) * (u + x)),
             eval_upper_dist=lambda d: np.cos(p * (u - d)) / np.sqrt(d * (2.0 * u - d)))
-        r = integrate_endpoint_singular(f, 0.0, u, 1e-12)
-        oracle = integrate_finite(
+        r = integrate(f, IntervalSpec(0.0, u, "endpoint_singular"), 1e-12)
+        oracle = gauss_kronrod(
             Integrand(eval=lambda t: np.cos(p * u * np.cos(t))), 0.0, PI / 2.0, 1e-13)
         assert r.value == pytest.approx(oracle.value, abs=1e-11)
 
@@ -164,7 +173,7 @@ class TestEndpointSingular:
         for f, rows in ((Integrand(eval=ev), [2]),
                         (Integrand(eval=ev, eval_upper_dist=ev_upper), [1, 1])):
             del shapes[:]
-            r = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
+            r = integrate(f, UNIT_ENDS, 1e-12)
             assert r.status == STATUS_CONVERGED
             levels = [sizes.index(n) for _, n in shapes]
             assert levels == sorted(levels)
@@ -174,7 +183,7 @@ class TestEndpointSingular:
             assert r.evaluations == sum(widths)
 
     def test_smooth_integrand_also_fine(self):
-        r = integrate_endpoint_singular(Integrand(eval=np.cos), 0.0, 1.0, 1e-12)
+        r = integrate(Integrand(eval=np.cos), UNIT_ENDS, 1e-12)
         assert r.value == pytest.approx(math.sin(1.0), abs=1e-12)
 
 
@@ -197,8 +206,7 @@ def _fresh_ts_level(level):
 
 class TestTanhSinhNodes:
     def test_cached_levels_equal_a_fresh_computation(self):
-        integrate_endpoint_singular(Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
-                                    0.0, 1.0, 1e-15)
+        integrate(Integrand(eval=lambda x: 1.0 / np.sqrt(x)), UNIT_ENDS, 1e-15)
         nbytes = 0
         for level in range(13):
             w, x = quad._ts_level(level)
@@ -210,7 +218,7 @@ class TestTanhSinhNodes:
 
     def test_tables_are_read_only(self):
         f = Integrand(eval=lambda x: 1.0 / np.sqrt(x))
-        before = integrate_endpoint_singular(f, 0.0, 1.0, 1e-12)
+        before = integrate(f, UNIT_ENDS, 1e-12)
         for level in range(13):
             w, x = quad._ts_level(level)
             assert not w.flags.writeable and not x.flags.writeable
@@ -233,25 +241,23 @@ class TestTanhSinhNodes:
             w, x = quad._ts_level(level)
             fresh_w, fresh_x = _fresh_ts_level(level)
             assert w.tobytes() == fresh_w.tobytes() and x.tobytes() == fresh_x.tobytes()
-        assert integrate_endpoint_singular(f, 0.0, 1.0, 1e-12) == before
+        assert integrate(f, UNIT_ENDS, 1e-12) == before
 
 
 class TestDecay:
     def test_exponential(self):
-        r = integrate_decay(Integrand(eval=lambda x: np.exp(-x)), 0.0, 1e-11, 1.0)
+        r = integrate(Integrand(eval=lambda x: np.exp(-x)), _decay_spec(1.0), 1e-11)
         assert r.status == STATUS_CONVERGED
         assert r.value == pytest.approx(1.0, abs=1e-11)
 
     def test_gamma_two(self):
-        r = integrate_decay(Integrand(eval=lambda x: x * np.exp(-2.0 * x)),
-                            0.0, 1e-11, 2.0)
+        r = integrate(Integrand(eval=lambda x: x * np.exp(-2.0 * x)), _decay_spec(2.0), 1e-11)
         assert r.value == pytest.approx(0.25, abs=1e-11)
 
     def test_sech_squared_vs_series_oracle(self):
         # int_0^inf x/cosh^2 x dx = ln 2; oracle: Euler transform of the
         # alternating series sum (-1)^(m+1)/m
-        r = integrate_decay(Integrand(eval=lambda x: x / np.cosh(x) ** 2),
-                            0.0, 1e-11, 2.0)
+        r = integrate(Integrand(eval=lambda x: x / np.cosh(x) ** 2), _decay_spec(2.0), 1e-11)
         partials = list(np.cumsum([(-1.0) ** (m + 1) / m for m in range(1, 41)]))
         oracle = euler_transform(partials, 20)
         assert r.value == pytest.approx(math.log(2.0), abs=1e-11)
@@ -260,35 +266,48 @@ class TestDecay:
     def test_lower_singular(self):
         # x^(-1/2) e^(-x): Gamma(1/2) = sqrt(pi)
         f = Integrand(eval=lambda x: np.exp(-x) / np.sqrt(x))
-        r = integrate_decay(f, 0.0, 1e-11, 1.0, lower_singular=True)
+        r = integrate(f, _decay_spec(1.0, lower_singular=True), 1e-11)
         assert r.value == pytest.approx(math.sqrt(PI), abs=1e-10)
 
     def test_divergence_detected(self):
         # not actually decaying at the promised rate
         f = Integrand(eval=lambda x: 1.0 / (1.0 + x))
-        r = integrate_decay(f, 0.0, 1e-10, 1.0)
+        r = integrate(f, _decay_spec(1.0), 1e-10)
         assert r.status in (STATUS_DIVERGENT, "max_effort")
         assert r.status != STATUS_CONVERGED
 
     def test_needs_positive_hint(self):
         with pytest.raises(DomainError):
-            integrate_decay(Integrand(eval=lambda x: np.exp(-x)), 0.0, 1e-10, 0.0)
+            integrate(Integrand(eval=lambda x: np.exp(-x)), _decay_spec(0.0), 1e-10)
+
+    def test_probes_are_dropped_once_read(self):
+        # an engine's frame lives until its job ends, so past its probe
+        # request it keeps no array of probes or amplitudes
+        engine = quad._decay(quad._PatchedEval(Integrand(eval=lambda x: np.exp(-x))),
+                             _decay_spec(1.0), 1e-10)
+        kind, probes = next(engine)
+        assert kind == quad._POINTS
+        kind, _ = engine.send(np.exp(-probes))
+        assert kind == quad._GK
+        assert not [name for name, v in engine.gi_frame.f_locals.items()
+                    if isinstance(v, np.ndarray)]
+        engine.close()
 
 
 class TestOscillatory:
     def test_sinc(self):
         f = Integrand(eval=lambda x: np.sin(x) / x,
                       removable_points=(0.0,), limit_values=(1.0,))
-        r1 = integrate_oscillatory(f, 0.0, 1e-10, PI)
+        r1 = integrate(f, SINE_HALF_PERIODS, 1e-10)
         assert r1.status == STATUS_CONVERGED
         assert r1.value == pytest.approx(PI / 2.0, abs=1e-9)
         # two depths agreeing: rerun at a tighter tolerance
-        r2 = integrate_oscillatory(f, 0.0, 1e-11, PI)
+        r2 = integrate(f, SINE_HALF_PERIODS, 1e-11)
         assert abs(r1.value - r2.value) <= 1e-9
 
     def test_damped_sine(self):
         f = Integrand(eval=lambda x: np.sin(x) * np.exp(-x))
-        r = integrate_oscillatory(f, 0.0, 1e-10, PI)
+        r = integrate(f, SINE_HALF_PERIODS, 1e-10)
         assert r.value == pytest.approx(0.5, abs=1e-10)
 
     def test_suspect_form_reported_divergent(self):
@@ -297,7 +316,8 @@ class TestOscillatory:
             w = 1.0 - x * x  # negative on (1, inf)
             return np.cos(x) * np.cosh(np.sqrt(w)) / np.sqrt(w)
 
-        r = integrate_oscillatory(Integrand(eval=printed), 1.0, 1e-9, PI)
+        r = integrate(Integrand(eval=printed),
+                      IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_resonant_rewrite_reported_divergent(self):
@@ -306,12 +326,14 @@ class TestOscillatory:
             w = x * x - 1.0
             return np.cos(x) * np.cos(np.sqrt(np.abs(w))) / np.sqrt(np.abs(w))
 
-        r = integrate_oscillatory(Integrand(eval=rewritten), 1.0, 1e-9, PI)
+        r = integrate(Integrand(eval=rewritten),
+                      IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_needs_period(self):
         with pytest.raises(DomainError):
-            integrate_oscillatory(Integrand(eval=np.sin), 0.0, 1e-9, 0.0)
+            integrate(Integrand(eval=np.sin),
+                      IntervalSpec(0.0, math.inf, "oscillatory", period_hint=0.0), 1e-9)
 
 
 class TestOscillatoryStop:
@@ -335,7 +357,7 @@ class TestOscillatoryStop:
     @pytest.mark.parametrize("make, exact, evaluations, estimate", CASES,
                              ids=["x_sin_x_over_1_plus_x2", "sin_x_over_x"])
     def test_value_estimate_and_work(self, make, exact, evaluations, estimate):
-        r = integrate_oscillatory(make(), 0.0, 1e-10, PI)
+        r = integrate(make(), SINE_HALF_PERIODS, 1e-10)
         assert r.status == STATUS_CONVERGED
         assert abs(r.value - exact) <= 1e-10
         assert abs(r.value - exact) <= r.abs_error_est
@@ -455,8 +477,9 @@ class TestManyIntervals:
         largest, tols = {}, {}
         for k, edges in loose.items():
             with np.errstate(all="ignore"):
-                pes = [quad._PatchedEval(f)]
-                _, errs, _ = quad._gk_batch(pes, quad._kernel_groups(pes), np.zeros(3, dtype=int),
+                pe = quad._PatchedEval(f)
+                groups = quad._member_groups([(f.eval, f.args, pe.patches)])
+                _, errs, _ = quad._gk_batch([pe], groups, np.zeros(3, dtype=int),
                                             np.array(edges[:-1]), np.array(edges[1:]))
             largest[k] = (edges[np.argmax(errs)], edges[np.argmax(errs) + 1])
             tols[k] = 8.0 * errs.max()  # share tol / 6 is above every panel
@@ -591,14 +614,14 @@ class TestIntegrateMany:
              IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-10),
             (Integrand(eval=lambda x: x * np.sin(x) / (1.0 + x * x)),
              IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
-            (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "plain"), 1e-12),
+            (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "endpoint_singular"), 1e-12),
             (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
              IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
         ]
 
-    # 4695 evaluations alone, over 34 rounds
-    HEAVY = (Integrand(eval=lambda x: np.sqrt(np.abs(x - 0.3))), IntervalSpec(0.0, 1.0, "plain"),
-             1e-15)
+    # 3158 evaluations alone, over 37 rounds
+    HEAVY = (Integrand(eval=lambda x: np.sqrt(np.abs(x - 0.3)) * np.exp(-x)), _decay_spec(1.0),
+             1e-14)
 
     def _check_against_solo(self, jobs):
         """Run jobs batched and alone; every result and every integrand
@@ -641,8 +664,8 @@ class TestIntegrateMany:
 
     def test_divergent_job_leaves_its_neighbours_alone(self):
         divergent = [
-            (Integrand(eval=lambda x: np.where(x > 0.5, np.nan, x)),
-             IntervalSpec(0.0, 1.0, "plain"), 1e-12),
+            (Integrand(eval=lambda x: np.where(x > 0.5, np.nan, np.exp(-x))),
+             _decay_spec(1.0), 1e-12),
             # the as-printed 4.124.2 form: sqrt of a negative quantity
             (Integrand(eval=lambda x: np.cos(x) / np.sqrt(1.0 - x * x)),
              IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
@@ -698,9 +721,8 @@ class TestIntegrateMany:
 
     def test_tanh_sinh_effort_cap_stops_only_its_own_job(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
-        # a negative tol never converges
-        capped = (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
-                  IntervalSpec(0.0, 1.0, "endpoint_singular"), -1.0)
+        # at the kink, no two levels of the left half agree within 1e-15
+        capped = (Integrand(eval=lambda x: np.abs(x - 1.0 / 3.0)), UNIT_ENDS, 1e-15)
         batch = _check_tagged_against_solo([capped] + _bessel_jobs(3) + self.light_jobs())
         assert batch[0].status == quad.STATUS_MAX_EFFORT
         assert batch[0].evaluations > 2000
@@ -781,18 +803,19 @@ class TestKernelChunks:
 
         def kernel(x, k):
             sizes.append(x.size)
-            return np.cos(k * x) / np.sqrt(x)
+            return np.abs(np.sin(40.0 * k * x))
 
         def lower(d, k):
             sizes.append(d.size)
-            return np.cos(k * d) / np.sqrt(d)
+            return np.abs(np.sin(40.0 * k * d))
 
-        # tol -1 runs every half through level 12, whose rows hold 15,770
-        # nodes each; the halves of 40 jobs share each level's calls
+        # at the kinks no two levels agree within 1e-15, so every half runs
+        # through level 12, whose rows hold 15,770 nodes each; the halves of
+        # 40 jobs share each level's calls
         ks = 1.0 + np.arange(40) / 7.0
         jobs = [(Integrand(eval=kernel, args=(k,),
                            eval_lower_dist=functools.partial(lower, k=k)),
-                 IntervalSpec(0.0, 1.0, "endpoint_singular"), -1.0) for k in ks]
+                 UNIT_ENDS, 1e-15) for k in ks]
         batch = quad.integrate_many(jobs)
         assert max(sizes) <= quad._MAX_ABSCISSAE
         assert len(sizes) < 2 * 13 * len(ks)  # levels are shared
@@ -804,7 +827,6 @@ class TestKernelChunks:
 class TestDispatch:
     def test_all_shapes(self):
         cases = [
-            (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "plain"), 2.0),
             (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
              IntervalSpec(0.0, 1.0, "endpoint_singular"), 2.0),
             (Integrand(eval=lambda x: np.exp(-x)),
@@ -819,17 +841,36 @@ class TestDispatch:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             IntervalSpec(0.0, 1.0, "weird")
+        # no engine is Gauss-Kronrod alone
+        with pytest.raises(DomainError, match="unknown shape 'plain'"):
+            IntervalSpec(0.0, 1.0, 'plain')
         with pytest.raises(DomainError):
-            IntervalSpec(1.0, 0.0, "plain")
+            IntervalSpec(1.0, 0.0, "endpoint_singular")
         with pytest.raises(DomainError):
             IntervalSpec(0.0, math.inf, "decay")
-        for shape in ("plain", "endpoint_singular"):
+        for bounds in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
             with pytest.raises(DomainError):
-                IntervalSpec(0.0, math.inf, shape)
-            with pytest.raises(DomainError):
-                IntervalSpec(-math.inf, 0.0, shape)
-        with pytest.raises(DomainError):
-            integrate_finite(Integrand(eval=np.sin), 0.0, math.inf, 1e-10)
+                IntervalSpec(*bounds, "endpoint_singular")
+        # the semi-infinite engines never read upper, so it must be inf, and
+        # every engine starts from a finite lower bound
+        hints = {"decay": {"decay_hint": 1.0}, "oscillatory": {"period_hint": PI}}
+        for shape, hint in hints.items():
+            IntervalSpec(-3.0, math.inf, shape, **hint)
+            for bounds in ((0.0, 1.0), (0.0, 1e300), (0.0, math.nan), (0.0, -math.inf),
+                           (-math.inf, math.inf), (math.nan, math.inf)):
+                with pytest.raises(DomainError):
+                    IntervalSpec(*bounds, shape, **hint)
+
+    def test_tol_must_be_finite_and_positive(self):
+        good = (Integrand(eval=lambda x: np.exp(-x)), _decay_spec(1.0), 1e-10)
+        for tol in (-1.0, 0.0, -0.0, math.nan, math.inf):
+            for f, spec, _ in (good, (Integrand(eval=np.cos), UNIT_ENDS, 1e-10)):
+                with pytest.raises(DomainError, match="tol"):
+                    integrate(f, spec, tol)
+            # one bad job fails the whole batch
+            with pytest.raises(DomainError, match="tol"):
+                quad.integrate_many([good, (good[0], good[1], tol), good])
+        assert integrate(*good).status == STATUS_CONVERGED
 
 
 class TestEulerTransform:
@@ -882,9 +923,8 @@ class TestKernelIdentities:
         def chmc(t):
             return 2.0 * (np.sinh(0.5 * t) ** 2 + np.sin(0.5 * t) ** 2)
 
-        lhs = integrate_decay(
-            Integrand(eval=lambda x: x ** 6 * np.exp(-x) / chmc(x)),
-            0.0, 1e-12, 1.0)
+        lhs = integrate(Integrand(eval=lambda x: x ** 6 * np.exp(-x) / chmc(x)),
+                        _decay_spec(1.0), 1e-12)
         assert lhs.status == STATUS_CONVERGED
         total = 0.0
         for n in range(1, 41):
@@ -897,7 +937,7 @@ class TestKernelIdentities:
             g = Integrand(eval=gn, removable_points=tuple(k * n * PI for k in ks),
                           limit_values=tuple((k * PI) ** 6 * math.exp(-k * PI * (n + 1))
                                              * n * (-1.0) ** (k * (n + 1)) for k in ks))
-            r = integrate_decay(g, 0.0, 1e-12, 1.0)
+            r = integrate(g, _decay_spec(1.0), 1e-12)
             assert r.status == STATUS_CONVERGED
             total += r.value / n
         assert abs(lhs.value - 2.0 * total) <= 1e-8 * abs(lhs.value)
@@ -928,7 +968,7 @@ class TestKernelIdentities:
     def test_result_error_bounds_honest(self):
         # converged results must carry abs_error_est covering the true error
         f = Integrand(eval=lambda x: np.cos(3.0 * x) * np.exp(-0.5 * x))
-        r = integrate_decay(f, 0.0, 1e-10, 0.5)
+        r = integrate(f, _decay_spec(0.5), 1e-10)
         exact = 0.5 / (0.25 + 9.0)
         assert abs(r.value - exact) <= max(r.abs_error_est, 1e-13)
         assert r.abs_error_est <= 1e-10

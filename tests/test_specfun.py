@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from hyptrig.errors import DomainError
-from hyptrig.specfun import (gamma, log_gamma, hurwitz_zeta, riemann_zeta,
-                             dirichlet_beta, dirichlet_eta, bessel_j,
-                             theta1_prime0)
+from hyptrig.specfun import (gamma, log_gamma, hurwitz_zeta, dirichlet_beta,
+                             dirichlet_eta, bessel_j, theta1_prime0)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -112,7 +111,7 @@ class TestHurwitzZeta:
         # zeta(s, 1/2) = (2^s - 1) zeta(s)
         s = 3.0
         lhs = hurwitz_zeta(s, 0.5).value
-        rhs = (2.0 ** s - 1.0) * riemann_zeta(s).value
+        rhs = (2.0 ** s - 1.0) * hurwitz_zeta(s, 1.0).value
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_functional_equation_point(self):
@@ -144,18 +143,14 @@ class TestHurwitzZeta:
 
 
 class TestRiemannZeta:
-    def test_basel(self):
-        assert riemann_zeta(2.0).value == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
+    """The Riemann zeta, zeta(s) = hurwitz_zeta(s, 1); TestHurwitzZeta
+    holds zeta(2) and the pole at s = 1."""
 
     def test_zeta_four(self):
         # direct summation oracle: tail below 1e-13 by n = 2000
         oracle = sum(n ** (-4.0) for n in range(2000, 0, -1)) + 2000 ** (-3.0) / 3.0
-        assert riemann_zeta(4.0).value == pytest.approx(math.pi ** 4 / 90, rel=1e-13)
-        assert riemann_zeta(4.0).value == pytest.approx(oracle, rel=1e-12)
-
-    def test_pole_excluded(self):
-        with pytest.raises(DomainError):
-            riemann_zeta(1.0)
+        assert hurwitz_zeta(4.0, 1.0).value == pytest.approx(math.pi ** 4 / 90, rel=1e-13)
+        assert hurwitz_zeta(4.0, 1.0).value == pytest.approx(oracle, rel=1e-12)
 
 
 class TestPolygamma:
@@ -250,7 +245,7 @@ class TestDirichletEta:
     def test_zeta_relation(self):
         s = 3.0
         assert dirichlet_eta(s).value == pytest.approx(
-            (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s).value, rel=1e-13)
+            (1.0 - 2.0 ** (1.0 - s)) * hurwitz_zeta(s, 1.0).value, rel=1e-13)
 
     def test_eta_zero(self):
         # eta(0) = 1/2 (Abel sum of 1 - 1 + 1 - ...)
