@@ -143,14 +143,20 @@ class TestHurwitzZeta:
 
 
 class TestRiemannZeta:
-    """The Riemann zeta, zeta(s) = hurwitz_zeta(s, 1); TestHurwitzZeta
-    holds zeta(2) and the pole at s = 1."""
+    """The Riemann zeta, zeta(s) = hurwitz_zeta(s, 1)."""
+
+    def test_basel(self):
+        assert hurwitz_zeta(2.0, 1.0).value == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
 
     def test_zeta_four(self):
         # direct summation oracle: tail below 1e-13 by n = 2000
         oracle = sum(n ** (-4.0) for n in range(2000, 0, -1)) + 2000 ** (-3.0) / 3.0
         assert hurwitz_zeta(4.0, 1.0).value == pytest.approx(math.pi ** 4 / 90, rel=1e-13)
         assert hurwitz_zeta(4.0, 1.0).value == pytest.approx(oracle, rel=1e-12)
+
+    def test_pole_excluded(self):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(1.0, 1.0)
 
 
 class TestPolygamma:
