@@ -1,15 +1,20 @@
 """Special functions backing the closed forms in the catalog.
 
 Everything here is implemented from scratch on real arguments: Gamma and
-log-Gamma via a fixed Lanczos approximation, the Hurwitz zeta via
-Euler-Maclaurin summation, and the Dirichlet beta, Bessel-J and theta
-series directly from their defining sums.  All routines are pure and
-deterministic: the same input gives bit-identical output.
+log-Gamma via a fixed Lanczos approximation, the Hurwitz zeta via one
+Euler-Maclaurin sum cut where Johansson's bound on its remainder
+(Numer. Algorithms 69 (2015), Thm. 1) falls below eps/8 of the value,
+and the Dirichlet beta, Bessel-J and theta series directly from their
+defining sums.  All routines are pure and deterministic: the same input
+gives bit-identical output.  A series whose rounding bound reaches its
+own value reports est_rel_error inf, as does hurwitz_zeta when the value
+is below the smallest normal double.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -122,41 +127,83 @@ _B2J_OVER_FACT = (
 
 
 def _hurwitz_em(s: float, a: float, n: int) -> float:
-    # Euler-Maclaurin: direct sum of n terms, integral tail, midpoint term,
-    # and 10 Bernoulli correction terms.
+    # Euler-Maclaurin: direct sum of n terms, then the tail T(z) at z = n + a:
+    # integral, midpoint term and 10 Bernoulli terms B_2j/(2j)! (s)_(2j-1)
+    # z^(-s-2j+1), each from the last by ratios so that none overflows.
+    # A base x = k + a is rounded, and x^-s turns its rounding error lo into
+    # s lo/x, so lo (exact by TwoSum) is added back to first order: as
+    # -s lo/x per term, and as lo T'(z), with T' summed alongside T.
     direct = 0.0
-    for k in range(n - 1, -1, -1):  # small-to-large summation
-        direct += (k + a) ** (-s)
+    for k in range(n - 1, 0, -1):  # small-to-large summation
+        x = k + a
+        b = x - k
+        lo = (k - (x - b)) + (a - b)
+        direct += x ** (-s) * (1.0 - s * (lo / x))
     z = n + a
-    total = direct + z ** (1.0 - s) / (s - 1.0) + 0.5 * z ** (-s)
-    poch = s  # rising product s(s+1)...(s+2j-2)
-    zpow = z ** (-s - 1.0)
+    b = z - n
+    lo = (n - (z - b)) + (a - b)
+    zs = z ** (-s)
+    total = direct + a ** (-s) + z ** (1.0 - s) / (s - 1.0) + 0.5 * zs
+    slope = zs + 0.5 * s * zs / z  # -T'(z)
+    term = s * zs / z
     for j in range(10):
-        total += _B2J_OVER_FACT[j] * poch * zpow
-        poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        zpow /= z * z
-    return total
+        total += _B2J_OVER_FACT[j] * term
+        term = term * (s + 2 * j + 1) / z
+        slope += _B2J_OVER_FACT[j] * term
+        term = term * (s + 2 * j + 2) / z
+    return total - lo * slope
+
+
+# ln 4/(2 pi)^21, the constant of hurwitz_zeta's remainder bound, and ln
+# eps/8, the share of the value the bound may take
+_LN_EM_BOUND = math.log(4.0) - 21.0 * math.log(2.0 * math.pi)
+_LN_CUT = math.log(_EPS / 8.0)
+_LN_HALF_DBL_MAX = math.log(0.5 * sys.float_info.max)
+_LN_DBL_MIN = math.log(sys.float_info.min)
 
 
 def hurwitz_zeta(s: float, a: float) -> SpecialValue:
-    """Hurwitz zeta(s, a) for s > 1, a > 0 by Euler-Maclaurin summation.
+    """Hurwitz zeta(s, a) for s > 1, a > 0 by one Euler-Maclaurin sum.
 
-    The direct-sum length starts at max(20, ceil(a + s)) and doubles until
-    two successive evaluations agree to the requested target.
+    After a direct sum of n terms and the 10 Bernoulli terms of
+    _hurwitz_em, the remainder is at most
+    4 (s)_21 / ((2 pi)^21 (s + 20)) (n + a)^(-s-20)
+    (F. Johansson, Numer. Algorithms 69 (2015), Thm. 1), and zeta(s, a)
+    is at least L = max(a^-s, a^(1-s)/(s-1)).  n is the smallest n >= 1
+    for which the bound is below eps/8 L, found in logarithms, so that
+    nothing overflows for any s > 1 and a > 0; n is at most 9 on a dense
+    grid over that whole domain.  est_rel_error is the bound over L plus
+    (n + 20) eps of rounding.
+
+    DomainError when 2L exceeds the largest double (as at s = 200,
+    a = 0.01, where a^-s = 1e400).  When L is below the smallest normal
+    double, 2.2e-308 (as at s = 500, a = 5), the value, 0 or subnormal,
+    comes with est_rel_error inf.
     """
     if not (s > 1.0):
         raise DomainError("hurwitz_zeta requires s > 1")
     if not (a > 0.0):
         raise DomainError("hurwitz_zeta requires a > 0")
-    n = max(20, math.ceil(a + s))
-    prev = _hurwitz_em(s, a, n)
-    while True:
-        n *= 2
-        cur = _hurwitz_em(s, a, n)
-        if abs(cur - prev) <= _TARGET_REL_ERROR * abs(cur) or n > _MAX_TERMS:
-            err = abs(cur - prev) / abs(cur) if cur != 0.0 else abs(cur - prev)
-            return SpecialValue(cur, max(err, 1e-15))
-        prev = cur
+    ln_a = math.log(a)
+    ln_l = max(-s * ln_a, (1.0 - s) * ln_a - math.log(s - 1.0))
+    if ln_l > _LN_HALF_DBL_MAX:
+        raise DomainError(f"hurwitz_zeta({s!r}, {a!r}) overflows a double")
+    # (s)_21 / (s + 20) = (s)_20 <= (s + 9.5)^20, the AM-GM bound
+    ln_c = _LN_EM_BOUND + 20.0 * math.log(s + 9.5)
+    # ln of the smallest n + a that meets the cut; a tiny L cuts at DBL_MIN
+    ln_z = (ln_c - _LN_CUT - max(ln_l, _LN_DBL_MIN)) / (s + 20.0)
+    n = max(1, math.ceil(a * math.expm1(ln_z - ln_a)))
+    value = _hurwitz_em(s, a, n)
+    if ln_l < _LN_DBL_MIN:
+        return SpecialValue(value, math.inf)
+    bound = math.exp(ln_c - (s + 20.0) * math.log(n + a) - ln_l)
+    return SpecialValue(value, bound + (n + 20) * _EPS)
+
+
+def _rel_bound(total: float, bound: float) -> float:
+    """Relative error of a sum `total` that is off by at most `bound`:
+    bound over the least |true value| that leaves, inf when that is 0."""
+    return bound / (abs(total) - bound) if bound < abs(total) else math.inf
 
 
 def _alternating_series(step: int, s: float) -> SpecialValue:
@@ -208,7 +255,7 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
     Negative x is folded by parity for integer nu (J_n(-x) = (-1)^n J_n(x));
     non-integer orders are restricted to x >= 0.  est_rel_error accounts for
     the cancellation between alternating terms, which dominates once
-    |x| grows past ~15.
+    |x| grows past ~15, and is inf once the rounding bound reaches the sum.
     """
     if nu < -1.0:
         raise DomainError("bessel_j requires nu >= -1")
@@ -245,9 +292,8 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
                 break
         if k > _MAX_TERMS:
             break
-    denom = max(abs(total), 1e-300)
-    est = max(_TARGET_REL_ERROR, 4.0 * _EPS * abs_total / denom)
-    return SpecialValue(total, est)
+    est = _rel_bound(total, 4.0 * _EPS * abs_total)
+    return SpecialValue(total, max(_TARGET_REL_ERROR, est))
 
 
 def theta1_prime0(q: float) -> SpecialValue:
@@ -256,7 +302,8 @@ def theta1_prime0(q: float) -> SpecialValue:
     Direct truncated summation; terms first grow for q near 1, so the stop
     rule only fires past the term peak.  The reported est_rel_error includes
     the cancellation penalty, which becomes ruinous as q -> 1 (the true
-    value decays faster than any honest double-precision summation).
+    value decays faster than any honest double-precision summation): from
+    about q = 0.95 the rounding bound exceeds the sum and it is inf.
     """
     if not (0.0 < q < 1.0):
         raise DomainError("theta1_prime0 requires 0 < q < 1")
@@ -276,7 +323,6 @@ def theta1_prime0(q: float) -> SpecialValue:
             break
         prev_mag = mag
     total *= 2.0
-    abs_total *= 2.0
-    denom = max(abs(total), 1e-300)
-    est = max(_TARGET_REL_ERROR, 4.0 * _EPS * abs_total / denom, mag / denom)
-    return SpecialValue(total, est)
+    # rounding, and the first omitted term (< mag) of the doubled sum
+    bound = 8.0 * _EPS * abs_total + 2.0 * mag
+    return SpecialValue(total, max(_TARGET_REL_ERROR, _rel_bound(total, bound)))

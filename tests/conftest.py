@@ -5,13 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from hyptrig import auditor, quad
+from hyptrig import auditor, quad, specfun
 from hyptrig.auditor import AuditConfig, audit_all
 
 # the config_echo keys full_audit adds to the audit's own
 FIXTURE_ECHO_KEYS = ("elapsed_seconds", "integrate_many_calls", "gk_rounds",
                      "gk_kernel_calls", "gk_kernel_chunks",
-                     "ts_kernel_calls", "probe_kernel_calls")
+                     "ts_kernel_calls", "probe_kernel_calls",
+                     "hurwitz_zeta_calls", "hurwitz_em_calls", "hurwitz_em_terms")
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +38,12 @@ def full_audit():
     kernel spans in them (summed over kernels and rounds: a round
     evaluates its panels ordered by kernel, quad._CHUNK at a time), and
     the kernel calls made by the tanh-sinh levels (_tanh_sinh_many) and
-    by the decay probes (_points_many).
+    by the decay probes (_points_many), and the closed forms' calls of
+    specfun.hurwitz_zeta, of its Euler-Maclaurin sum and that sum's terms.
     """
     rounds, kernel_chunks, integrations = [], [], []
     calls = {"gk": 0, "ts": 0, "probe": 0}
+    zeta_calls, em_terms = [], []
     phase = []
     gk_batch, evaluate = quad._gk_batch, quad._evaluate
 
@@ -69,6 +72,7 @@ def full_audit():
         return evaluate(*args)
 
     integrate_many = auditor.integrate_many
+    zeta, em = specfun.hurwitz_zeta, specfun._hurwitz_em
     t0 = time.time()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(auditor, "integrate_many",
@@ -77,6 +81,8 @@ def full_audit():
         mp.setattr(quad, "_evaluate", counting_evaluate)
         mp.setitem(quad._SOLVERS, quad._TANH_SINH, counting(quad._tanh_sinh_many, "ts"))
         mp.setitem(quad._SOLVERS, quad._POINTS, counting(quad._points_many, "probe"))
+        mp.setattr(specfun, "hurwitz_zeta", lambda s, a: zeta_calls.append(1) or zeta(s, a))
+        mp.setattr(specfun, "_hurwitz_em", lambda s, a, n: em_terms.append(n) or em(s, a, n))
         report = audit_all(AuditConfig(samples=25, seed=17, pass_tol=1e-9))
     report.config_echo["elapsed_seconds"] = time.time() - t0
     report.config_echo["integrate_many_calls"] = len(integrations)
@@ -85,4 +91,7 @@ def full_audit():
     report.config_echo["gk_kernel_chunks"] = sum(kernel_chunks)
     report.config_echo["ts_kernel_calls"] = calls["ts"]
     report.config_echo["probe_kernel_calls"] = calls["probe"]
+    report.config_echo["hurwitz_zeta_calls"] = len(zeta_calls)
+    report.config_echo["hurwitz_em_calls"] = len(em_terms)
+    report.config_echo["hurwitz_em_terms"] = sum(em_terms)
     return report

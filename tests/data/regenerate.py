@@ -1,6 +1,7 @@
 """Rewrite the seed-17 baselines from the current code.
 
     PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest]
+    PYTHONPATH=src python tests/data/regenerate.py diff
 
 Runs the audit of every entry at 25 samples, seed 17, pass tolerance
 1e-9 (the `full_audit` fixture's configuration) and writes, next to this
@@ -16,10 +17,17 @@ script, the baselines named (all three when none is):
   tests/test_report.py).
 
 A deliberate change to any of them is explained in CHANGES.md.
+
+`diff` writes nothing: it compares the audit with values_seed17.json and
+the pinned digest and prints, per entry, how many records moved their
+verdict or the bits of `closed`, `value` or `abs_error_est`, each
+field's largest move in ulps of the pinned value, and the pinned and
+current sha256.  It exits 1 when anything moved, like diff(1).
 """
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +58,52 @@ def digest(report) -> str:
     return hashlib.sha256((report_to_json(report) + "\n").encode("utf-8")).hexdigest()
 
 
+FIELDS = ("closed", "value", "abs_error_est")
+
+
+def _ulps(old: float, new: float) -> float:
+    """|new - old| in ulps of old; inf when either side is not finite."""
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return 0.0 if old.hex() == new.hex() else math.inf
+    return abs(new - old) / math.ulp(old)
+
+
+def diff(report) -> int:
+    """Print what moved against the pinned values and digest."""
+    pinned = json.loads((DATA / "values_seed17.json").read_text(encoding="utf-8"))["records"]
+    current = values(report)["records"]
+    if [(r["entry_id"], r["convention"]) for r in pinned] != \
+            [(r["entry_id"], r["convention"]) for r in current]:
+        print("the records differ in number, entry or order")
+        return 1
+    by_entry, worst = {}, {}
+    for i, (old, new) in enumerate(zip(pinned, current)):
+        counts = by_entry.setdefault(new["entry_id"],
+                                     dict.fromkeys(("records", "verdict") + FIELDS, 0))
+        counts["records"] += 1
+        counts["verdict"] += old["verdict"] != new["verdict"]
+        for field in FIELDS:
+            if old[field] != new[field]:
+                counts[field] += 1
+                ulps = _ulps(float.fromhex(old[field]), float.fromhex(new[field]))
+                if field not in worst or ulps >= worst[field][0]:
+                    worst[field] = (ulps, i, new["entry_id"])
+    print(f"{'entry':<14}" + "".join(f"{name:>15}" for name in ("records", "verdict") + FIELDS))
+    for entry, counts in by_entry.items():
+        print(f"{entry:<14}" + "".join(f"{n:>15}" for n in counts.values()))
+    for field in FIELDS:
+        print(f"largest {field} move: " + ("none" if field not in worst else
+              "{:g} ulps, record {} ({})".format(*worst[field])))
+    old_digest = (DATA / "report_seed17.sha256").read_text(encoding="utf-8").strip()
+    new_digest = digest(report)
+    print(f"sha256 pinned  {old_digest}\nsha256 current {new_digest}")
+    verdicts = sum(c["verdict"] for c in by_entry.values())
+    return 0 if not worst and not verdicts and old_digest == new_digest else 1
+
+
 def main(argv) -> int:
+    if argv == ["diff"]:
+        return diff(audit_all(AuditConfig(**AUDIT)))
     names = argv or ["evaluations", "values", "digest"]
     if not set(names) <= {"evaluations", "values", "digest"}:
         print(__doc__, file=sys.stderr)

@@ -8,15 +8,21 @@ check.
 
 import math
 import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hyptrig import catalog, specfun
 from hyptrig.errors import DomainError
 from hyptrig.specfun import (gamma, log_gamma, hurwitz_zeta, dirichlet_beta,
                              dirichlet_eta, bessel_j, theta1_prime0)
 
 SQRT_PI = math.sqrt(math.pi)
+EPS = sys.float_info.epsilon
+DBL_MAX, DBL_MIN = sys.float_info.max, sys.float_info.min
 
 
 class TestGamma:
@@ -140,6 +146,129 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 1.0)
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 0.0)
+
+
+def _ln_lower_bound(s, a):
+    # zeta(s, a) >= max(a^-s, a^(1-s)/(s-1)): its first term, and the
+    # integral of x^-s from a
+    return max(-s * math.log(a), (1.0 - s) * math.log(a) - math.log(s - 1.0))
+
+
+def _zeta_reference(s, a):
+    """mp.zeta(s, a) at 80 digits beyond the value's decimal exponent.
+
+    mpmath sums in fixed point, so its error is absolute: at 80 digits it
+    is 2e-9 relative at s = 57.7, a = 1357, where zeta is 3.6e-180.
+    """
+    digits = 80 + max(0, math.ceil(-_ln_lower_bound(s, a) / math.log(10.0)))
+    with mpmath.workdps(digits):
+        return mpmath.zeta(mpmath.mpf(s), mpmath.mpf(a))
+
+
+@pytest.fixture
+def em_lengths(monkeypatch):
+    """The direct-sum length n of every _hurwitz_em call, in order."""
+    lengths = []
+    em = specfun._hurwitz_em
+    monkeypatch.setattr(specfun, "_hurwitz_em",
+                        lambda s, a, n: lengths.append(n) or em(s, a, n))
+    return lengths
+
+
+class TestHurwitzAgainstMpmath:
+    """hurwitz_zeta over s in (1, 150], a in [1e-3, 1e4] against mp.zeta."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(s=st.one_of(st.floats(-6.0, math.log10(149.0)).map(lambda u: 1.0 + 10.0 ** u),
+                       st.floats(1.0, 150.0, exclude_min=True)),
+           a=st.one_of(st.floats(-3.0, 4.0).map(lambda v: 10.0 ** v),
+                       st.floats(1e-3, 1e4)))
+    @example(s=1.0 + 1e-6, a=1e-3)
+    @example(s=22.594, a=44.985)  # mp.zeta at 40 digits is 6.5e-13 off here
+    # k + a rounds, and x^-s makes that s times worse: 24 and 45 ulps
+    # without _hurwitz_em's first-order correction
+    @example(s=142.0, a=127.88248031740285)
+    @example(s=100.0, a=1024.0 - 2.0 ** -43)
+    @example(s=150.0, a=1e-3)  # a^-s overflows
+    @example(s=150.0, a=1e4)  # below the smallest normal double
+    def test_within_estimate_and_32_ulps(self, s, a):
+        ln_l = _ln_lower_bound(s, a)
+        if ln_l + math.log(2.0) > math.log(DBL_MAX):
+            with pytest.raises(DomainError):
+                hurwitz_zeta(s, a)
+            return
+        sv = hurwitz_zeta(s, a)
+        if ln_l < math.log(DBL_MIN):
+            assert sv.est_rel_error == math.inf
+            assert 0.0 <= sv.value < 4.0 * DBL_MIN
+            return
+        ref = _zeta_reference(s, a)
+        err = float(abs(sv.value - ref) / ref)
+        assert err <= sv.est_rel_error
+        assert err <= 32 * EPS
+
+
+class TestHurwitzEdges:
+    """The ends of the domain: overflow, underflow, huge a and huge s."""
+
+    def test_overflow_is_a_domain_error_before_any_sum(self, em_lengths):
+        for s, a in ((200.0, 0.01), (2.0, 1e-200), (1.5, 5e-324), (1e308, 0.5)):
+            with pytest.raises(DomainError):
+                hurwitz_zeta(s, a)
+        assert em_lengths == []
+
+    def test_underflow_reports_an_infinite_estimate(self):
+        for s, a in ((1e6, 2.0), (500.0, 5.0), (DBL_MAX, DBL_MAX)):
+            sv = hurwitz_zeta(s, a)
+            assert sv.value == 0.0 and sv.est_rel_error == math.inf
+        # the largest value below the threshold is still returned
+        sv = hurwitz_zeta(2.0, 1e308)
+        assert sv.est_rel_error == math.inf and 0.0 < sv.value < DBL_MIN
+
+    def test_lemma5_sum_runs_into_underflow(self):
+        # zeta(500, 5) ~ 1e-350 is among its terms; the sum is ln 1.25
+        lhs = catalog.lemma5_lhs(1.0, 5.0, 250)
+        assert abs(lhs - 0.2231435513142) < 1e-13
+        assert lhs == pytest.approx(catalog.lemma5_rhs(1.0, 5.0), rel=1e-14)
+
+    def test_large_a_costs_one_evaluation(self, em_lengths):
+        for a in (1e7, 1e300):
+            sv = hurwitz_zeta(2.0, a)
+            ref = _zeta_reference(2.0, a)
+            assert sv.value == float(ref)
+            assert float(abs(sv.value - ref) / ref) <= sv.est_rel_error
+        hurwitz_zeta(2.0, DBL_MAX)
+        assert em_lengths == [1, 1, 1]
+
+    def test_huge_s(self):
+        assert hurwitz_zeta(1e308, 1.0).value == 1.0
+        assert hurwitz_zeta(1e308, 1.0).est_rel_error < 1e-14
+        assert hurwitz_zeta(DBL_MAX, 1.0).value == 1.0
+
+    def test_no_overflow_error_anywhere(self, em_lengths):
+        for s in (1.0 + EPS, 1.0 + 1e-6, 1.5, 2.0, 150.0, 1e6, 1e15, 1e308, DBL_MAX):
+            for a in (5e-324, DBL_MIN, 1e-300, 1e-3, 0.5, 1.0, 2.0, 1e4, 1e300, DBL_MAX):
+                try:
+                    sv = hurwitz_zeta(s, a)
+                except DomainError:
+                    continue
+                assert math.isfinite(sv.value) and sv.value >= 0.0, (s, a)
+                assert sv.est_rel_error >= 21 * EPS, (s, a)
+        assert 0 < max(em_lengths) <= 9
+
+
+class TestHurwitzCounts:
+    """One Euler-Maclaurin sum per call, and a few terms in it."""
+
+    def test_lemma5(self, em_lengths):
+        catalog.lemma5_lhs(0.5, 2.0, 60)
+        assert len(em_lengths) == 60
+        assert sum(em_lengths) <= 300
+
+    def test_seed17_audit(self, full_audit):
+        echo = full_audit.config_echo
+        assert echo["hurwitz_em_calls"] == echo["hurwitz_zeta_calls"] == 108
+        assert echo["hurwitz_em_terms"] <= 1000
 
 
 class TestRiemannZeta:
@@ -301,6 +430,17 @@ class TestBesselJ:
                 total += coef * bessel_j(float(k), z).value
             assert abs(total - bessel_j(0.0, z + t).value) <= 1e-9
 
+    def test_estimate_bounds_the_error_against_mpmath(self):
+        # the rounding bound reaches the sum itself at x = 45.6: the
+        # estimate must then be inf (it read 211 against an error of 426)
+        assert bessel_j(1.34, 45.6).est_rel_error == math.inf
+        for nu in (0.0, 0.5, 1.0, 1.34, 2.7, -0.5, -1.0):
+            for x in (5.0, 15.0, 25.0, 30.0, 35.0, 40.0, 45.6, 50.0):
+                sv = bessel_j(nu, x)
+                with mpmath.workdps(30):
+                    ref = mpmath.besselj(nu, x)
+                assert abs(sv.value - ref) <= sv.est_rel_error * abs(ref), (nu, x)
+
     def test_est_rel_error_honesty(self):
         # the claimed bound must cover the cancellation at larger x
         sv = bessel_j(0.0, 20.0)
@@ -352,8 +492,23 @@ class TestTheta1Prime:
             assert theta1_prime0(q).value == pytest.approx(
                 _theta_product(q), rel=1e-12)
 
+    def test_estimate_bounds_the_error_against_mpmath(self):
+        # oracle: the product formula, no cancellation; mpmath's jtheta
+        # cancels below about 120 digits at q = 0.99 (9.3e-39 at 30 digits)
+        with mpmath.workdps(40):
+            def ref(q):
+                q = mpmath.mpf(q)
+                return 2 * q ** 0.25 * mpmath.qp(q * q, q * q) ** 3
+
+            assert ref(0.99) == pytest.approx(2.644249982975e-103, rel=1e-12)
+            # the sum is 2.4e-15 there; the estimate read 74
+            assert theta1_prime0(0.99).est_rel_error == math.inf
+            for q in (0.1, 0.5, 0.8, 0.9, 0.93, 0.95, 0.97, 0.99):
+                sv = theta1_prime0(q)
+                assert abs(sv.value - ref(q)) <= sv.est_rel_error * ref(q), q
+
     def test_large_q_honest_estimate(self):
-        # at q = 0.99 the true value (~3e-107) is beneath the double-precision
+        # at q = 0.99 the true value (2.6e-103) is beneath the double-precision
         # cancellation floor; the summation must terminate and report that
         # honestly rather than claim accuracy
         sv = theta1_prime0(0.99)

@@ -7,13 +7,18 @@ verdicts must be equal and the closed forms bit-equal.  A quadrature
 value may move in its last bits when the engines reorder their
 arithmetic, but never by more than the pinned `abs_error_est`, or 4 ulps
 of the value where that estimate is smaller.  Regenerate the file with
-tests/data/regenerate.py and say why in CHANGES.md.
+tests/data/regenerate.py, once `regenerate.py diff` has shown what moved,
+and say why in CHANGES.md.
 """
 
+import dataclasses
+import importlib.util
 import json
 import math
 import sys
 from pathlib import Path
+
+from conftest import FIXTURE_ECHO_KEYS
 
 BASELINE = Path(__file__).parent / "data" / "values_seed17.json"
 EPS = sys.float_info.epsilon
@@ -52,3 +57,32 @@ def test_the_bound_catches_a_moved_value():
     # a nan value is pinned as nan
     assert not _moved_beyond_bound(math.nan, math.nan, math.inf)
     assert _moved_beyond_bound(1.0, math.nan, math.inf)
+
+
+def _regenerate():
+    path = BASELINE.parent / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("regenerate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regenerate_diff_shows_moves_and_writes_nothing(full_audit, capsys):
+    regenerate = _regenerate()
+    data = {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()}
+    echo = {k: v for k, v in full_audit.config_echo.items() if k not in FIXTURE_ECHO_KEYS}
+    report = dataclasses.replace(full_audit, config_echo=echo)
+    assert regenerate.diff(report) == 0
+    out = capsys.readouterr().out
+    assert "largest closed move: none" in out
+    # three ulps on one closed form
+    i, r = next((i, r) for i, r in enumerate(report.records) if r.entry_id == "L1")
+    records = list(report.records)
+    records[i] = dataclasses.replace(r, closed=r.closed + 3 * math.ulp(r.closed))
+    assert regenerate.diff(dataclasses.replace(report, records=records)) == 1
+    out = capsys.readouterr().out
+    assert f"largest closed move: 3 ulps, record {i} (L1)" in out
+    assert "largest value move: none" in out
+    l1 = next(line.split() for line in out.splitlines() if line.startswith("L1 "))
+    assert l1[1:] == ["25", "0", "1", "0", "0"]
+    assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
