@@ -1,11 +1,12 @@
-"""Rewrite the seed-17 baselines from the current code.
+"""Rewrite the seed-17 baselines and the sampled-points pin from the current code.
 
-    PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest]
+    PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest] [points]
     PYTHONPATH=src python tests/data/regenerate.py diff
 
 Runs the audit of every entry at 25 samples, seed 17, pass tolerance
 1e-9 (the `full_audit` fixture's configuration) and writes, next to this
-script, the baselines named (all three when none is):
+script, the baselines named (all four when none is; `points` alone runs
+no audit):
 
 - evaluations_seed17.json: per entry, the sum of `numeric.evaluations`
   over its records (checked by tests/test_evaluations.py);
@@ -14,7 +15,10 @@ script, the baselines named (all three when none is):
   as `float.hex` (checked by tests/test_values.py);
 - report_seed17.sha256: the sha256 of the report file that
   `hyptrig audit --samples 25 --seed 17` writes (checked by
-  tests/test_report.py).
+  tests/test_report.py);
+- points.sha256: the sha256 of every entry's `sample_params(entry, 25,
+  seed)` for seeds 0-9, each value as `float.hex` (checked by
+  tests/test_values.py); it pins the samplers without integrating.
 
 A deliberate change to any of them is explained in CHANGES.md.
 
@@ -31,7 +35,8 @@ import math
 import sys
 from pathlib import Path
 
-from hyptrig.auditor import AuditConfig, audit_all, report_to_json
+from hyptrig.auditor import AuditConfig, audit_all, report_to_json, sample_params
+from hyptrig.catalog import list_entries
 
 DATA = Path(__file__).parent
 AUDIT = {"samples": 25, "seed": 17, "pass_tol": 1e-9}
@@ -56,6 +61,18 @@ def values(report) -> dict:
 def digest(report) -> str:
     """sha256 of the report file save_report writes."""
     return hashlib.sha256((report_to_json(report) + "\n").encode("utf-8")).hexdigest()
+
+
+def points() -> str:
+    """sha256 of the sampled points of seeds 0-9, one line per point:
+    seed, entry id and each name=float.hex(value) in the point's order."""
+    h = hashlib.sha256()
+    for seed in range(10):
+        for entry in list_entries():
+            for pp in sample_params(entry, AUDIT["samples"], seed):
+                fields = " ".join(f"{k}={float(v).hex()}" for k, v in pp.items())
+                h.update(f"{seed} {entry.id} {fields}\n".encode("ascii"))
+    return h.hexdigest()
 
 
 FIELDS = ("closed", "value", "abs_error_est")
@@ -104,10 +121,14 @@ def diff(report) -> int:
 def main(argv) -> int:
     if argv == ["diff"]:
         return diff(audit_all(AuditConfig(**AUDIT)))
-    names = argv or ["evaluations", "values", "digest"]
-    if not set(names) <= {"evaluations", "values", "digest"}:
+    names = argv or ["evaluations", "values", "digest", "points"]
+    if not set(names) <= {"evaluations", "values", "digest", "points"}:
         print(__doc__, file=sys.stderr)
         return 2
+    if "points" in names:
+        (DATA / "points.sha256").write_text(points() + "\n", encoding="utf-8")
+    if set(names) == {"points"}:
+        return 0
     report = audit_all(AuditConfig(**AUDIT))
     if "evaluations" in names:
         (DATA / "evaluations_seed17.json").write_text(

@@ -9,6 +9,10 @@ arithmetic, but never by more than the pinned `abs_error_est`, or 4 ulps
 of the value where that estimate is smaller.  Regenerate the file with
 tests/data/regenerate.py, once `regenerate.py diff` has shown what moved,
 and say why in CHANGES.md.
+
+tests/data/points.sha256 pins the sampled points of seeds 0-9 at 25
+samples (`regenerate.py points`), so a sampler change shows without an
+audit.
 """
 
 import dataclasses
@@ -86,3 +90,8 @@ def test_regenerate_diff_shows_moves_and_writes_nothing(full_audit, capsys):
     l1 = next(line.split() for line in out.splitlines() if line.startswith("L1 "))
     assert l1[1:] == ["25", "0", "1", "0", "0"]
     assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
+
+
+def test_sampled_points_match_the_pinned_digest():
+    pinned = (BASELINE.parent / "points.sha256").read_text(encoding="utf-8").strip()
+    assert _regenerate().points() == pinned
