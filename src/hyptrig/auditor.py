@@ -1,7 +1,7 @@
 """Sampling, verification, and report assembly.
 
-The audit draws seeded parameter points from each entry's validity
-domain, integrates the entry's integrand at every point with the
+The audit draws seeded parameter points from each entry's parameter
+schema, integrates the entry's integrand at every point with the
 shape-matched engine (every point of every entry in one integrate_many
 call, so the whole audit shares its rounds and kernel calls), compares
 against the closed form, and classifies the outcome.  Suspect entries
@@ -74,11 +74,12 @@ class AuditReport:
 
 
 def sample_params(entry: EntryDescriptor, n: int, seed: int) -> List[ParamPoint]:
-    """n deterministic points from the entry's validity domain.
+    """n deterministic points from the entry's parameter schema.
 
-    Scale-like parameters are drawn log-uniformly; per-entry guard zones
-    (pole bands, resolvability constraints) are honoured by the entry's
-    own sampler.  Zero-parameter entries yield a single empty point.
+    Point i is entry.sample(rng, i): each Param's draw in order, or the
+    entry's own sampler where a draw depends on another parameter or keeps
+    out of a guard zone (pole bands, resolvability constraints).  Every
+    point is validated; zero-parameter entries yield one empty point.
     """
     if n < 1:
         raise DomainError("sample_params needs n >= 1")
@@ -87,7 +88,7 @@ def sample_params(entry: EntryDescriptor, n: int, seed: int) -> List[ParamPoint]
     rng = random.Random(f"{seed}|{entry.id}")
     out = []
     for i in range(n):
-        pp = entry.sampler(rng, i)
+        pp = entry.sample(rng, i)
         entry.validate(pp)
         out.append(pp)
     return out

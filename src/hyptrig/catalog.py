@@ -1,6 +1,7 @@
 """The entry registry: Gradshteyn-Ryzhik-style table entries 4.118-4.124
-plus related identities, each with a parameter schema, an integrand
-factory, and a closed-form evaluator.
+plus related identities, each with a parameter schema (one Param per
+parameter; validate, the audit's draw and `hyptrig show` derive from it),
+an integrand factory, and a closed-form evaluator.
 
 Entry ids follow the table numbering ("4.119", "4.123.6", ...); auxiliary
 results carry short labels (L1, C1, L3a, L3b, L4, HW1-HW3).  Provenance
@@ -100,18 +101,74 @@ def _bessel_i0(z: float) -> float:
 # ---------------------------------------------------------------------------
 # entry descriptor machinery
 
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter: its domain lo < x < hi (lo <= x when lo_closed) and
+    the audit's draw, uniform on [draw_lo, draw_hi] (log-uniform when scale
+    is "log") and multiplied by the parameter named `of` when that is set.
+    The draw fields are not read for an entry with its own sampler."""
+
+    name: str
+    lo: float = 0.0
+    hi: float = math.inf
+    lo_closed: bool = False
+    draw_lo: float = 0.2
+    draw_hi: float = 5.0
+    scale: str = "log"
+    of: Optional[str] = None
+
+    @property
+    def predicate(self) -> str:
+        """The domain as text, "a > 0" or "0 <= beta < 1"; "" if unbounded."""
+        if self.hi < math.inf:
+            return f"{self.lo:g} {'<=' if self.lo_closed else '<'} {self.name} < {self.hi:g}"
+        if self.lo > -math.inf:
+            return f"{self.name} {'>=' if self.lo_closed else '>'} {self.lo:g}"
+        return ""
+
+    def draw(self, rng, pp: ParamPoint) -> float:
+        x = (_log_uniform(rng, self.draw_lo, self.draw_hi) if self.scale == "log"
+             else rng.uniform(self.draw_lo, self.draw_hi))
+        return pp[self.of] * x if self.of else x
+
+
 @dataclass(frozen=True)
 class EntryDescriptor:
-    """One table entry: schema, validity, integrand factory, closed form."""
+    """One table entry: parameter schema, integrand factory, closed form.
+    `relations` are the coupled constraints, (predicate, check) pairs that
+    validate tests after the Params; `sampler(rng, i)`, when set, draws the
+    audit's points in place of the Params' draws."""
 
     id: str
-    param_names: Tuple[str, ...]
-    validity: Tuple[Tuple[str, Callable[[ParamPoint], bool]], ...]
     integrand_factory: Callable[[ParamPoint], Tuple[Integrand, IntervalSpec]]
     closed_form: Callable[[ParamPoint], float]
-    sampler: Callable[[object, int], ParamPoint]
+    params: Tuple[Param, ...] = ()
+    relations: Tuple[Tuple[str, Callable[[ParamPoint], bool]], ...] = ()
+    sampler: Optional[Callable[[object, int], ParamPoint]] = None
     flags: frozenset = frozenset()
     provenance_note: str = ""
+
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        return tuple(p.name for p in self.params)
+
+    @property
+    def domain(self) -> List[str]:
+        """The predicates validate checks, in its order."""
+        return [p.predicate for p in self.params if p.predicate] + [r for r, _ in self.relations]
+
+    def sample(self, rng, i: int) -> ParamPoint:
+        """The audit's point i, drawn from rng."""
+        if self.sampler is not None:
+            return self.sampler(rng, i)
+        pp: ParamPoint = {}
+        for p in self.params:
+            pp[p.name] = p.draw(rng, pp)
+        return pp
 
     def validate(self, params: ParamPoint) -> None:
         for name in self.param_names:
@@ -123,7 +180,11 @@ class EntryDescriptor:
         extra = set(params) - set(self.param_names)
         if extra:
             raise DomainError(f"{self.id}: unknown parameters {sorted(extra)}")
-        for predicate, check in self.validity:
+        for p in self.params:
+            x = params[p.name]
+            if not ((p.lo <= x if p.lo_closed else p.lo < x) and x < p.hi):
+                raise DomainError(f"{self.id}: violated {p.predicate}")
+        for predicate, check in self.relations:
             if not check(params):
                 raise DomainError(f"{self.id}: violated {predicate}")
 
@@ -163,10 +224,6 @@ def integrand(entry_id: str, params: ParamPoint) -> Tuple[Integrand, IntervalSpe
     return entry.integrand_factory(params)
 
 
-def _log_uniform(rng, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
 # ---------------------------------------------------------------------------
 # auxiliary closed forms kept as checkable entries
 
@@ -197,10 +254,8 @@ def _l1_sample(rng, i):
 
 _register(EntryDescriptor(
     id="L1",
-    param_names=("p", "a", "b"),
-    validity=(("p > 1", lambda pp: pp["p"] > 1.0),
-              ("a > 0", lambda pp: pp["a"] > 0.0),
-              ("|b| < a", lambda pp: abs(pp["b"]) < pp["a"])),
+    params=(Param("p", lo=1.0), Param("a"), Param("b", lo=-math.inf)),
+    relations=(("|b| < a", lambda pp: abs(pp["b"]) < pp["a"]),),
     integrand_factory=_l1_factory,
     closed_form=_l1_closed,
     sampler=_l1_sample,
@@ -221,14 +276,12 @@ def _c1_factory(pp):
 
 _register(EntryDescriptor(
     id="C1",
-    param_names=("a", "b"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),
-              ("|b| < a", lambda pp: abs(pp["b"]) < pp["a"])),
+    params=(Param("a"), Param("b", lo=-math.inf, draw_lo=-0.9, draw_hi=0.9,
+                              scale="linear", of="a")),
+    relations=(("|b| < a", lambda pp: abs(pp["b"]) < pp["a"]),),
     integrand_factory=_c1_factory,
     closed_form=lambda pp: _PI ** 2 / (4.0 * pp["a"] ** 2)
     / math.cos(_PI * pp["b"] / (2.0 * pp["a"])) ** 2,
-    sampler=lambda rng, i: (lambda a: {"a": a, "b": a * rng.uniform(-0.9, 0.9)})(
-        _log_uniform(rng, 0.2, 5.0)),
     provenance_note="weight x case of L1; equivalent to the trigamma "
                     "reflection (table 4.111.6).",
 ))
@@ -247,12 +300,9 @@ def _l3a_factory(pp):
 
 _register(EntryDescriptor(
     id="L3a",
-    param_names=("a", "b"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"), Param("b", lo=-math.inf)),
     integrand_factory=_l3a_factory,
     closed_form=lambda pp: math.atan(pp["b"] / pp["a"]),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0),
-                            "b": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="Laplace transform of sin(bx)/x.",
 ))
 
@@ -271,12 +321,9 @@ def _l3b_factory(pp):
 
 _register(EntryDescriptor(
     id="L3b",
-    param_names=("a", "b"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"), Param("b", lo=-math.inf)),
     integrand_factory=_l3b_factory,
     closed_form=lambda pp: 0.25 * math.log1p(4.0 * pp["b"] ** 2 / pp["a"] ** 2),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0),
-                            "b": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="Laplace transform of sin^2(bx)/x.",
 ))
 
@@ -294,13 +341,9 @@ def _l4_factory(pp):
 
 _register(EntryDescriptor(
     id="L4",
-    param_names=("a", "beta"),
-    validity=(("a >= 0", lambda pp: pp["a"] >= 0.0),
-              ("beta > 0", lambda pp: pp["beta"] > 0.0)),
+    params=(Param("a", lo_closed=True), Param("beta")),
     integrand_factory=_l4_factory,
     closed_form=lambda pp: 2.0 * math.atan(math.exp(_PI * pp["a"] / (2.0 * pp["beta"]))) - _PI / 2.0,
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0),
-                            "beta": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="sin(ax)/(x cosh(beta x)); arctangent summation "
                     "(table 4.111.7).",
 ))
@@ -327,11 +370,9 @@ def _e4118_closed(pp):
 
 _register(EntryDescriptor(
     id="4.118",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e4118_factory,
     closed_form=_e4118_closed,
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="x sin(ax)/cosh^2 x; equals -d/da [pi a / (2 sinh(pi a/2))].",
 ))
 
@@ -349,13 +390,9 @@ def _e4119_factory(pp):
 
 _register(EntryDescriptor(
     id="4.119",
-    param_names=("p", "q"),
-    validity=(("p > 0", lambda pp: pp["p"] > 0.0),
-              ("q > 0", lambda pp: pp["q"] > 0.0)),
+    params=(Param("p"), Param("q")),
     integrand_factory=_e4119_factory,
     closed_form=lambda pp: _log_cosh(_PI * pp["p"] / (2.0 * pp["q"])),
-    sampler=lambda rng, i: {"p": _log_uniform(rng, 0.2, 5.0),
-                            "q": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="(1 - cos px)/(x sinh qx), written as 2 sin^2(px/2) "
                     "for stability near 0.",
 ))
@@ -392,8 +429,7 @@ def _e41211_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.121.1",
-    param_names=("a", "b", "beta"),
-    validity=(("beta > 0", lambda pp: pp["beta"] > 0.0),),
+    params=(Param("a", lo=-math.inf), Param("b", lo=-math.inf), Param("beta")),
     integrand_factory=_e41211_factory,
     closed_form=_e41211_closed,
     sampler=_e41211_sample,
@@ -419,14 +455,10 @@ def _e41212_factory(pp):
 
 _register(EntryDescriptor(
     id="4.121.2",
-    param_names=("a", "b", "beta"),
-    validity=(("beta > 0", lambda pp: pp["beta"] > 0.0),),
+    params=(Param("a", lo=-math.inf), Param("b", lo=-math.inf), Param("beta")),
     integrand_factory=_e41212_factory,
     closed_form=lambda pp: _log_cosh(_PI * pp["b"] / (2.0 * pp["beta"]))
     - _log_cosh(_PI * pp["a"] / (2.0 * pp["beta"])),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0),
-                            "b": _log_uniform(rng, 0.2, 5.0),
-                            "beta": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="(cos ax - cos bx)/(x sinh(beta x)); antisymmetric in a, b.",
 ))
 
@@ -457,9 +489,7 @@ def _e41221_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.122.1",
-    param_names=("beta", "gamma", "delta"),
-    validity=(("delta > 0", lambda pp: pp["delta"] > 0.0),
-              ("gamma > 0", lambda pp: pp["gamma"] > 0.0)),
+    params=(Param("beta", lo=-math.inf), Param("gamma"), Param("delta")),
     integrand_factory=_e41221_factory,
     closed_form=lambda pp: math.atan(
         math.sinh(_PI * pp["gamma"] / (2.0 * pp["delta"]))
@@ -489,13 +519,10 @@ def _e41222_closed(pp):
 
 _register(EntryDescriptor(
     id="4.122.2",
-    param_names=("a", "beta"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),
-              ("0 <= beta < 1", lambda pp: 0.0 <= pp["beta"] < 1.0)),
+    params=(Param("a"), Param("beta", hi=1.0, lo_closed=True, draw_lo=0.05,
+                              draw_hi=0.9, scale="linear")),
     integrand_factory=_e41222_factory,
     closed_form=_e41222_closed,
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0),
-                            "beta": rng.uniform(0.05, 0.9)},
     provenance_note="sin^2(ax) cosh(beta x)/(x sinh x).",
 ))
 
@@ -536,10 +563,8 @@ def _e39815_sample(rng, i):
 
 _register(EntryDescriptor(
     id="3.981.5",
-    param_names=("a", "beta", "gamma"),
-    validity=(("gamma > 0", lambda pp: pp["gamma"] > 0.0),
-              ("|beta| < gamma", lambda pp: abs(pp["beta"]) < pp["gamma"]),
-              ("a > 0", lambda pp: pp["a"] > 0.0)),
+    params=(Param("a"), Param("beta", lo=-math.inf), Param("gamma")),
+    relations=(("|beta| < gamma", lambda pp: abs(pp["beta"]) < pp["gamma"]),),
     integrand_factory=_e39815_factory,
     closed_form=_e39815_closed,
     sampler=_e39815_sample,
@@ -581,11 +606,9 @@ for _m, _eid, _cf in (
 ):
     _register(EntryDescriptor(
         id=_eid,
-        param_names=("a",),
-        validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+        params=(Param("a"),),
         integrand_factory=_e4123_sin_factory(_m),
         closed_form=_cf,
-        sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
         provenance_note=f"sin({_m}x) x / ((cosh ax + cos {_m}x)(x^2 - pi^2)); "
                         "removable point at x = pi.",
     ))
@@ -607,11 +630,9 @@ def _e41232_factory(pp):
 
 _register(EntryDescriptor(
     id="4.123.2",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e41232_factory,
     closed_form=lambda pp: pp["a"] / (1.0 + pp["a"] ** 2) - math.atan(1.0 / pp["a"]),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="sin(x) x / ((cosh ax - cos x)(x^2 - pi^2)); removable "
                     "points at 0 and pi.",
 ))
@@ -634,12 +655,10 @@ def _e41233_factory(pp):
 
 _register(EntryDescriptor(
     id="4.123.3",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e41233_factory,
     closed_form=lambda pp: (1.0 + 2.0 * pp["a"] ** 2)
     / (2.0 * pp["a"] * (1.0 + pp["a"] ** 2)) - math.atan(1.0 / pp["a"]),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="sin(2x) x / ((cosh 2ax - cos 2x)(x^2 - pi^2)).",
 ))
 
@@ -663,11 +682,9 @@ def _e41234_factory(pp):
 
 _register(EntryDescriptor(
     id="4.123.4",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e41234_factory,
     closed_form=lambda pp: -1.0 / (2.0 * pp["a"] * (1.0 + pp["a"] ** 2)),
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="cosh(ax) sin(x) x / ((cosh^2 ax - cos^2 x)(x^2 - pi^2)). "
                     "The squared-denominator form is the one consistent with "
                     "the stated value -1/(2a(1+a^2)); the half-angle-doubled "
@@ -737,10 +754,7 @@ def _e41235_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.123.5",
-    param_names=("a", "beta", "gamma"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),
-              ("0 < beta < 1", lambda pp: 0.0 < pp["beta"] < 1.0),
-              ("gamma > 0", lambda pp: pp["gamma"] > 0.0)),
+    params=(Param("a"), Param("beta", hi=1.0), Param("gamma")),
     integrand_factory=_e41235_factory,
     closed_form=lambda pp: rhs_4_123_5(pp["a"], pp["beta"], pp["gamma"]),
     sampler=_e41235_sample,
@@ -790,10 +804,7 @@ def _e41236_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.123.6",
-    param_names=("a", "b", "p"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),
-              ("b > 0", lambda pp: pp["b"] > 0.0),
-              ("p > 0", lambda pp: pp["p"] > 0.0)),
+    params=(Param("a"), Param("b"), Param("p")),
     integrand_factory=_e41236_factory,
     closed_form=_e41236_closed,
     sampler=_e41236_sample,
@@ -822,11 +833,9 @@ def _e41237_closed(pp):
 
 _register(EntryDescriptor(
     id="4.123.7",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e41237_factory,
     closed_form=_e41237_closed,
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="theta-derivative entry, registered in t = 2x^2 with "
                     "the chirp removed.  The stated value (1/4) theta1'(0, "
                     "e^(-2a)) matches this normalisation; the bare half-line "
@@ -876,10 +885,7 @@ def _e41241_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.124.1",
-    param_names=("p", "q", "u"),
-    validity=(("p > 0", lambda pp: pp["p"] > 0.0),
-              ("q > 0", lambda pp: pp["q"] > 0.0),
-              ("u > 0", lambda pp: pp["u"] > 0.0)),
+    params=(Param("p"), Param("q"), Param("u")),
     integrand_factory=_e41241_factory,
     closed_form=_e41241_closed,
     sampler=_e41241_sample,
@@ -929,10 +935,8 @@ def _e41241m1_sample(rng, i):
 
 _register(EntryDescriptor(
     id="4.124.1-nu-1",
-    param_names=("p", "q", "u"),
-    validity=(("p > q", lambda pp: pp["p"] > pp["q"]),
-              ("q > 0", lambda pp: pp["q"] > 0.0),
-              ("u > 0", lambda pp: pp["u"] > 0.0)),
+    params=(Param("p", lo=-math.inf), Param("q"), Param("u")),
+    relations=(("p > q", lambda pp: pp["p"] > pp["q"]),),
     integrand_factory=_e41241m1_factory,
     closed_form=_e41241m1_closed,
     sampler=_e41241m1_sample,
@@ -972,16 +976,11 @@ def _e41242_closed(pp):
 
 _register(EntryDescriptor(
     id="4.124.2",
-    param_names=("a", "beta", "u"),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),
-              ("beta > 0", lambda pp: pp["beta"] > 0.0),
-              ("u > 0", lambda pp: pp["u"] > 0.0),
-              ("a > beta", lambda pp: pp["a"] > pp["beta"])),
+    params=(Param("a"), Param("beta", draw_lo=0.1, draw_hi=0.85, scale="linear", of="a"),
+            Param("u", draw_hi=2.0)),
+    relations=(("a > beta", lambda pp: pp["a"] > pp["beta"]),),
     integrand_factory=_e41242_factory,
     closed_form=_e41242_closed,
-    sampler=lambda rng, i: (lambda a: {
-        "a": a, "beta": a * rng.uniform(0.1, 0.85),
-        "u": _log_uniform(rng, 0.2, 2.0)})(_log_uniform(rng, 0.2, 5.0)),
     flags=frozenset({"suspect"}),
     provenance_note=_E41242_NOTE,
 ))
@@ -1035,13 +1034,10 @@ def _e35273_closed(pp):
 
 _register(EntryDescriptor(
     id="3.527.3",
-    param_names=("mu", "a"),
-    validity=(("mu >= 1", lambda pp: pp["mu"] >= 1.0),
-              ("a > 0", lambda pp: pp["a"] > 0.0)),
+    params=(Param("mu", lo=1.0, lo_closed=True, draw_lo=1.05, draw_hi=6.0,
+                  scale="linear"), Param("a")),
     integrand_factory=_e35273_factory,
     closed_form=_e35273_closed,
-    sampler=lambda rng, i: {"mu": rng.uniform(1.05, 6.0),
-                            "a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="x^(mu-1)/cosh^2(ax); 4 (2a)^-mu Gamma(mu) eta(mu-1), "
                     "with eta regular through mu = 2 (eta(1) = ln 2).",
 ))
@@ -1106,10 +1102,7 @@ def _e35321_sample(rng, i):
 
 _register(EntryDescriptor(
     id="3.532.1",
-    param_names=("n", "a", "b"),
-    validity=(("n > -1", lambda pp: pp["n"] > -1.0),
-              ("a > 0", lambda pp: pp["a"] > 0.0),
-              ("b > 0", lambda pp: pp["b"] > 0.0)),
+    params=(Param("n", lo=-1.0), Param("a"), Param("b")),
     integrand_factory=_e35321_factory,
     closed_form=lambda pp: cf_3_532_1(pp["n"], pp["a"], pp["b"], "derived"),
     sampler=_e35321_sample,
@@ -1139,11 +1132,9 @@ def _e41179c_closed(pp):
 
 _register(EntryDescriptor(
     id="4.117.9c",
-    param_names=("a",),
-    validity=(("a > 0", lambda pp: pp["a"] > 0.0),),
+    params=(Param("a"),),
     integrand_factory=_e41179c_factory,
     closed_form=_e41179c_closed,
-    sampler=lambda rng, i: {"a": _log_uniform(rng, 0.2, 5.0)},
     provenance_note="sin(ax) coth(pi x/4)/(1+x^2), the complementary "
                     "integral to 4.117.9; right side limits to 0 as a -> 0.",
 ))
@@ -1183,14 +1174,11 @@ for _eid, _kernel, _cf, _note in (
 ):
     _register(EntryDescriptor(
         id=_eid,
-        param_names=(),
-        validity=(),
         # every HW integrand is its kernel on [0, inf), damped like e^(-t/2)
         integrand_factory=lambda pp, kernel=_kernel: (
             Integrand(eval=kernel),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0)),
         closed_form=_cf,
-        sampler=lambda rng, i: {},
         flags=frozenset({"constant_entry"}),
         provenance_note=_note,
     ))

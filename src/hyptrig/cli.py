@@ -110,7 +110,7 @@ def _cmd_show(args) -> int:
     print(f"params:  {', '.join(e.param_names) or '(none)'}")
     print(f"flags:   {', '.join(sorted(e.flags)) or '(none)'}")
     print("domain:")
-    for predicate, _ in e.validity:
+    for predicate in e.domain:
         print(f"  {predicate}")
     print(f"note:    {e.provenance_note}")
     return 0

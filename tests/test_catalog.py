@@ -2,6 +2,7 @@
 annotations, the helper identities, and the cross-entry relations."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -53,6 +54,54 @@ class TestClosedFormSpotValues:
             closed_form("L1", {"p": 0.5, "a": 1.0, "b": 0.0})
         with pytest.raises(DomainError, match="missing parameter"):
             closed_form("4.119", {"p": 1.0})
+
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _reads(predicate: str, x: float) -> bool:
+    """The predicate text ("a > 0", "0 <= beta < 1") as a comparison chain,
+    with x in place of its one name."""
+    tokens = predicate.split()
+    values = [float(t) if t[-1].isdigit() else x for t in tokens[::2]]
+    return all(_OPS[op](lhs, rhs)
+               for lhs, op, rhs in zip(values, tokens[1::2], values[1:]))
+
+
+class TestSchema:
+    @pytest.mark.parametrize("entry", [e for e in list_entries() if e.params],
+                             ids=lambda e: e.id)
+    def test_each_finite_end_and_its_neighbours_as_the_text_says(self, entry):
+        # a sampled point, with one parameter moved to an end or one ulp off it
+        base = sample_params(entry, 1, 0)[0]
+        checked = 0
+        for p in entry.params:
+            for end in (p.lo, p.hi):
+                if not math.isfinite(end):
+                    continue
+                for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)):
+                    try:
+                        entry.validate(dict(base, **{p.name: x}))
+                        named = False
+                    except DomainError as exc:
+                        named = str(exc) == f"{entry.id}: violated {p.predicate}"
+                    assert named != _reads(p.predicate, x), (p.name, x)
+                    checked += 1
+        assert checked >= 3
+
+    def test_params_are_checked_in_order_then_the_relations(self):
+        # a = 0 and |b| < a both fail; the Param is named
+        with pytest.raises(DomainError, match=r"violated a > 0$"):
+            closed_form("C1", {"a": 0.0, "b": 1.0})
+        with pytest.raises(DomainError, match=r"violated q > 0$"):
+            closed_form("4.124.1-nu-1", {"p": -1.0, "q": -0.5, "u": 1.0})
+        with pytest.raises(DomainError, match=r"violated p > q$"):
+            closed_form("4.124.1-nu-1", {"p": 0.5, "q": 1.0, "u": 1.0})
+
+    def test_reads(self):
+        assert _reads("0 <= beta < 1", 0.0) and not _reads("0 <= beta < 1", 1.0)
+        assert _reads("n > -1", -0.5) and not _reads("n > -1", -1.0)
+        assert _reads("mu >= 1", 1.0) and not _reads("a > 0", 0.0)
 
 
 class TestIntegrandMetadata:

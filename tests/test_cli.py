@@ -3,8 +3,27 @@ config files, and output stability."""
 
 import json
 
-from hyptrig import quad
+from hyptrig import catalog, quad
 from hyptrig.cli import run
+
+# each entry's domain as the table states it
+DOMAINS = {
+    "L1": {"p > 1", "a > 0", "|b| < a"}, "C1": {"a > 0", "|b| < a"},
+    "L3a": {"a > 0"}, "L3b": {"a > 0"}, "L4": {"a >= 0", "beta > 0"},
+    "4.118": {"a > 0"}, "4.119": {"p > 0", "q > 0"},
+    "4.121.1": {"beta > 0"}, "4.121.2": {"beta > 0"},
+    "4.122.1": {"delta > 0", "gamma > 0"}, "4.122.2": {"a > 0", "0 <= beta < 1"},
+    "3.981.5": {"gamma > 0", "|beta| < gamma", "a > 0"},
+    "4.123.1": {"a > 0"}, "4.123.1-m2": {"a > 0"}, "4.123.1-m3": {"a > 0"},
+    "4.123.1-m4": {"a > 0"}, "4.123.2": {"a > 0"}, "4.123.3": {"a > 0"},
+    "4.123.4": {"a > 0"}, "4.123.5": {"a > 0", "0 < beta < 1", "gamma > 0"},
+    "4.123.6": {"a > 0", "b > 0", "p > 0"}, "4.123.7": {"a > 0"},
+    "4.124.1": {"p > 0", "q > 0", "u > 0"},
+    "4.124.1-nu-1": {"p > q", "q > 0", "u > 0"},
+    "4.124.2": {"a > 0", "beta > 0", "u > 0", "a > beta"},
+    "3.527.3": {"mu >= 1", "a > 0"}, "3.532.1": {"n > -1", "a > 0", "b > 0"},
+    "4.117.9c": {"a > 0"}, "HW1": set(), "HW2": set(), "HW3": set(),
+}
 
 
 class TestList:
@@ -22,6 +41,14 @@ class TestShow:
         assert run(["show", "4.123.6"]) == 0
         out = capsys.readouterr().out
         assert "a > 0" in out and "p > 0" in out
+
+    def test_show_prints_each_entrys_domain(self, capsys):
+        assert set(DOMAINS) == {e.id for e in catalog.list_entries()}
+        for entry_id, domain in DOMAINS.items():
+            assert run(["show", entry_id]) == 0
+            out = capsys.readouterr().out
+            shown = out.split("domain:\n")[1].split("note:")[0].splitlines()
+            assert {line.strip() for line in shown} == domain, entry_id
 
     def test_show_unknown(self, capsys):
         assert run(["show", "nosuch"]) == 2
