@@ -108,17 +108,16 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
 @dataclass(frozen=True)
 class Param:
     """One parameter: its domain lo < x < hi (lo <= x when lo_closed) and
-    the audit's draw, uniform on [draw_lo, draw_hi] (log-uniform when scale
-    is "log") and multiplied by the parameter named `of` when that is set.
-    The draw fields are not read for an entry with its own sampler."""
+    the audit's draw (draw_lo, draw_hi, scale), uniform on [draw_lo, draw_hi]
+    or log-uniform when scale is "log", then multiplied by the parameter
+    named `of` when that is set.  An entry with its own sampler reads only
+    the domain: its Params' draw and `of` are not read."""
 
     name: str
     lo: float = 0.0
     hi: float = math.inf
     lo_closed: bool = False
-    draw_lo: float = 0.2
-    draw_hi: float = 5.0
-    scale: str = "log"
+    draw: Tuple[float, float, str] = (0.2, 5.0, "log")
     of: Optional[str] = None
 
     @property
@@ -129,11 +128,6 @@ class Param:
         if self.lo > -math.inf:
             return f"{self.name} {'>=' if self.lo_closed else '>'} {self.lo:g}"
         return ""
-
-    def draw(self, rng, pp: ParamPoint) -> float:
-        x = (_log_uniform(rng, self.draw_lo, self.draw_hi) if self.scale == "log"
-             else rng.uniform(self.draw_lo, self.draw_hi))
-        return pp[self.of] * x if self.of else x
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,9 @@ class EntryDescriptor:
             return self.sampler(rng, i)
         pp: ParamPoint = {}
         for p in self.params:
-            pp[p.name] = p.draw(rng, pp)
+            lo, hi, scale = p.draw
+            x = _log_uniform(rng, lo, hi) if scale == "log" else rng.uniform(lo, hi)
+            pp[p.name] = pp[p.of] * x if p.of else x
         return pp
 
     def validate(self, params: ParamPoint) -> None:
@@ -276,8 +272,7 @@ def _c1_factory(pp):
 
 _register(EntryDescriptor(
     id="C1",
-    params=(Param("a"), Param("b", lo=-math.inf, draw_lo=-0.9, draw_hi=0.9,
-                              scale="linear", of="a")),
+    params=(Param("a"), Param("b", lo=-math.inf, draw=(-0.9, 0.9, "linear"), of="a")),
     relations=(("|b| < a", lambda pp: abs(pp["b"]) < pp["a"]),),
     integrand_factory=_c1_factory,
     closed_form=lambda pp: _PI ** 2 / (4.0 * pp["a"] ** 2)
@@ -519,8 +514,7 @@ def _e41222_closed(pp):
 
 _register(EntryDescriptor(
     id="4.122.2",
-    params=(Param("a"), Param("beta", hi=1.0, lo_closed=True, draw_lo=0.05,
-                              draw_hi=0.9, scale="linear")),
+    params=(Param("a"), Param("beta", hi=1.0, lo_closed=True, draw=(0.05, 0.9, "linear"))),
     integrand_factory=_e41222_factory,
     closed_form=_e41222_closed,
     provenance_note="sin^2(ax) cosh(beta x)/(x sinh x).",
@@ -976,8 +970,8 @@ def _e41242_closed(pp):
 
 _register(EntryDescriptor(
     id="4.124.2",
-    params=(Param("a"), Param("beta", draw_lo=0.1, draw_hi=0.85, scale="linear", of="a"),
-            Param("u", draw_hi=2.0)),
+    params=(Param("a"), Param("beta", draw=(0.1, 0.85, "linear"), of="a"),
+            Param("u", draw=(0.2, 2.0, "log"))),
     relations=(("a > beta", lambda pp: pp["a"] > pp["beta"]),),
     integrand_factory=_e41242_factory,
     closed_form=_e41242_closed,
@@ -1034,8 +1028,7 @@ def _e35273_closed(pp):
 
 _register(EntryDescriptor(
     id="3.527.3",
-    params=(Param("mu", lo=1.0, lo_closed=True, draw_lo=1.05, draw_hi=6.0,
-                  scale="linear"), Param("a")),
+    params=(Param("mu", lo=1.0, lo_closed=True, draw=(1.05, 6.0, "linear")), Param("a")),
     integrand_factory=_e35273_factory,
     closed_form=_e35273_closed,
     provenance_note="x^(mu-1)/cosh^2(ax); 4 (2a)^-mu Gamma(mu) eta(mu-1), "
