@@ -105,10 +105,10 @@ def _point(entry: EntryDescriptor, params: ParamPoint,
     genuinely relative test, even for small-valued samples; the printed
     form is known to be wrong and sets nothing.
     """
-    closed = {None: entry.closed_form(params)}
+    closed = {None: entry.guarded(entry.closed_form, params)}
     if "dual_convention" in entry.flags:
         closed["printed"] = cf_3_532_1(params["n"], params["a"], params["b"], "printed")
-    f, spec = entry.integrand_factory(params)
+    f, spec = entry.guarded(entry.integrand_factory, params)
     tol = abs(closed[None]) * pass_tol / 10.0
     if not 1e-14 <= tol < math.inf:  # nan included
         tol = 1e-14

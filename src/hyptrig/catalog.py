@@ -94,6 +94,8 @@ def _bessel_i0(z: float) -> float:
         k += 1
         term *= qz / (k * k)
         total += term
+        if not total < math.inf:  # nan included
+            raise DomainError(f"I0({z!r}) overflows a double")
         if term < 1e-17 * total:
             return total
 
@@ -184,6 +186,18 @@ class EntryDescriptor:
             if not check(params):
                 raise DomainError(f"{self.id}: violated {predicate}")
 
+    def guarded(self, fn: Callable[[ParamPoint], object], params: ParamPoint):
+        """fn(params), with OverflowError, ZeroDivisionError and ValueError as DomainError."""
+        try:
+            return fn(params)
+        except DomainError:
+            raise
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            # ValueError: a math function of an argument that overflowed to inf
+            what = ("overflows a double" if isinstance(exc, OverflowError) else "divides by zero"
+                    if isinstance(exc, ZeroDivisionError) else "leaves a math function's domain")
+            raise DomainError(f"{self.id}: {what} at {params}") from None
+
 
 _REGISTRY: "Dict[str, EntryDescriptor]" = {}
 
@@ -210,14 +224,14 @@ def closed_form(entry_id: str, params: ParamPoint) -> float:
     """The table's right-hand side for the entry at the given parameters."""
     entry = get_entry(entry_id)
     entry.validate(params)
-    return entry.closed_form(params)
+    return entry.guarded(entry.closed_form, params)
 
 
 def integrand(entry_id: str, params: ParamPoint) -> Tuple[Integrand, IntervalSpec]:
     """The entry's integrand with removable points annotated, plus shape hints."""
     entry = get_entry(entry_id)
     entry.validate(params)
-    return entry.integrand_factory(params)
+    return entry.guarded(entry.integrand_factory, params)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,8 +1030,7 @@ def _e35273_kernel(x, mum1, a):
 def _e35273_factory(pp):
     mu, a = pp["mu"], pp["a"]
     return (Integrand(eval=_e35273_kernel, args=(mu - 1.0, a)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
-                         lower_singular=mu < 1.0))
+            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a))
 
 
 def _e35273_closed(pp):

@@ -1,5 +1,7 @@
 """Fixtures shared by several test modules."""
 
+import contextlib
+import signal
 import time
 
 import numpy as np
@@ -13,6 +15,26 @@ FIXTURE_ECHO_KEYS = ("elapsed_seconds", "integrate_many_calls", "gk_rounds",
                      "gk_kernel_calls", "gk_kernel_chunks",
                      "ts_kernel_calls", "probe_kernel_calls",
                      "hurwitz_zeta_calls", "hurwitz_em_calls", "hurwitz_em_terms")
+
+
+class Overtime(Exception):
+    """A block outlived its time_limit."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise Overtime inside the block once it has run for `seconds`
+    (SIGALRM, so a pure-Python loop that never ends is stopped too)."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,13 @@ annotations, the helper identities, and the cross-entry relations."""
 
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import time_limit
 from hyptrig.errors import DomainError, UnknownEntryError
 from hyptrig import catalog
 from hyptrig.catalog import (closed_form, integrand, list_entries, get_entry,
@@ -102,6 +105,60 @@ class TestSchema:
         assert _reads("0 <= beta < 1", 0.0) and not _reads("0 <= beta < 1", 1.0)
         assert _reads("n > -1", -0.5) and not _reads("n > -1", -1.0)
         assert _reads("mu >= 1", 1.0) and not _reads("a > 0", 0.0)
+
+
+def _domain_values(p):
+    """Floats of p's domain, its finite ends included, with 1e-300, 1e300
+    and the floats next to each end drawn often."""
+    ends = [end for end in (p.lo, p.hi) if math.isfinite(end)]
+    edges = ends + [math.nextafter(end, d) for end in ends for d in (-math.inf, math.inf)]
+    return st.one_of(
+        st.sampled_from(edges + [1e-300, 1e300, -1e-300, -1e300]),
+        st.floats(max(p.lo, -sys.float_info.max), min(p.hi, sys.float_info.max)))
+
+
+_DOMAIN_POINTS = st.sampled_from([e for e in list_entries() if e.params]).flatmap(
+    lambda e: st.fixed_dictionaries({p.name: _domain_values(p) for p in e.params})
+    .map(lambda pp: (e.id, pp)))
+
+
+class TestSchemaDomain:
+    """At any point of an entry's schema that validate accepts, the closed
+    form and the integrand return or raise DomainError, within 2 s."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(_DOMAIN_POINTS)
+    @example(("4.118", {"a": 1000.0}))  # sinh overflows
+    @example(("4.124.1", {"p": 1.0, "q": 10.0, "u": 80.0}))  # I0(796) overflows
+    @example(("4.123.1", {"a": 1e-300}))  # the limit at x = pi divides by zero
+    @example(("L3b", {"a": 1e-300, "b": 1e-300}))
+    @example(("4.123.5", {"a": 5e-324, "beta": 0.5, "gamma": 5.722234971514057e307}))  # cos(inf)
+    def test_returns_or_raises_domain_error_in_time(self, point):
+        entry_id, pp = point
+        try:
+            get_entry(entry_id).validate(pp)
+        except DomainError:
+            return
+        with time_limit(2.0), np.errstate(all="ignore"):
+            for fn in (closed_form, integrand):
+                try:
+                    fn(entry_id, pp)
+                except DomainError:
+                    pass
+
+    def test_overflow_and_division_by_zero_name_the_entry_and_the_point(self):
+        with pytest.raises(DomainError, match=r"^4\.118: overflows a double at \{'a': 1000\.0\}$"):
+            closed_form("4.118", {"a": 1000.0})
+        with pytest.raises(DomainError, match=r"^4\.123\.1: divides by zero at \{'a': 1e-300\}$"):
+            integrand("4.123.1", {"a": 1e-300})
+        with pytest.raises(DomainError, match=r"^3\.981\.5: leaves a math function's domain at"):
+            closed_form("3.981.5", {"a": 1e308, "beta": 8e307, "gamma": 1e308})  # sin(inf)
+        with pytest.raises(DomainError, match=r"^I0\(795\.98\d*\) overflows a double$"):
+            closed_form("4.124.1", {"p": 1.0, "q": 10.0, "u": 80.0})
+        # the largest I0 argument that still returns keeps its value
+        assert closed_form("4.124.1", {"p": 1.0, "q": 10.0, "u": 71.0}) == pytest.approx(
+            0.5 * PI * math.exp(math.sqrt(99.0) * 71.0)
+            / math.sqrt(2.0 * PI * math.sqrt(99.0) * 71.0), rel=1e-3)
 
 
 class TestIntegrandMetadata:

@@ -3,6 +3,7 @@ config files, and output stability."""
 
 import json
 
+from conftest import time_limit
 from hyptrig import catalog, quad
 from hyptrig.cli import run
 
@@ -180,6 +181,12 @@ class TestInvalidSettings:
         cfg = tmp_path / "audit.cfg"
         cfg.write_text(f"sampels = 3\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
         _rejected(["audit", "--config", str(cfg)], capsys)
+
+    def test_verify_point_where_the_closed_form_overflows(self, capsys):
+        with time_limit(5.0):
+            _rejected(["verify", "4.118", "--param", "a=1000"], capsys)
+            _rejected(["verify", "4.124.1", "--param", "p=1", "--param", "q=10",
+                       "--param", "u=80"], capsys)
 
     def test_verify_tol_above_one(self, capsys):
         _rejected(["verify", "4.119", "--param", "p=1", "--param", "q=1",
