@@ -148,7 +148,7 @@ class EntryDescriptor:
     flags: frozenset = frozenset()
     provenance_note: str = ""
 
-    @property
+    @functools.cached_property
     def param_names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
@@ -175,8 +175,8 @@ class EntryDescriptor:
             v = params[name]
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise DomainError(f"{self.id}: parameter {name!r} must be finite")
-        extra = set(params) - set(self.param_names)
-        if extra:
+        if len(params) > len(self.param_names):  # every name is in params
+            extra = set(params) - set(self.param_names)
             raise DomainError(f"{self.id}: unknown parameters {sorted(extra)}")
         for p in self.params:
             x = params[p.name]
