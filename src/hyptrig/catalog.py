@@ -9,16 +9,20 @@ notes record where each closed form comes from and any known defect.  The
 catalog audits the table as printed: a suspect entry keeps its printed
 form and is expected to fail verification.
 
-Factory contract: each entry's integrand is a module-level kernel
-k(x, *args), elementwise in x, and its factory returns
-Integrand(eval=k, args=...) with the point's values in args.  The
-quadrature calls one kernel once for many points, with each arg a
-(rows, 1) column, so a kernel broadcasts its args and uses numpy only.
+Factory contract: each entry's integrand is a kernel k(x, *args),
+elementwise in x, and its factory returns Integrand(eval=k, args=...)
+with the point's values in args.  A kernel is one object shared by all
+of an entry's points: a module-level function, one built once by a
+family builder (_e41241_family), or the kernel of the entry whose
+integrand this one specialises, called with the args that make the two
+equal (C1 is L1 at p = 2).  The quadrature calls one kernel once for
+many points, with each arg a (rows, 1) column, so a kernel broadcasts
+its args and uses numpy only.
 Parameter-only math (math.cos(pi beta), signs, absolute values, removable
 point limits) is done in the factory, in Python floats, so every point's
 node values are the same bits whether its kernel call holds one point or
 many.  An endpoint-distance callback (eval_lower_dist / eval_upper_dist)
-is functools.partial(k, p=..., ...) of a module-level kernel k(d, ...)
+is functools.partial(k, p=..., ...) of a shared kernel k(d, ...)
 with the point's values as keywords: it still takes one argument, and
 the tanh-sinh levels call k once for many points, each keyword a column.
 """
@@ -274,21 +278,11 @@ _register(EntryDescriptor(
 ))
 
 
-def _c1_kernel(x, bb, a):
-    return x * _cosh_over_sinh(bb, a, x)
-
-
-def _c1_factory(pp):
-    a, b = pp["a"], pp["b"]
-    return (Integrand(eval=_c1_kernel, args=(abs(b), a)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=a - abs(b)))
-
-
 _register(EntryDescriptor(
     id="C1",
     params=(Param("a"), Param("b", lo=-math.inf, draw=(-0.9, 0.9, "linear"), of="a")),
     relations=(("|b| < a", lambda pp: abs(pp["b"]) < pp["a"]),),
-    integrand_factory=_c1_factory,
+    integrand_factory=lambda pp: _l1_factory({"p": 2.0, **pp}),
     closed_form=lambda pp: _PI ** 2 / (4.0 * pp["a"] ** 2)
     / math.cos(_PI * pp["b"] / (2.0 * pp["a"])) ** 2,
     provenance_note="weight x case of L1; equivalent to the trigamma "
@@ -337,21 +331,11 @@ _register(EntryDescriptor(
 ))
 
 
-def _l4_kernel(x, a, beta):
-    return np.sin(a * x) / (x * np.cosh(beta * x))
-
-
-def _l4_factory(pp):
-    a, beta = pp["a"], pp["beta"]
-    return (Integrand(eval=_l4_kernel, args=(a, beta), removable_points=(0.0,),
-                      limit_values=(a,)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=beta, osc_hint=a))
-
-
 _register(EntryDescriptor(
     id="L4",
     params=(Param("a", lo_closed=True), Param("beta")),
-    integrand_factory=_l4_factory,
+    integrand_factory=lambda pp: _e41221_factory({"beta": 0.0, "gamma": pp["a"],
+                                                  "delta": pp["beta"]}),
     closed_form=lambda pp: 2.0 * math.atan(math.exp(_PI * pp["a"] / (2.0 * pp["beta"]))) - _PI / 2.0,
     provenance_note="sin(ax)/(x cosh(beta x)); arctangent summation "
                     "(table 4.111.7).",
@@ -374,7 +358,15 @@ def _e4118_factory(pp):
 def _e4118_closed(pp):
     a = pp["a"]
     half = 0.5 * _PI * a
-    return _PI / 4.0 * (-2.0 + a * _PI / math.tanh(half)) / math.sinh(half)
+    if a >= 0.2:
+        return _PI / 4.0 * (-2.0 + a * _PI / math.tanh(half)) / math.sinh(half)
+    # below the audit's draws -2 + a pi coth(h), h = half, cancels.  It is
+    # 2 (h cosh h - sinh h)/sinh h, and h cosh h - sinh h = h^3 sum_n>=1
+    # 2n h^(2n-2)/(2n+1)!, positive terms (seven reach 1e-17 for h < 0.32);
+    # h^3/sinh^2 h is taken as h (h/sinh h)^2, which does not underflow
+    series = math.fsum(2 * n * half ** (2 * n - 2) / math.factorial(2 * n + 1)
+                       for n in range(1, 8))
+    return 0.5 * _PI * half * series * (half / math.sinh(half)) ** 2
 
 
 _register(EntryDescriptor(
@@ -386,36 +378,26 @@ _register(EntryDescriptor(
 ))
 
 
-def _e4119_kernel(x, half_p, q):
-    return 2.0 * np.sin(half_p * x) ** 2 / (x * np.sinh(q * x))
-
-
-def _e4119_factory(pp):
-    p, q = pp["p"], pp["q"]
-    return (Integrand(eval=_e4119_kernel, args=(0.5 * p, q), removable_points=(0.0,),
-                      limit_values=(p * p / (2.0 * q),)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=q, osc_hint=p))
-
-
 _register(EntryDescriptor(
     id="4.119",
     params=(Param("p"), Param("q")),
-    integrand_factory=_e4119_factory,
+    integrand_factory=lambda pp: _e41212_factory({"a": 0.0, "b": pp["p"], "beta": pp["q"]}),
     closed_form=lambda pp: _log_cosh(_PI * pp["p"] / (2.0 * pp["q"])),
     provenance_note="(1 - cos px)/(x sinh qx), written as 2 sin^2(px/2) "
-                    "for stability near 0.",
+                    "for stability near 0: 4.121.2 at a = 0.",
 ))
 
 
-def _e41211_kernel(x, half_sum, half_diff, beta):
-    # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2)
-    return (2.0 * np.cos(half_sum * x) * np.sin(half_diff * x)
-            / (x * np.cosh(beta * x)))
+def _e41221_kernel(x, c, beta, gamma, delta):
+    # c cos(beta x) sin(gamma x)/(x cosh(delta x)): 4.122.1 (c = 1), 4.121.1
+    # (c = 2) and L4 (c = 1, beta = 0); c = 1 and cos 0 = 1 are exact
+    return c * np.cos(beta * x) * np.sin(gamma * x) / (x * np.cosh(delta * x))
 
 
 def _e41211_factory(pp):
+    # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2): the 4.122.1 kernel
     a, b, beta = pp["a"], pp["b"], pp["beta"]
-    return (Integrand(eval=_e41211_kernel, args=(0.5 * (a + b), 0.5 * (a - b), beta),
+    return (Integrand(eval=_e41221_kernel, args=(2.0, 0.5 * (a + b), 0.5 * (a - b), beta),
                       removable_points=(0.0,), limit_values=(a - b,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
                          osc_hint=max(a, b)))
@@ -472,13 +454,9 @@ _register(EntryDescriptor(
 ))
 
 
-def _e41221_kernel(x, beta, gamma, delta):
-    return np.cos(beta * x) * np.sin(gamma * x) / (x * np.cosh(delta * x))
-
-
 def _e41221_factory(pp):
     beta, gamma, delta = pp["beta"], pp["gamma"], pp["delta"]
-    return (Integrand(eval=_e41221_kernel, args=(beta, gamma, delta),
+    return (Integrand(eval=_e41221_kernel, args=(1.0, beta, gamma, delta),
                       removable_points=(0.0,), limit_values=(gamma,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=delta,
                          osc_hint=beta + gamma))
@@ -522,8 +500,11 @@ def _e41222_factory(pp):
 
 def _e41222_closed(pp):
     a, beta = pp["a"], pp["beta"]
-    num = _cosh_plus_cos(np.float64(2.0 * a * _PI), np.float64(beta * _PI))
-    return 0.25 * math.log(float(num) / (1.0 + math.cos(beta * _PI)))
+    with np.errstate(over="ignore"):
+        num = float(_cosh_plus_cos(np.float64(2.0 * a * _PI), np.float64(beta * _PI)))
+    if num == math.inf:
+        raise OverflowError  # as math's functions do; guarded names the point
+    return 0.25 * math.log(num / (1.0 + math.cos(beta * _PI)))
 
 
 _register(EntryDescriptor(
@@ -622,16 +603,17 @@ for _m, _eid, _cf in (
     ))
 
 
-def _e41232_kernel(x, a):
-    den = _cosh_minus_cos(a * x, x) * (x * x - _PI ** 2)
-    return np.sin(x) * x / den
+def _e41232_kernel(x, a, m):
+    # 4.123.2 (m = 1, exact) and 4.123.3 (a -> 2a, m = 2)
+    den = _cosh_minus_cos(a * x, m * x) * (x * x - _PI ** 2)
+    return np.sin(m * x) * x / den
 
 
 def _e41232_factory(pp):
     a = pp["a"]
     lim0 = -2.0 / ((a * a + 1.0) * _PI ** 2)
     limpi = -1.0 / (2.0 * (math.cosh(a * _PI) + 1.0))
-    return (Integrand(eval=_e41232_kernel, args=(a,), removable_points=(0.0, _PI),
+    return (Integrand(eval=_e41232_kernel, args=(a, 1.0), removable_points=(0.0, _PI),
                       limit_values=(lim0, limpi)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=1.0))
 
@@ -646,16 +628,11 @@ _register(EntryDescriptor(
 ))
 
 
-def _e41233_kernel(x, two_a):
-    den = _cosh_minus_cos(two_a * x, 2.0 * x) * (x * x - _PI ** 2)
-    return np.sin(2.0 * x) * x / den
-
-
 def _e41233_factory(pp):
     a = pp["a"]
     lim0 = -1.0 / ((a * a + 1.0) * _PI ** 2)
     limpi = 1.0 / (math.cosh(2.0 * a * _PI) - 1.0)
-    return (Integrand(eval=_e41233_kernel, args=(2.0 * a,), removable_points=(0.0, _PI),
+    return (Integrand(eval=_e41232_kernel, args=(2.0 * a, 2.0), removable_points=(0.0, _PI),
                       limit_values=(lim0, limpi)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
                          osc_hint=2.0))
@@ -700,8 +677,7 @@ _register(EntryDescriptor(
 ))
 
 
-def rhs_4_123_5(a: float, beta: float, gamma: float,
-                terms: Optional[int] = None) -> float:
+def rhs_4_123_5(a: float, beta: float, gamma: float) -> float:
     """Right-hand side of 4.123.5: the image-pole series.
 
     The series prefactor is 1/sin(beta pi) (residues of the integrand's
@@ -729,10 +705,7 @@ def rhs_4_123_5(a: float, beta: float, gamma: float,
         t2 = math.exp(-(2.0 * k + 1.0 + beta) * a) / (gamma ** 2 - (2.0 * k + 1.0 + beta) ** 2)
         total += t1 - t2
         k += 1
-        if terms is not None:
-            if k >= terms:
-                break
-        elif abs(t1) + abs(t2) < 1e-14 * max(1.0, abs(total)) or k > 4000:
+        if abs(t1) + abs(t2) < 1e-14 * max(1.0, abs(total)) or k > 4000:
             break
     return first + total / math.sin(beta * _PI)
 
@@ -854,22 +827,28 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table section 4.124 and the Bessel family
 
-def _e41241_kernel(x, p, q, u):
-    w = (u - x) * (u + x)
-    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+def _e41241_family(op):
+    """The integrand factory of the 4.124.1 family member with the weight
+    op(1, sqrt(u^2 - x^2)): np.divide for nu = 0, np.multiply for nu = -1.
+    Each call builds one kernel and one distance kernel, which all of the
+    member's points share."""
 
+    def kernel(x, p, q, u):
+        w = (u - x) * (u + x)
+        return op(np.cos(p * x) * np.cosh(q * np.sqrt(w)), np.sqrt(w))
 
-def _e41241_upper(d, p, q, u):
-    # the integrand at x = u - d, from the distance d to the upper end
-    w = d * (2.0 * u - d)
-    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+    def upper(d, p, q, u):
+        # the integrand at x = u - d, from the distance d to the upper end
+        w = d * (2.0 * u - d)
+        return op(np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)), np.sqrt(w))
 
+    def factory(pp):
+        p, q, u = pp["p"], pp["q"], pp["u"]
+        return (Integrand(eval=kernel, args=(p, q, u),
+                          eval_upper_dist=functools.partial(upper, p=p, q=q, u=u)),
+                IntervalSpec(0.0, u, "endpoint_singular"))
 
-def _e41241_factory(pp):
-    p, q, u = pp["p"], pp["q"], pp["u"]
-    return (Integrand(eval=_e41241_kernel, args=(p, q, u),
-                      eval_upper_dist=functools.partial(_e41241_upper, p=p, q=q, u=u)),
-            IntervalSpec(0.0, u, "endpoint_singular"))
+    return factory
 
 
 def _e41241_closed(pp):
@@ -894,30 +873,13 @@ def _e41241_sample(rng, i):
 _register(EntryDescriptor(
     id="4.124.1",
     params=(Param("p"), Param("q"), Param("u")),
-    integrand_factory=_e41241_factory,
+    integrand_factory=_e41241_family(np.divide),
     closed_form=_e41241_closed,
     sampler=_e41241_sample,
     provenance_note="cos(px) cosh(q sqrt(u^2-x^2))/sqrt(u^2-x^2) on [0,u]; "
                     "q > p continues through (pi/2) I0(sqrt(q^2-p^2) u), the "
                     "even-series continuation.",
 ))
-
-
-def _e41241m1_kernel(x, p, q, u):
-    w = (u - x) * (u + x)
-    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
-
-
-def _e41241m1_upper(d, p, q, u):
-    w = d * (2.0 * u - d)
-    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
-
-
-def _e41241m1_factory(pp):
-    p, q, u = pp["p"], pp["q"], pp["u"]
-    return (Integrand(eval=_e41241m1_kernel, args=(p, q, u),
-                      eval_upper_dist=functools.partial(_e41241m1_upper, p=p, q=q, u=u)),
-            IntervalSpec(0.0, u, "endpoint_singular"))
 
 
 def _e41241m1_closed(pp):
@@ -945,7 +907,7 @@ _register(EntryDescriptor(
     id="4.124.1-nu-1",
     params=(Param("p", lo=-math.inf), Param("q"), Param("u")),
     relations=(("p > q", lambda pp: pp["p"] > pp["q"]),),
-    integrand_factory=_e41241m1_factory,
+    integrand_factory=_e41241_family(np.multiply),
     closed_form=_e41241m1_closed,
     sampler=_e41241m1_sample,
     provenance_note="nu = -1 member of the 4.124.1 family (weight "
@@ -994,11 +956,12 @@ _register(EntryDescriptor(
 ))
 
 
-def cf_4_124_1_ext(p: float, q: float, u: float, nu: float, terms: int = 60) -> float:
+def cf_4_124_1_ext(p: float, q: float, u: float, nu: float) -> float:
     """Truncated series for the nu-extended 4.124.1 family.
 
     pi sum_n q^(2n) 2^-(n+nu+1) (u/p)^(n-nu) Gamma(n+1/2-nu)/Gamma(n+1/2)
-    J_(n-nu)(pu) / n!.  Convergent for nu < 1/2; at nu = 1/2 the n = 0
+    J_(n-nu)(pu) / n!, summed to n = 60 or until a term falls below 1e-17
+    of the sum.  Convergent for nu < 1/2; at nu = 1/2 the n = 0
     term contains Gamma(0) and the matching integral has a non-integrable
     endpoint, so nu >= 1/2 raises a domain error.
     """
@@ -1008,7 +971,7 @@ def cf_4_124_1_ext(p: float, q: float, u: float, nu: float, terms: int = 60) -> 
         raise DomainError("cf_4_124_1_ext requires nu < 1/2")
     total = 0.0
     fact = 1.0
-    for n in range(terms + 1):
+    for n in range(61):
         if n > 0:
             fact *= n
         coef = (q ** (2 * n) * 2.0 ** (-(n + nu + 1.0)) * (u / p) ** (n - nu)

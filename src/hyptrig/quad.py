@@ -69,19 +69,21 @@ class Integrand:
     the integral's own floats (its parameters).  Integrands that share
     one eval object are evaluated together: x then has one row per panel
     and each arg is a column holding the value of the panel's own
-    integral, so eval must broadcast its args against x.  A module-level
-    kernel with the parameters in args is batched this way; a closure
-    (args = ()) is a batch of one.  eval may return nan/inf at the
-    listed removable points (and only there, for a well-formed
-    integrand).  limit_values holds the finite limit at each point, in
-    the same order; the pairs are stored sorted by point.
+    integral, so eval must broadcast its args against x.  Any kernel
+    object that many integrals share, with their parameters in args, is
+    batched this way, whether a module-level function or one built once
+    and shared; a closure over one integral's parameters (args = ()) is
+    a batch of one.  eval may return nan/inf at the listed removable
+    points (and only there, for a well-formed integrand).  limit_values
+    holds the finite limit at each point, in the same order; the pairs
+    are stored sorted by point.
 
     eval_lower_dist / eval_upper_dist optionally evaluate f as a function
     of the distance d to the singular endpoint, as a one-argument call.
     The tanh-sinh rule uses them where rounding x to the endpoint would
     otherwise destroy the distance information (x within ~1e-16 of the
     endpoint).  A callback functools.partial(k, name=value, ...) of a
-    module-level kernel k(d, **params) is batched like eval: the halves
+    shared kernel k(d, **params) is batched like eval: the halves
     whose callbacks are keyword partials of one k are evaluated in one
     call, each keyword a column; any other callback is a batch of one.
     """
@@ -671,7 +673,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
 
     pieces = []
-    first_end = a + min(1.0 / lam, t_len) if spec.lower_singular else a
+    first_end = a + 1.0 / lam if spec.lower_singular else a
     if spec.lower_singular:
         pieces.append((yield from _endpoint_singular(pe, a, first_end, tol / 16.0)))
     lo = a + t_len
@@ -709,6 +711,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
 _OSC_FIRST_BLOCK = 13
 _OSC_BLOCK = 4
 _OSC_MAX_SEGMENTS = 512
+_EULER_MAX_DEPTH = 24  # the deepest Euler average the stop reads
 
 
 def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
@@ -748,7 +751,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
         contribs.append(seg.value)
         seg_err += seg.abs_error_est
         running += seg.value
-        prev, diag = diag, _euler_diagonal(diag, running)
+        prev, diag = diag, _euler_diagonal(diag[:_EULER_MAX_DEPTH], running)
         n = len(contribs)
         if n >= 9:
             tail = contribs[-8:]
@@ -842,24 +845,21 @@ def euler_transform(s: Sequence[float], depth: int) -> float:
     if len(s) < depth + 2:
         raise DomainError("euler_transform needs at least depth + 2 entries")
     # the last entry after depth averagings depends on the last depth + 1 only
-    t = np.asarray(s[len(s) - depth - 1:], dtype=float)
-    for _ in range(depth):
-        t = 0.5 * (t[:-1] + t[1:])
-    return float(t[-1])
-
-
-_EULER_MAX_DEPTH = 24
+    diag = []
+    for x in s[len(s) - depth - 1:]:
+        diag = _euler_diagonal(diag, float(x))
+    return diag[depth]
 
 
 def _euler_diagonal(prev: Sequence[float], s: float) -> list:
     """Extend the Euler table of a partial-sum sequence by its next entry s.
 
-    prev[d] is the last entry after d averagings of the sequence so far
-    (d <= _EULER_MAX_DEPTH); the result is that diagonal for the sequence
-    with s appended, so result[d] == euler_transform(sequence + [s], d)
-    bit for bit: the same additions and halvings in the same order.
+    prev[d] is the last entry after d averagings of the sequence so far;
+    the result is that diagonal, one entry longer, for the sequence with
+    s appended: result[d] = (prev[d - 1] + result[d - 1]) / 2, so that
+    result[d] is the mean of two neighbours d - 1 averagings deep.
     """
     diag = [s]
-    for d in range(1, min(_EULER_MAX_DEPTH, len(prev)) + 1):
+    for d in range(1, len(prev) + 1):
         diag.append(0.5 * (prev[d - 1] + diag[d - 1]))
     return diag

@@ -1,12 +1,13 @@
-"""Rewrite the seed-17 baselines and the sampled-points pin from the current code.
+"""Rewrite the seed-17 baselines, the other reports' digests and the
+sampled-points pin from the current code.
 
-    PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest] [points]
+    PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest] [points] [digests]
     PYTHONPATH=src python tests/data/regenerate.py diff
 
 Runs the audit of every entry at 25 samples, seed 17, pass tolerance
 1e-9 (the `full_audit` fixture's configuration) and writes, next to this
-script, the baselines named (all four when none is; `points` alone runs
-no audit):
+script, the baselines named (all five when none is; `points` and
+`digests` run no seed-17 audit):
 
 - evaluations_seed17.json: per entry, the sum of `numeric.evaluations`
   over its records (checked by tests/test_evaluations.py);
@@ -19,6 +20,10 @@ no audit):
 - points.sha256: the sha256 of every entry's `sample_params(entry, 25,
   seed)` for seeds 0-9, each value as `float.hex` (checked by
   tests/test_values.py); it pins the samplers without integrating.
+- report_digests.json: the sha256 of the report of each audit in
+  DIGESTS, seeds 1, 2, 3 and 52 at 25 samples and the 200-sample audit of
+  4.124.1 and 4.124.1-nu-1 (checked by tests/test_values.py); they pin
+  points no seed-17 baseline reaches.
 
 A deliberate change to any of them is explained in CHANGES.md.
 
@@ -26,7 +31,8 @@ A deliberate change to any of them is explained in CHANGES.md.
 the pinned digest and prints, per entry, how many records moved their
 verdict or the bits of `closed`, `value` or `abs_error_est`, each
 field's largest move in ulps of the pinned value, and the pinned and
-current sha256.  It exits 1 when anything moved, like diff(1).
+current sha256, then the pinned and current sha256 of each DIGESTS
+report.  It exits 1 when anything moved, like diff(1).
 """
 
 import hashlib
@@ -40,6 +46,9 @@ from hyptrig.catalog import list_entries
 
 DATA = Path(__file__).parent
 AUDIT = {"samples": 25, "seed": 17, "pass_tol": 1e-9}
+# the audits pinned by their report's sha256 alone
+DIGESTS = [{"samples": 25, "seed": seed} for seed in (1, 2, 3, 52)] + [
+    {"samples": 200, "seed": 17, "entries": ["4.124.1", "4.124.1-nu-1"]}]
 
 
 def evaluations(report) -> dict:
@@ -73,6 +82,12 @@ def points() -> str:
                 fields = " ".join(f"{k}={float(v).hex()}" for k, v in pp.items())
                 h.update(f"{seed} {entry.id} {fields}\n".encode("ascii"))
     return h.hexdigest()
+
+
+def report_digests() -> list:
+    """One {"audit": config, "sha256": digest} per DIGESTS audit, in order."""
+    return [{"audit": audit, "sha256": digest(audit_all(AuditConfig(**audit)))}
+            for audit in DIGESTS]
 
 
 FIELDS = ("closed", "value", "abs_error_est")
@@ -118,16 +133,29 @@ def diff(report) -> int:
     return 0 if not worst and not verdicts and old_digest == new_digest else 1
 
 
+def diff_digests() -> int:
+    """Print the pinned and current sha256 of each DIGESTS report."""
+    pinned = json.loads((DATA / "report_digests.json").read_text(encoding="utf-8"))
+    current = report_digests()
+    for old, new in zip(pinned, current):
+        print(f"{json.dumps(new['audit'])}\n  sha256 pinned  {old['sha256']}"
+              f"\n  sha256 current {new['sha256']}")
+    return 0 if pinned == current else 1
+
+
 def main(argv) -> int:
     if argv == ["diff"]:
-        return diff(audit_all(AuditConfig(**AUDIT)))
-    names = argv or ["evaluations", "values", "digest", "points"]
-    if not set(names) <= {"evaluations", "values", "digest", "points"}:
+        return max(diff(audit_all(AuditConfig(**AUDIT))), diff_digests())
+    names = argv or ["evaluations", "values", "digest", "points", "digests"]
+    if not set(names) <= {"evaluations", "values", "digest", "points", "digests"}:
         print(__doc__, file=sys.stderr)
         return 2
     if "points" in names:
         (DATA / "points.sha256").write_text(points() + "\n", encoding="utf-8")
-    if set(names) == {"points"}:
+    if "digests" in names:
+        (DATA / "report_digests.json").write_text(
+            json.dumps(report_digests(), indent=2) + "\n", encoding="utf-8")
+    if set(names) <= {"points", "digests"}:
         return 0
     report = audit_all(AuditConfig(**AUDIT))
     if "evaluations" in names:

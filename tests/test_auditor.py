@@ -245,7 +245,7 @@ class TestAuditBatch:
         # probe wave's kernel calls; integrated one at a time, the same
         # audit makes 1,137 tanh-sinh and 578 probe integrand calls
         echo = full_audit.config_echo
-        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (43, 23)
+        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (43, 18)
 
 
 def _traced_peak(run):

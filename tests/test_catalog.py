@@ -5,6 +5,7 @@ import math
 import operator
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,6 +43,16 @@ class TestClosedFormSpotValues:
         # p = q: J0(0) = 1
         assert closed_form("4.124.1", {"p": 2.0, "q": 2.0, "u": 2.0}) == pytest.approx(
             PI / 2.0, rel=1e-14)
+
+    def test_4118_small_a_against_mpmath(self):
+        # -2 + a pi coth(a pi/2) cancels as a -> 0; below a = 0.2 a series
+        # takes over, down to a = 1e-300 without underflow
+        for a in np.geomspace(1e-300, 400.0, 301).tolist():
+            # 50 digits after the cancellation of h coth h - 1 ~ h^2/3
+            with mpmath.workdps(50 + 2 * max(0, int(-math.log10(a)))):
+                h = mpmath.pi * mpmath.mpf(a) / 2
+                ref = mpmath.pi / 2 * (h * mpmath.coth(h) - 1) / mpmath.sinh(h)
+                assert abs(closed_form("4.118", {"a": a}) / ref - 1) <= 1e-13, a
 
     def test_l4_zero(self):
         assert closed_form("L4", {"a": 0.0, "beta": 1.0}) == pytest.approx(0.0, abs=1e-15)
@@ -132,6 +143,7 @@ class TestSchemaDomain:
     @example(("4.123.1", {"a": 1e-300}))  # the limit at x = pi divides by zero
     @example(("L3b", {"a": 1e-300, "b": 1e-300}))
     @example(("4.123.5", {"a": 5e-324, "beta": 0.5, "gamma": 5.722234971514057e307}))  # cos(inf)
+    @example(("4.122.2", {"a": 1e300, "beta": 0.5}))  # numpy's sinh overflows
     def test_returns_or_raises_domain_error_in_time(self, point):
         entry_id, pp = point
         try:
@@ -153,6 +165,9 @@ class TestSchemaDomain:
                 integrand("4.123.1", {"a": 1e-300})
             with pytest.raises(DomainError, match=r"^3\.981\.5: leaves a math function's domain at"):
                 closed_form("3.981.5", {"a": 1e308, "beta": 8e307, "gamma": 1e308})  # sin(inf)
+            with pytest.raises(DomainError,
+                               match=r"^4\.122\.2: overflows a double at \{'a': 1e\+300, 'beta': 0\.5\}$"):
+                closed_form("4.122.2", {"a": 1e300, "beta": 0.5})
             with pytest.raises(DomainError, match=r"^I0\(795\.98\d*\) overflows a double$"):
                 closed_form("4.124.1", {"p": 1.0, "q": 10.0, "u": 80.0})
             # just below I0's overflow the closed form still returns, near e^z/sqrt(2 pi z)
@@ -257,6 +272,103 @@ class TestKernelBatch:
             assert _hex(y[mine]) == _hex(own)
 
 
+# Each entry below calls the kernel of the entry whose integrand it
+# specialises.  These are the kernels they had of their own, kept as the
+# references the shared kernels must equal bit for bit.
+
+def _c1_kernel(x, bb, a):
+    return x * catalog._cosh_over_sinh(bb, a, x)
+
+
+def _l4_kernel(x, a, beta):
+    return np.sin(a * x) / (x * np.cosh(beta * x))
+
+
+def _e41211_kernel(x, half_sum, half_diff, beta):
+    return (2.0 * np.cos(half_sum * x) * np.sin(half_diff * x)
+            / (x * np.cosh(beta * x)))
+
+
+def _e4119_kernel(x, half_p, q):
+    return 2.0 * np.sin(half_p * x) ** 2 / (x * np.sinh(q * x))
+
+
+def _e41233_kernel(x, two_a):
+    den = catalog._cosh_minus_cos(two_a * x, 2.0 * x) * (x * x - PI ** 2)
+    return np.sin(2.0 * x) * x / den
+
+
+def _e41241_kernel(x, p, q, u):
+    w = (u - x) * (u + x)
+    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+
+
+def _e41241_upper(d, p, q, u):
+    w = d * (2.0 * u - d)
+    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) / np.sqrt(w)
+
+
+def _e41241m1_kernel(x, p, q, u):
+    w = (u - x) * (u + x)
+    return np.cos(p * x) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
+
+
+def _e41241m1_upper(d, p, q, u):
+    w = d * (2.0 * u - d)
+    return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * np.sqrt(w)
+
+
+# entry id -> (reference kernel, its args at a point, reference distance kernel)
+_MERGED = {
+    "C1": (_c1_kernel, lambda pp: (abs(pp["b"]), pp["a"]), None),
+    "L4": (_l4_kernel, lambda pp: (pp["a"], pp["beta"]), None),
+    "4.119": (_e4119_kernel, lambda pp: (0.5 * pp["p"], pp["q"]), None),
+    "4.121.1": (_e41211_kernel, lambda pp: (0.5 * (pp["a"] + pp["b"]),
+                                            0.5 * (pp["a"] - pp["b"]), pp["beta"]), None),
+    "4.123.3": (_e41233_kernel, lambda pp: (2.0 * pp["a"],), None),
+    "4.124.1": (_e41241_kernel, lambda pp: (pp["p"], pp["q"], pp["u"]), _e41241_upper),
+    "4.124.1-nu-1": (_e41241m1_kernel, lambda pp: (pp["p"], pp["q"], pp["u"]),
+                     _e41241m1_upper),
+}
+
+
+def _columns(values):
+    """One (rows, 1) column per arg, as the quadrature passes them."""
+    return [np.array(col)[:, None] for col in zip(*values)]
+
+
+class TestMergedKernels:
+    """Each entry that shares another entry's kernel, or a family builder's,
+    gives the node values of the kernel it had of its own, bit for bit,
+    called as the quadrature calls it: x one row per point, each arg a
+    (rows, 1) column.  Its seed-17 points are checked at abscissae (and
+    distances) from 1e-300 to 700, which no report digest reaches."""
+
+    X = np.array([1e-300, 1e-8, 0.5, PI, 30.0, 700.0])
+
+    @pytest.mark.parametrize("entry_id", list(_MERGED))
+    def test_equal_to_the_kernel_it_replaced(self, entry_id):
+        ref, ref_args, ref_upper = _MERGED[entry_id]
+        points = sample_params(get_entry(entry_id), 25, 17)
+        fs = [integrand(entry_id, pp)[0] for pp in points]
+        assert len({id(f.eval) for f in fs}) == 1
+        x = np.tile(self.X, (len(fs), 1))
+        with np.errstate(all="ignore"):
+            got = fs[0].eval(x, *_columns([f.args for f in fs]))
+            want = ref(x, *_columns([ref_args(pp) for pp in points]))
+        assert _hex(got) == _hex(want)
+        if ref_upper is None:
+            assert all(f.eval_upper_dist is None for f in fs)
+            return
+        upper = fs[0].eval_upper_dist.func
+        assert all(f.eval_upper_dist.func is upper for f in fs)
+        names = ("p", "q", "u")
+        kw = dict(zip(names, _columns([[f.eval_upper_dist.keywords[k] for k in names]
+                                       for f in fs])))
+        with np.errstate(all="ignore"):
+            assert _hex(upper(x, **kw)) == _hex(ref_upper(x, **kw))
+
+
 class TestLemma5:
     def test_vanishing_at_zero(self):
         assert lemma5_lhs(1e-30, 1.0, 5) == pytest.approx(0.0, abs=1e-28)
@@ -305,9 +417,17 @@ class TestRhs41235:
             rhs_4_123_5(1.0, 0.3, 0.7)
 
     def test_explicit_terms(self):
-        v_auto = rhs_4_123_5(1.0, 0.5, 2.0)
-        v_fixed = rhs_4_123_5(1.0, 0.5, 2.0, terms=200)
-        assert v_auto == pytest.approx(v_fixed, rel=1e-12)
+        # the image-pole series summed to 200 terms
+        a, beta, gamma = 1.0, 0.5, 2.0
+        total = 0.0
+        for k in range(200):
+            lo, hi = 2.0 * k + 1.0 - beta, 2.0 * k + 1.0 + beta
+            total += (math.exp(-lo * a) / (gamma ** 2 - lo ** 2)
+                      - math.exp(-hi * a) / (gamma ** 2 - hi ** 2))
+        first = (PI * math.exp(-a * gamma)
+                 / (2.0 * gamma * (math.cos(gamma * PI) + math.cos(beta * PI))))
+        v_fixed = first + total / math.sin(beta * PI)
+        assert rhs_4_123_5(a, beta, gamma) == pytest.approx(v_fixed, rel=1e-12)
 
 
 class TestCf35321:

@@ -2,6 +2,7 @@
 config files, and output stability."""
 
 import json
+import warnings
 
 from conftest import time_limit
 from hyptrig import catalog, quad
@@ -61,6 +62,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_pass_at_small_a_of_4118(self, capsys):
+        # the closed form keeps its digits where -2 + a pi coth(a pi/2) cancels
+        assert run(["verify", "4.118", "--param", "a=1e-8"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
     def test_unknown_entry(self):
         assert run(["verify", "nosuch"]) == 2
@@ -187,6 +193,13 @@ class TestInvalidSettings:
             _rejected(["verify", "4.118", "--param", "a=1000"], capsys)
             _rejected(["verify", "4.124.1", "--param", "p=1", "--param", "q=10",
                        "--param", "u=80"], capsys)
+            # numpy's overflow, with no warning
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(["verify", "4.122.2", "--param", "a=1e300", "--param", "beta=0.5"]) == 2
+            assert not caught
+            assert capsys.readouterr().err == (
+                "invalid arguments: 4.122.2: overflows a double at {'a': 1e+300, 'beta': 0.5}\n")
 
     def test_verify_tol_above_one(self, capsys):
         _rejected(["verify", "4.119", "--param", "p=1", "--param", "q=1",

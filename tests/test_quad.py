@@ -714,9 +714,9 @@ class TestIntegrateMany:
         assert [r.status for r in batch[n - 3:n]] == [STATUS_CONVERGED, STATUS_CONVERGED,
                                                       STATUS_DIVERGENT]
         assert {r.status for r in batch[:n - 3] + batch[n:]} == {STATUS_CONVERGED}
-        for (f, spec, _), r in zip(jobs[:10], batch):
+        for i, ((f, spec, _), r) in enumerate(zip(jobs[:10], batch)):
             pp = dict(zip(("p", "q", "u"), f.args))
-            entry = "4.124.1" if f.eval is catalog._e41241_kernel else "4.124.1-nu-1"
+            entry = "4.124.1" if i < 5 else "4.124.1-nu-1"
             assert abs(r.value - catalog.closed_form(entry, pp)) <= 1e-8
 
     def test_tanh_sinh_effort_cap_stops_only_its_own_job(self, monkeypatch):

@@ -12,7 +12,9 @@ and say why in CHANGES.md.
 
 tests/data/points.sha256 pins the sampled points of seeds 0-9 at 25
 samples (`regenerate.py points`), so a sampler change shows without an
-audit.
+audit.  tests/data/report_digests.json pins the report bytes of the
+seed 1, 2, 3 and 52 audits and of the 200-sample audit of the 4.124.1
+pair (`regenerate.py digests`).
 """
 
 import dataclasses
@@ -95,3 +97,8 @@ def test_regenerate_diff_shows_moves_and_writes_nothing(full_audit, capsys):
 def test_sampled_points_match_the_pinned_digest():
     pinned = (BASELINE.parent / "points.sha256").read_text(encoding="utf-8").strip()
     assert _regenerate().points() == pinned
+
+
+def test_other_reports_match_their_pinned_digests():
+    pinned = json.loads((BASELINE.parent / "report_digests.json").read_text(encoding="utf-8"))
+    assert _regenerate().report_digests() == pinned
