@@ -5,11 +5,11 @@ schema, integrates the entry's integrand at every point with the
 shape-matched engine (every point of every entry in one integrate_many
 call, so the whole audit shares its rounds and kernel calls), compares
 against the closed form, and classifies the outcome.  Suspect entries
-are expected to fail and are counted separately; an unexpected PASS
-there would indicate an integrand transcription error and fails the
-run.  Reports are deterministic functions of the configuration, and
-are written in one pass, record by record, with the layout of
-json.dumps(..., indent=2).
+and printed forms are expected to fail and are counted separately; an
+unexpected PASS there would indicate an integrand transcription error
+and fails the run.  Reports are deterministic functions of the
+configuration, and are written in one pass, record by record, with the
+layout of json.dumps(..., indent=2).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnknownEntryError
 from . import catalog
-from .catalog import EntryDescriptor, ParamPoint, cf_3_532_1
+from .catalog import EntryDescriptor, ParamPoint
 from .quad import (QuadResult, integrate, integrate_many, STATUS_CONVERGED,
                    STATUS_DIVERGENT)
 
@@ -41,7 +41,6 @@ class AuditConfig:
     seed: int = 17
     pass_tol: float = 1e-9
     entries: Optional[List[str]] = None  # None = every entry
-    report_path: str = "audit_report.json"
 
     def __post_init__(self):
         if self.samples < 1:
@@ -63,6 +62,11 @@ class VerificationRecord:
     convention: Optional[str] = None
     expected_fail: bool = False
     note: str = ""
+
+    @property
+    def unexpected(self) -> bool:
+        """A failure where a PASS is expected, or a PASS where a failure is."""
+        return (self.verdict != PASS) != self.expected_fail
 
 
 @dataclass
@@ -98,16 +102,17 @@ def _point(entry: EntryDescriptor, params: ParamPoint,
            pass_tol: float) -> Tuple[Dict[Optional[str], float], tuple]:
     """The closed form of a point under each convention, and its job.
 
-    The conventions are None and, for a dual_convention entry, "printed".
-    One integral serves them all.  Its tolerance is pass_tol/10 of the
-    convention-None closed form's magnitude (at least 1e-14, and 1e-14 for
-    a closed form that is not finite), so the PASS comparison stays a
-    genuinely relative test, even for small-valued samples; the printed
-    form is known to be wrong and sets nothing.
+    The conventions are None (closed_form) and "printed" (printed_form, if
+    set), each through entry.guarded.  One integral serves them all.  Its
+    tolerance is pass_tol/10 of the convention-None closed form's magnitude
+    (at least 1e-14, and 1e-14 for a closed form that is not finite), so
+    the PASS comparison stays a genuinely relative test, even for
+    small-valued samples; the printed form is known to be wrong and sets
+    nothing.
     """
     closed = {None: entry.guarded(entry.closed_form, params)}
-    if "dual_convention" in entry.flags:
-        closed["printed"] = cf_3_532_1(params["n"], params["a"], params["b"], "printed")
+    if entry.printed_form is not None:
+        closed["printed"] = entry.guarded(entry.printed_form, params)
     f, spec = entry.guarded(entry.integrand_factory, params)
     tol = abs(closed[None]) * pass_tol / 10.0
     if not 1e-14 <= tol < math.inf:  # nan included
@@ -154,7 +159,7 @@ def verify_point(entry_id: str, params: ParamPoint,
     """Every convention's record of one parameter point, from one integral.
 
     The records come in the audit's order: convention None, then
-    "printed" for a dual_convention entry.  They equal the audit's
+    "printed" for an entry with a printed_form.  They equal the audit's
     records of the same point.
     """
     entry = catalog.get_entry(entry_id)
@@ -221,8 +226,7 @@ def audit_all(config: AuditConfig) -> AuditReport:
         for r in recs:
             key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
             counts[key] = counts.get(key, 0) + 1
-        entry_ok = all(r.verdict == PASS for r in normal) and \
-            not any(r.verdict == PASS for r in expected)
+        entry_ok = not any(r.unexpected for r in recs)
         overall_ok = overall_ok and entry_ok
         summary[entry.id] = {
             "flags": sorted(entry.flags),

@@ -141,7 +141,8 @@ class EntryDescriptor:
     """One table entry: parameter schema, integrand factory, closed form.
     `relations` are the coupled constraints, (predicate, check) pairs that
     validate tests after the Params; `sampler(rng, i)`, when set, draws the
-    audit's points in place of the Params' draws."""
+    audit's points in place of the Params' draws.  `printed_form` is what the
+    table prints where it disagrees with `closed_form` (flag dual_convention)."""
 
     id: str
     integrand_factory: Callable[[ParamPoint], Tuple[Integrand, IntervalSpec]]
@@ -151,6 +152,11 @@ class EntryDescriptor:
     sampler: Optional[Callable[[object, int], ParamPoint]] = None
     flags: frozenset = frozenset()
     provenance_note: str = ""
+    printed_form: Optional[Callable[[ParamPoint], float]] = None
+
+    def __post_init__(self):
+        dual = {"dual_convention"} if self.printed_form is not None else set()
+        object.__setattr__(self, "flags", self.flags - {"dual_convention"} | dual)
 
     @functools.cached_property
     def param_names(self) -> Tuple[str, ...]:
@@ -225,10 +231,13 @@ def list_entries() -> List[EntryDescriptor]:
 
 
 def closed_form(entry_id: str, params: ParamPoint) -> float:
-    """The table's right-hand side for the entry at the given parameters."""
+    """The table's right-hand side at the given parameters; DomainError if not finite."""
     entry = get_entry(entry_id)
     entry.validate(params)
-    return entry.guarded(entry.closed_form, params)
+    value = entry.guarded(entry.closed_form, params)
+    if not math.isfinite(value):
+        raise DomainError(f"{entry_id}: closed form is {value!r} at {params}")
+    return value
 
 
 def integrand(entry_id: str, params: ParamPoint) -> Tuple[Integrand, IntervalSpec]:
@@ -1074,8 +1083,8 @@ _register(EntryDescriptor(
     params=(Param("n", lo=-1.0), Param("a"), Param("b")),
     integrand_factory=_e35321_factory,
     closed_form=lambda pp: cf_3_532_1(pp["n"], pp["a"], pp["b"], "derived"),
+    printed_form=lambda pp: cf_3_532_1(pp["n"], pp["a"], pp["b"], "printed"),
     sampler=_e35321_sample,
-    flags=frozenset({"dual_convention"}),
     provenance_note="x^n/(a cosh x + b sinh x); the printed final line and "
                     "the derivation's middle line disagree by "
                     "Gamma(2n+1)/(2 Gamma(n+1)) at r = 0.",

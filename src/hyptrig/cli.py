@@ -5,9 +5,9 @@
     hyptrig verify 4.119 --param p=1 --param q=1
     hyptrig audit --samples 25 --seed 17 --report audit_report.json
 
-Exit codes: 0 on success, 1 when any unexpected verification failure
-occurred, 2 for usage errors or unknown entries.  HYPTRIG_REPORT_DIR
-overrides the directory reports are written into.
+Exit codes: 0 on success, 1 when any record's verdict was unexpected, 2
+for usage errors or unknown entries.  HYPTRIG_REPORT_DIR, when set, is the
+directory a relative report path is taken in; an absolute one is kept.
 """
 
 from __future__ import annotations
@@ -43,15 +43,16 @@ def _path(raw: str) -> Optional[str]:
     return raw or None
 
 
-# AuditConfig field -> converter from text; each is also a config-file key
-# and the dest of the flag that overrides it.  A converter returning None
-# (an empty entry list or path) leaves the setting as it was.
+# setting -> (flag, converter from text, help); each is a config-file key,
+# the dest of the audit flag that overrides it and, but for report_path, an
+# AuditConfig field.  A converter returning None (an empty entry list or
+# path) leaves the setting as it was.
 _SETTINGS = {
-    "samples": int,
-    "seed": int,
-    "pass_tol": float,
-    "entries": _entry_list,
-    "report_path": _path,
+    "samples": ("--samples", int, None),
+    "seed": ("--seed", int, None),
+    "pass_tol": ("--tol", float, None),
+    "entries": ("--entries", _entry_list, "comma-separated entry ids"),
+    "report_path": ("--report", _path, "report file path"),
 }
 
 
@@ -74,7 +75,7 @@ def _read_config_file(path: str) -> dict:
         if key not in _SETTINGS:
             raise DomainError(f"unknown config key {key!r}")
         try:
-            value = _SETTINGS[key](raw)
+            value = _SETTINGS[key][1](raw)
         except ValueError:
             raise DomainError(f"config key {key}: bad value {raw!r}") from None
         if value is not None:
@@ -82,16 +83,10 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _build_config(args) -> auditor.AuditConfig:
-    """The config file's settings overlaid with the flags given."""
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    values.update((key, getattr(args, key)) for key in _SETTINGS
-                  if getattr(args, key, None) is not None)
-    report_dir = os.environ.get("HYPTRIG_REPORT_DIR")
-    path = values.get("report_path", auditor.AuditConfig.report_path)
-    if report_dir and not os.path.isabs(path):
-        values["report_path"] = os.path.join(report_dir, path)
-    return auditor.AuditConfig(**values)
+def _given(args) -> dict:
+    """The settings given as flags."""
+    return {key: getattr(args, key) for key in _SETTINGS
+            if getattr(args, key, None) is not None}
 
 
 def _cmd_list(args) -> int:
@@ -118,9 +113,9 @@ def _cmd_show(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
-    tol = _build_config(args).pass_tol
-    exit_code = 0
-    for rec in auditor.verify_point(args.entry, params, tol):
+    tol = auditor.AuditConfig(**_given(args)).pass_tol
+    records = auditor.verify_point(args.entry, params, tol)
+    for rec in records:
         tag = f"[{rec.convention}]" if rec.convention else ""
         print(f"{rec.verdict:<9s} {rec.entry_id}{tag} params={rec.params} "
               f"closed={rec.closed!r} numeric={rec.numeric.value!r} "
@@ -128,19 +123,24 @@ def _cmd_verify(args) -> int:
               + (f" ratio={rec.ratio_fit:.12g}" if rec.ratio_fit is not None else ""))
         if rec.note:
             print(f"  note: {rec.note}")
-        unexpected = (rec.verdict != auditor.PASS) != rec.expected_fail
-        if unexpected:
-            exit_code = 1
-    return exit_code
+    return 1 if any(rec.unexpected for rec in records) else 0
 
 
 def _cmd_audit(args) -> int:
-    cfg = _build_config(args)
-    report = auditor.audit_all(cfg)
-    auditor.save_report(report, cfg.report_path)
+    values = _read_config_file(args.config) if args.config else {}
+    values.update(_given(args))
+    # os.path.join keeps an absolute report path as given
+    path = os.path.join(os.environ.get("HYPTRIG_REPORT_DIR", ""),
+                        values.pop("report_path", "audit_report.json"))
+    report = auditor.audit_all(auditor.AuditConfig(**values))
+    auditor.save_report(report, path)
     print(auditor.format_table(report))
-    print(f"report written to {cfg.report_path}")
+    print(f"report written to {path}")
     return 0 if report.overall_ok else 1
+
+
+_COMMANDS = {"list": _cmd_list, "show": _cmd_show, "verify": _cmd_verify,
+             "audit": _cmd_audit}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,16 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify one parameter point")
     p_verify.add_argument("entry")
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_verify.add_argument("--tol", dest="pass_tol", type=float)
 
     p_audit = sub.add_parser("audit", help="run the sampled sweep")
-    p_audit.add_argument("--samples", type=int)
-    p_audit.add_argument("--seed", type=int)
-    p_audit.add_argument("--tol", dest="pass_tol", type=float)
-    p_audit.add_argument("--entries", type=_entry_list,
-                         help="comma-separated entry ids")
-    p_audit.add_argument("--report", dest="report_path", type=_path,
-                         help="report file path")
+    for p, keys in ((p_verify, ["pass_tol"]), (p_audit, _SETTINGS)):
+        for key in keys:
+            flag, convert, help_text = _SETTINGS[key]
+            p.add_argument(flag, dest=key, type=convert, help=help_text)
     p_audit.add_argument("--config", default=None,
                          help="flat key=value config file")
     return parser
@@ -180,13 +176,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "show":
-            return _cmd_show(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_audit(args)
+        return _COMMANDS[args.command](args)
     except UnknownEntryError as exc:
         print(f"unknown entry: {exc}", file=sys.stderr)
         return 2

@@ -655,9 +655,10 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     yet.  A tail that keeps growing is reported as suspected_divergent.
     osc_hint (an angular frequency) caps the initial panel width so the
     error estimator always resolves the oscillation.  The main range and
-    the first confirmation block are requested together, so they share
-    their rounds; the block's evaluations count even when the main range
-    fails.
+    the first confirmation block are requested together, in the wave after
+    the probes, so every job's ranges share their rounds; a lower_singular
+    job's tanh-sinh piece on [a, a + 1/lambda] comes after them.  The
+    block's evaluations count even when the main range fails.
     """
     a, lam = spec.lower, spec.decay_hint
     forced = pe.f.removable_points
@@ -672,14 +673,13 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     t_len = max(t_len, 8.0 / lam)
     width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
 
-    pieces = []
     first_end = a + 1.0 / lam if spec.lower_singular else a
-    if spec.lower_singular:
-        pieces.append((yield from _endpoint_singular(pe, a, first_end, tol / 16.0)))
     lo = a + t_len
     main_range, block = yield _GK, [(first_end, lo, tol / 4.0, forced, width),
                                (lo, lo + t_len, tol / 16.0, forced, width)]
-    pieces.append(main_range)
+    pieces = [main_range]
+    if spec.lower_singular:
+        pieces.insert(0, (yield from _endpoint_singular(pe, a, first_end, tol / 16.0)))
     main = math.fsum(p.value for p in pieces)
     err = math.fsum(p.abs_error_est for p in pieces)
     for p in pieces:

@@ -81,6 +81,37 @@ class TestVerifyEntry:
         records = verify_point("4.119", {"p": 1.0, "q": 1.0}, 1e-9)
         assert [r.convention for r in records] == [None]
 
+    def test_any_entry_with_a_printed_form_gets_printed_records(self, monkeypatch):
+        # a printed form twice the closed form: audited, expected to fail
+        entry = catalog.get_entry("4.119")
+        printed = dataclasses.replace(entry, printed_form=lambda pp: 2.0 * entry.closed_form(pp))
+        monkeypatch.setitem(catalog._REGISTRY, "4.119", printed)
+        derived, rec = verify_point("4.119", {"p": 1.0, "q": 1.0}, 1e-9)
+        assert (derived.verdict, rec.convention, rec.verdict) == (PASS, "printed", FAIL)
+        assert rec.expected_fail and not rec.unexpected
+        assert rec.closed == 2.0 * derived.closed
+        rep = audit_all(AuditConfig(samples=3, seed=17, entries=["4.119"]))
+        assert [r.convention for r in rep.records] == [None, "printed"] * 3
+        assert all(r.expected_fail for r in rep.records[1::2])
+        summary = rep.summary["4.119"]
+        assert summary["counts"] == {"PASS": 3, "FAIL[printed]": 3}
+        assert (summary["total"], summary["expected_fail_records"]) == (3, 3)
+        assert summary["ok"] and rep.overall_ok
+
+
+class TestUnexpected:
+    def test_truth_table(self):
+        q = QuadResult(value=1.0, abs_error_est=0.0, evaluations=1, status="converged")
+        for verdict in (PASS, FAIL, SUSPECT, DIVERGENT, auditor.SKIPPED):
+            for expected_fail in (False, True):
+                rec = VerificationRecord(entry_id="X", params={}, numeric=q, closed=1.0,
+                                         abs_diff=0.0, rel_diff=0.0, verdict=verdict,
+                                         expected_fail=expected_fail)
+                # a failure where a PASS is expected, or a PASS where a failure is
+                assert rec.unexpected == ((verdict == PASS) == expected_fail)
+                # a property, so the report does not carry it
+                assert "unexpected" not in auditor._to_json(rec)
+
 
 class TestRatioDiagnose:
     @staticmethod

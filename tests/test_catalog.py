@@ -1,6 +1,7 @@
 """Catalog tests: closed-form spot values, validity enforcement, integrand
 annotations, the helper identities, and the cross-entry relations."""
 
+import dataclasses
 import math
 import operator
 import sys
@@ -174,6 +175,21 @@ class TestSchemaDomain:
             assert closed_form("4.124.1", {"p": 1.0, "q": 10.0, "u": 71.0}) == pytest.approx(
                 0.5 * PI * math.exp(math.sqrt(99.0) * 71.0)
                 / math.sqrt(2.0 * PI * math.sqrt(99.0) * 71.0), rel=1e-3)
+
+    @pytest.mark.parametrize("entry_id, params, value", [
+        ("4.121.1", {"a": 1e-300, "b": 1e300, "beta": 1e-300}, "nan"),
+        ("4.121.2", {"a": 1e-300, "b": 1e300, "beta": 1e-300}, "inf"),
+        ("4.119", {"p": 1e300, "q": 1e-300}, "inf"),
+        ("4.122.1", {"beta": 1e300, "gamma": 1e300, "delta": 1e-300}, "nan"),
+    ])
+    def test_non_finite_closed_forms_name_the_entry_and_the_point(self, entry_id, params, value):
+        # these closed forms overflow into inf or nan without an exception
+        with np.errstate(all="ignore"):
+            raw = get_entry(entry_id).closed_form(params)
+            assert repr(raw) == value
+            with pytest.raises(DomainError) as info:
+                closed_form(entry_id, params)
+        assert str(info.value) == f"{entry_id}: closed form is {value} at {params}"
 
 
 class TestIntegrandMetadata:
@@ -499,6 +515,15 @@ class TestRegistry:
 
     def test_dual_convention_flag(self):
         assert "dual_convention" in get_entry("3.532.1").flags
+
+    def test_dual_convention_flag_is_set_exactly_by_a_printed_form(self):
+        for e in list_entries():
+            assert ("dual_convention" in e.flags) == (e.printed_form is not None), e.id
+        dual, plain = get_entry("3.532.1"), get_entry("4.124.2")
+        assert "dual_convention" not in dataclasses.replace(dual, printed_form=None).flags
+        assert dataclasses.replace(plain, printed_form=plain.closed_form).flags == {
+            "suspect", "dual_convention"}
+        assert dataclasses.replace(plain, flags=frozenset({"dual_convention"})).flags == set()
 
     def test_constant_entries(self):
         for eid in ("HW1", "HW2", "HW3"):
