@@ -160,10 +160,11 @@ def verify_point(entry_id: str, params: ParamPoint,
 
     The records come in the audit's order: convention None, then
     "printed" for an entry with a printed_form.  They equal the audit's
-    records of the same point.
+    records of the same point, but where the closed form is inf or nan
+    catalog.closed_form's DomainError is raised (the audit records a FAIL).
     """
     entry = catalog.get_entry(entry_id)
-    entry.validate(params)
+    catalog.closed_form(entry_id, params)  # validates the point too
     closed, job = _point(entry, params, pass_tol)
     numeric = integrate(*job)
     return [_record(entry, params, value, numeric, pass_tol, convention)

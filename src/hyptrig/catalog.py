@@ -1104,8 +1104,11 @@ def _e41179c_factory(pp):
 
 def _e41179c_closed(pp):
     a = pp["a"]
+    # log(1/tanh(a/2)) loses digits as tanh(a/2) -> 1; above the audit's
+    # draws (a <= 5) it is taken as 2 atanh(e^-a), which keeps them
+    log_coth = math.log(1.0 / math.tanh(0.5 * a)) if a <= 6.0 else 2.0 * math.atanh(math.exp(-a))
     return (-0.5 * _PI * math.exp(-a) + 2.0 * math.cosh(a) * math.atan(math.exp(-a))
-            + math.sinh(a) * math.log(1.0 / math.tanh(0.5 * a)))
+            + math.sinh(a) * log_coth)
 
 
 _register(EntryDescriptor(

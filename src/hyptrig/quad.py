@@ -12,34 +12,36 @@ Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
 of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
 multi-interval scheme stretched across integrands: each round evaluates
 the split panels of every unfinished interval, and each interval stops
-on its own test.  Tanh-sinh runs in one level loop over many halves
-(_tanh_sinh_many): the nodes of a level of the double-exponential rule
-are the same for every integral, so a level of many halves is one array
-of rows, and each half stops on its own test.  An Integrand is a kernel eval(x, *args) plus its
-per-integral floats args; the rows of a round or level that share one
-kernel are evaluated in one broadcast call (Shampine's vectorised
-quadgk, carried over to parameters), with each arg a column of per-row
-values, at most _MAX_ABSCISSAE abscissae per call (_eval_rows).
+on its own test.  Tanh-sinh runs in one level loop over the halves of
+many intervals (_tanh_sinh_many): the nodes of a level of the
+double-exponential rule are the same for every integral, so a level of
+many halves is one array of rows, and each half stops on its own test.
+An Integrand is a kernel eval(x, *args) plus its per-integral floats
+args.  One chunker (_eval_chunks) turns the rows of a round, a level or
+a probe wave into kernel calls: it orders the rows by kernel and calls
+each kernel once per run of its rows in a chunk of at most
+_MAX_ABSCISSAE abscissae, with each arg a column of per-row values
+(Shampine's vectorised quadgk, carried over to parameters).
 
 Each shape has one engine, a generator that yields its requests, each a
 kind and a list of items: Gauss-Kronrod intervals (a, b, tol, forced,
-panel_width), tanh-sinh halves (end, s, lower, tol), or abscissae at
-which it wants the integrand's values (the decay probes); it is sent the
-answers back.  integrate_many runs many integrals (jobs) at once by
-answering the pending requests of every job together, one call of
+panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which it
+wants the integrand's values (the decay probes); it is sent the answers
+back.  integrate_many runs many integrals (jobs) at once by answering
+the pending requests of every job together, one call of
 _adaptive_gk_many, _tanh_sinh_many or _points_many per kind; the audit
 makes one integrate_many call for all its points, so a round can hold
-tens of thousands of panels, and a kernel call's temporaries stay
-bounded by the _MAX_ABSCISSAE chunks.  integrate is its one-job call;
-the two are the public entry points.  A job keeps its own evaluation count
-and effort cap, and every node value and sum is independent of the other
-rows in the batch, so a job's result is bit for bit its result alone.
-No integrand is evaluated one integral at a time.  The oscillatory
-engine asks for its half-periods 1-13, then blocks of 4; the decay
-engine for its main range together with the first confirmation block;
-the endpoint-singular pair asks for both its halves in one request.  The
-cost of an engine call is mostly Python dispatch per round and per
-kernel call, so fewer, larger calls are what makes it faster.
+tens of thousands of panels, and each chunk is reduced before the next
+is built, so a kernel call's temporaries stay bounded.  integrate is its
+one-job call; the two are the public entry points.  A job keeps its own
+evaluation count and effort cap, and every node value and sum is
+independent of the other rows in the batch, so a job's result is bit for
+bit its result alone.  No integrand is evaluated one integral at a time.
+The oscillatory engine asks for its half-periods 1-13, then blocks of 4;
+the decay engine for its main range together with the first
+confirmation block.  The cost of an engine call is mostly Python
+dispatch per round and per kernel call, so fewer, larger calls are what
+makes it faster.
 """
 
 from __future__ import annotations
@@ -170,9 +172,12 @@ class _PatchedEval:
                         for p, lim in zip(f.removable_points, f.limit_values)]
 
     def spend(self, n: int) -> bool:
-        """Count n evaluations; False once the cap is passed."""
+        """Count n evaluations if they stay within the cap; else count
+        nothing and return False."""
+        if self.used + n > MAX_EVALUATIONS:
+            return False
         self.used += n
-        return self.used <= MAX_EVALUATIONS
+        return True
 
 
 # 15-point Kronrod nodes on [-1, 1] with Kronrod weights and the embedded
@@ -212,7 +217,7 @@ _CHUNK = _MAX_ABSCISSAE // len(_XK)  # panels per kernel call
 
 
 def _member_groups(members: Sequence[tuple]):
-    """Members (kernel, args, patches) grouped by kernel, for _eval_rows.
+    """Members (kernel, args, patches) grouped by kernel, for _eval_chunks.
 
     Returns (group, slot, kernels): members[j] is member slot[j] of group
     group[j], and kernels[g] is (kernel, nargs, table), where table holds
@@ -237,27 +242,38 @@ def _member_groups(members: Sequence[tuple]):
     return group, slot, kernels
 
 
-def _eval_rows(groups: tuple, member: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of x, of shape (rows, n), evaluated by member[i] of groups.
+def _eval_chunks(groups: tuple, member: np.ndarray, width: int, nodes: Callable):
+    """Evaluate row i, of width abscissae, by member[i] of groups.
 
-    groups is _member_groups(...), and the rows come ordered by group.
-    Each kernel is called once per run of its rows and per chunk of at
-    most _MAX_ABSCISSAE abscissae (whole rows), on that slice of x with
-    each arg and removable-point value a (rows, 1) column gathered by
-    member.
+    groups is _member_groups(...), and nodes(rows) builds the abscissae of
+    the given rows, shape (len(rows), width).  The rows are taken in group
+    order (a stable sort, skipped when they already are in it) and cut
+    into chunks of whole rows of at most _MAX_ABSCISSAE abscissae; each
+    kernel is called once per run of its rows in a chunk, with each arg
+    and removable-point value a (rows, 1) column.  Yields (rows, values)
+    per chunk, rows an index or slice of the caller's rows, so that the
+    caller can reduce each chunk before the next one is built.
     """
     group, slot, kernels = groups
-    y = np.empty_like(x)
     gr = group[member]
-    per_call = max(1, _MAX_ABSCISSAE // x.shape[1])
-    cuts = sorted({*range(0, len(gr), per_call), len(gr),
-                   *(np.flatnonzero(gr[1:] != gr[:-1]) + 1).tolist()})
-    for a, b in zip(cuts, cuts[1:]):
-        kernel, nargs, table = kernels[gr[a]]
-        cols = table[:, slot[member[a:b]], None]
-        y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
-                           cols[nargs:].reshape(-1, 3, b - a, 1))
-    return y
+    # rows already in group order need no reordering: one kernel, or a first
+    # Gauss-Kronrod round, whose panels come job by job and an entry's jobs together
+    order = None if np.all(gr[1:] >= gr[:-1]) else np.argsort(gr, kind="stable")
+    del gr  # as long as the batch, and not needed by the chunks
+    per_call = max(1, _MAX_ABSCISSAE // width)
+    for start in range(0, len(member), per_call):
+        rows = slice(start, start + per_call) if order is None else order[start:start + per_call]
+        x = nodes(rows)
+        y = np.empty_like(x)
+        mem = member[rows]
+        g = group[mem]
+        cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1).tolist(), len(g)]
+        for a, b in zip(cuts, cuts[1:]):
+            kernel, nargs, table = kernels[g[a]]
+            cols = table[:, slot[mem[a:b]], None]
+            y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
+                               cols[nargs:].reshape(-1, 3, b - a, 1))
+        yield rows, y
 
 
 def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
@@ -266,11 +282,10 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
 
     Panel i belongs to the integral pes[job[i]], which spends its own
     evaluations; groups is _member_groups of their (eval, args, patches).
-    The panels, ordered by group and within a group by batch order, are
-    evaluated in chunks of at most _CHUNK panels: one kernel call per
-    group in a chunk (_eval_rows), on nodes of shape (panels, 15).  Every
-    node value and sum is per row, so a panel's results do not depend on
-    the other panels in the batch.
+    The panels are evaluated by _eval_chunks, on nodes of shape
+    (panels, 15), at most _CHUNK panels per chunk.  Every node value and
+    sum is per row, so a panel's results do not depend on the other
+    panels in the batch.
 
     Error estimate per panel follows the classic scaled form
     resasc * min(1, (200 |K15-G7| / resasc)^1.5): it inflates the raw
@@ -283,20 +298,17 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     """
     count = np.bincount(job, minlength=len(pes))
     for j in np.flatnonzero(count).tolist():
-        pes[j].spend(len(_XK) * int(count[j]))
-    gr = groups[0][job]
-    # a batch already in group order needs no reordering: one kernel, or a
-    # first round, whose panels come job by job and an entry's jobs together
-    order = None if np.all(gr[1:] >= gr[:-1]) else np.argsort(gr, kind="stable")
-    del gr  # as long as the batch, and not needed by the chunks
+        pes[j].used += len(_XK) * int(count[j])
     n = len(lo)
     vals, errs = np.empty(n), np.empty(n)
     finite = np.empty(n, dtype=bool)
-    for start in range(0, n, _CHUNK):
-        part = slice(start, start + _CHUNK) if order is None else order[start:start + _CHUNK]
+
+    def nodes(part):
         lp, hp = lo[part], hi[part]
-        c, s = 0.5 * (lp + hp), 0.5 * (hp - lp)
-        y = _eval_rows(groups, job[part], np.multiply.outer(s, _XK) + c[:, None])
+        return np.multiply.outer(0.5 * (hp - lp), _XK) + (0.5 * (lp + hp))[:, None]
+
+    for part, y in _eval_chunks(groups, job, len(_XK), nodes):
+        s = 0.5 * (hi[part] - lo[part])
         k15 = s * _row_dot(y, _WK)
         g7 = s * _row_dot(y, _WG)
         finite[part] = np.isfinite(y).all(axis=1)
@@ -494,38 +506,42 @@ def _snap_to_finite(y: np.ndarray, bad: np.ndarray) -> None:
 
 
 def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
-    """Tanh-sinh on many halves, of one or more integrands, at once.
+    """Tanh-sinh on many intervals, of one or more integrands, at once.
 
-    requests holds one (pe, halves) pair per integrand, each half (end, s,
-    lower, tol): the integral over the half of length s at `end`, in v on
-    (0, 1) with x = end + s v^2 (lower end) or x = end - s v^2 (upper
-    end), so that the factor 2 s v turns an inverse-square-root endpoint
-    singularity into a bounded smooth one.  The result holds, per pair,
-    the QuadResults of its halves in order.  A half whose end has a
+    requests holds one (pe, intervals) pair per integrand, each interval
+    (a, b, tol); the result holds, per pair, the QuadResults of its
+    intervals in order.  Each interval is split at its midpoint into two
+    halves of tolerance tol / 2, each integrated in v on (0, 1) with
+    x = a + s v^2 (left half) or x = b - s v^2 (right half), s the half's
+    length, so that the factor 2 s v turns an inverse-square-root endpoint
+    singularity into a bounded smooth one.  A half whose end has a
     distance callback (eval_lower_dist / eval_upper_dist) is evaluated
-    on the distance s v^2 itself, with no removable-point patches.
+    on the distance s v^2 itself, with no removable-point patches.  An
+    interval's value and error are the sums of its halves', and it is
+    suspected_divergent if either half is, else max_effort if either is.
 
     One level loop serves every half.  A level's nodes v are the same for
-    all, so the live halves are the rows of one array, ordered by kernel
-    group (callbacks that are keyword partials of one function form one
-    group, with each keyword a column), and are evaluated by _eval_rows in
-    chunks of whole rows of at most _MAX_ABSCISSAE abscissae.  Each level
-    first counts its nodes against the half's cap and retires it as
-    max_effort once passed, so the two halves of an endpoint-singular
-    pair, asked for in one request, spend against their job's cap level
-    by level; a row with non-finite values is snapped to its nearest
-    finite ones, or makes its half suspected_divergent if it has none; a
-    row's level sum is its own dot product with the weights, and a half
-    converges once two successive levels from level 3 on agree within its
-    tol.  So each half, and its evaluation count, is bit for bit its
-    result alone.
+    all, so the live halves are the rows of one array, evaluated by
+    _eval_chunks (callbacks that are keyword partials of one function
+    form one group, with each keyword a column).  Each level first counts
+    its nodes against the half's cap, half by half, left before right,
+    and a half that the level would take past the cap stops there as
+    max_effort, its level neither run nor counted; a row with non-finite
+    values is snapped to its nearest finite ones, or makes its half
+    suspected_divergent if it has none; a row's level sum is its own dot
+    product with the weights, and a half converges once two successive
+    levels from level 3 on agree within its tol.  So each interval, and
+    its evaluation count, is bit for bit its result alone.
     """
-    halves = [(pe, *half) for pe, hs in requests for half in hs]
-    m = len(halves)
-    pes = [half[0] for half in halves]
+    halves = []  # (pe, end, s, lower, tol)
+    for pe, intervals in requests:
+        for a, b, tol in intervals:
+            m = 0.5 * (a + b)
+            halves += [(pe, a, m - a, True, 0.5 * tol), (pe, b, b - m, False, 0.5 * tol)]
+    n = len(halves)
     members = []
-    end = np.zeros(m)
-    sign = np.ones(m)
+    end = np.zeros(n)
+    sign = np.ones(n)
     adapters = {}
     for i, (pe, e, _, lower, _) in enumerate(halves):
         cb = pe.f.eval_lower_dist if lower else pe.f.eval_upper_dist
@@ -540,100 +556,78 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
         else:
             members.append((cb, (), ()))
     s = np.array([half[2] for half in halves])
-    two_s = 2.0 * s
     tol = np.array([half[4] for half in halves])
     groups = _member_groups(members)
-    live = np.argsort(groups[0], kind="stable")
-    total = np.zeros(m)
-    diff = np.full(m, math.inf)
-    results = [None] * m
+    total = np.zeros(n)
+    diff = np.full(n, math.inf)
+    capped = np.zeros(n, dtype=bool)
+    divergent = np.zeros(n, dtype=bool)
+    live = np.arange(n)
     for level in range(13):
         w, v = _ts_level(level)
-        spent = []
-        for i in live.tolist():
-            if pes[i].spend(v.size):
-                spent.append(i)
-            else:
-                results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used,
-                                        STATUS_MAX_EFFORT)
-        live = np.array(spent, dtype=int)
+        spent = np.array([halves[i][0].spend(v.size) for i in live.tolist()], dtype=bool)
+        capped[live[~spent]] = True
+        live = live[spent]
         if not live.size:
             break
         sums = np.empty(len(live))
-        divergent = np.zeros(len(live), dtype=bool)
-        per_chunk = _MAX_ABSCISSAE // v.size  # a row of level 12 holds 15,770
-        for start in range(0, len(live), per_chunk):
-            rows = live[start:start + per_chunk]
+        bad = np.zeros(len(live), dtype=bool)
+
+        def nodes(rows):
             # end + (-d) is end - d to the bit; a callback row gets 0 + d = d
-            d = s[rows, None] * v * v
-            y = two_s[rows, None] * v * _eval_rows(groups, rows,
-                                                   end[rows, None] + sign[rows, None] * d)
+            h = live[rows]
+            return end[h, None] + sign[h, None] * (s[h, None] * v * v)
+
+        for rows, y in _eval_chunks(groups, live, v.size, nodes):
+            y = 2.0 * s[live[rows], None] * v * y
             finite = np.isfinite(y)
-            for r in np.flatnonzero(~finite.all(axis=1)).tolist():
-                if finite[r].any():
-                    _snap_to_finite(y[r], ~finite[r])
-                else:
-                    divergent[start + r] = True
-            sums[start:start + len(rows)] = [w @ row for row in y]
+            some = finite.any(axis=1)
+            bad[rows] = ~some
+            for r in np.flatnonzero(some & ~finite.all(axis=1)).tolist():
+                _snap_to_finite(y[r], ~finite[r])
+            sums[rows] = [w @ row for row in y]
         level_sum = 0.5 / (1 << level) * sums
         if level:
             level_sum = 0.5 * total[live] + level_sum
             diff[live] = np.abs(level_sum - total[live])
         total[live] = level_sum
-        converged = ~divergent & (diff[live] <= tol[live]) & (level >= 3)
-        for i in live[divergent].tolist():
-            results[i] = QuadResult(math.nan, math.inf, pes[i].used, STATUS_DIVERGENT)
-        for i in live[converged].tolist():
-            results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used,
-                                    STATUS_CONVERGED)
-        live = live[~(divergent | converged)]
-    for i in live.tolist():
-        results[i] = QuadResult(float(total[i]), float(diff[i]), pes[i].used, STATUS_MAX_EFFORT)
-    it = iter(results)
-    return [[next(it) for _ in hs] for _, hs in requests]
+        divergent[live[bad]] = True
+        converged = (diff[live] <= tol[live]) & (level >= 3)
+        live = live[~(bad | converged)]
+    capped[live] = True
+    # interval k is halves 2k and 2k + 1
+    value, error = total[::2] + total[1::2], diff[::2] + diff[1::2]
+    divergent, capped = divergent[::2] | divergent[1::2], capped[::2] | capped[1::2]
+    value[divergent], error[divergent] = math.nan, math.inf
+    results = iter([QuadResult(float(value[k]), float(error[k]), halves[2 * k][0].used,
+                               STATUS_DIVERGENT if divergent[k] else
+                               STATUS_MAX_EFFORT if capped[k] else STATUS_CONVERGED)
+                    for k in range(n // 2)])
+    return [[next(results) for _ in ivs] for _, ivs in requests]
 
 
 def _points_many(requests: Sequence[tuple]) -> list:
     """The integrand of each (pe, x) request at its abscissae x, one array
     of values per request; every x has the same length (the decay
     probes).  Each point counts against its job's cap, and the rows are
-    evaluated by _eval_rows, one kernel call per group (and chunk)."""
-    pes = [pe for pe, _ in requests]
+    evaluated by _eval_chunks."""
     for pe, x in requests:
-        pe.spend(x.size)
-    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
-    order = np.argsort(groups[0], kind="stable")
-    y = _eval_rows(groups, order, np.stack([requests[j][1] for j in order.tolist()]))
-    out = [None] * len(requests)
-    for j, row in zip(order.tolist(), y):
-        out[j] = row
-    return out
+        pe.used += x.size
+    xs = np.stack([x for _, x in requests])
+    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe, _ in requests])
+    y = np.empty_like(xs)
+    for rows, values in _eval_chunks(groups, np.arange(len(xs)), xs.shape[1], lambda rows: xs[rows]):
+        y[rows] = values
+    return list(y)
 
 
 # The kinds of request an engine yields (_SOLVERS answers each): a list of
 # Gauss-Kronrod intervals (a, b, tol, forced, panel_width) or of tanh-sinh
-# halves (end, s, lower, tol), answered by a list of QuadResults, or an
-# array of abscissae, answered by the integrand's values there.
+# intervals (a, b, tol), answered by a list of QuadResults, or an array of
+# abscissae, answered by the integrand's values there.
 _GK = "gauss_kronrod"
 _TANH_SINH = "tanh_sinh"
 _POINTS = "points"
-
-
-def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float):
-    # tanh-sinh on the halves at a and at b of [a, b], asked for in one
-    # request: each level spends the nodes of both halves against the cap
-    # before the next level, so a pair that reaches the cap stops at a
-    # different point than had the left half run all its levels first
-    m = 0.5 * (a + b)
-    left, right = yield _TANH_SINH, [(a, m - a, True, 0.5 * tol), (b, b - m, False, 0.5 * tol)]
-    status = STATUS_CONVERGED
-    for r in (left, right):
-        if r.status == STATUS_DIVERGENT:
-            status = STATUS_DIVERGENT
-        elif r.status == STATUS_MAX_EFFORT and status != STATUS_DIVERGENT:
-            status = STATUS_MAX_EFFORT
-    return QuadResult(left.value + right.value, left.abs_error_est + right.abs_error_est,
-                      pe.used, status)
 
 
 # The engines, one per IntervalSpec shape.  Each is a generator on one
@@ -643,7 +637,7 @@ def _endpoint_singular(pe: _PatchedEval, a: float, b: float, tol: float):
 
 def _endpoint(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     # tanh-sinh alone: no Gauss-Kronrod request
-    return (yield from _endpoint_singular(pe, spec.lower, spec.upper, tol))
+    return (yield _TANH_SINH, [(spec.lower, spec.upper, tol)])[0]
 
 
 def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
@@ -679,7 +673,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
                                (lo, lo + t_len, tol / 16.0, forced, width)]
     pieces = [main_range]
     if spec.lower_singular:
-        pieces.insert(0, (yield from _endpoint_singular(pe, a, first_end, tol / 16.0)))
+        pieces = (yield _TANH_SINH, [(a, first_end, tol / 16.0)]) + pieces
     main = math.fsum(p.value for p in pieces)
     err = math.fsum(p.abs_error_est for p in pieces)
     for p in pieces:
@@ -732,7 +726,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     """
     a, h = spec.lower, spec.period_hint
     forced = pe.f.removable_points
-    segments = [(yield from _endpoint_singular(pe, a, a + h, tol / 32.0))]
+    segments = yield _TANH_SINH, [(a, a + h, tol / 32.0)]
     contribs = []
     diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
@@ -797,9 +791,9 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
     every job are answered together, one solver call per kind: the
     Gauss-Kronrod intervals by _adaptive_gk_many, whose rounds call each
     kernel once on the panels of every live job that shares it, the
-    tanh-sinh halves by _tanh_sinh_many, whose levels do the same with
-    rows of nodes, and the probe points by _points_many (each in chunks
-    of at most _MAX_ABSCISSAE abscissae).  A job whose request is
+    tanh-sinh intervals by _tanh_sinh_many, whose levels do the same with
+    rows of nodes, and the probe points by _points_many (each through
+    _eval_chunks).  A job whose request is
     answered makes its next one in the following wave.  Every job's
     result is bit for bit integrate(f, spec, tol).  Every tol must be
     finite and > 0.  All runs under one np.errstate(all="ignore"):

@@ -55,6 +55,18 @@ class TestClosedFormSpotValues:
                 ref = mpmath.pi / 2 * (h * mpmath.coth(h) - 1) / mpmath.sinh(h)
                 assert abs(closed_form("4.118", {"a": a}) / ref - 1) <= 1e-13, a
 
+    def test_41179c_large_a_against_mpmath(self):
+        # log(1/tanh(a/2)) loses digits as tanh -> 1 (0.5 relative at
+        # a = 100); above a = 6 the closed form takes it as 2 atanh(e^-a).
+        # The reference is written in the atanh form too: at 60 digits
+        # mpmath's own log form returns 1.0 at a = 700
+        for a in np.geomspace(6.0, 700.0, 301).tolist():
+            with mpmath.workdps(60):
+                x = mpmath.mpf(a)
+                ref = (-mpmath.pi / 2 * mpmath.exp(-x) + 2 * mpmath.cosh(x) * mpmath.atan(mpmath.exp(-x))
+                       + 2 * mpmath.sinh(x) * mpmath.atanh(mpmath.exp(-x)))
+                assert abs(closed_form("4.117.9c", {"a": a}) / ref - 1) <= 1e-14, a
+
     def test_l4_zero(self):
         assert closed_form("L4", {"a": 0.0, "beta": 1.0}) == pytest.approx(0.0, abs=1e-15)
 

@@ -68,6 +68,11 @@ class TestVerify:
         assert run(["verify", "4.118", "--param", "a=1e-8"]) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
+    def test_pass_at_large_a_of_41179c(self, capsys):
+        # the closed form keeps its digits where log(1/tanh(a/2)) cancels
+        assert run(["verify", "4.117.9c", "--param", "a=30"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
     def test_unknown_entry(self):
         assert run(["verify", "nosuch"]) == 2
 
@@ -193,6 +198,13 @@ class TestInvalidSettings:
             _rejected(["verify", "4.118", "--param", "a=1000"], capsys)
             _rejected(["verify", "4.124.1", "--param", "p=1", "--param", "q=10",
                        "--param", "u=80"], capsys)
+            # closed forms that are inf and nan without an exception
+            assert run(["verify", "4.119", "--param", "p=1e300", "--param", "q=1e-300"]) == 2
+            assert capsys.readouterr().err == (
+                "invalid arguments: 4.119: closed form is inf at {'p': 1e+300, 'q': 1e-300}\n")
+            assert run(["verify", "4.121.1", "--param", "a=1e-300", "--param", "b=1e300",
+                        "--param", "beta=1e-300"]) == 2
+            assert "4.121.1: closed form is nan at" in capsys.readouterr().err
             # numpy's overflow, with no warning
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

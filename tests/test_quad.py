@@ -235,8 +235,7 @@ class TestTanhSinhNodes:
         g = Integrand(eval=writes_into_its_argument, eval_upper_dist=writes_into_its_argument)
         with np.errstate(all="ignore"):
             # tol -1 never converges: every level runs
-            quad._tanh_sinh_many([(quad._PatchedEval(g), [(0.0, 0.5, True, -1.0),
-                                                          (1.0, 0.5, False, -1.0)])])
+            quad._tanh_sinh_many([(quad._PatchedEval(g), [(0.0, 1.0, -1.0)])])
         for level in range(13):
             w, x = quad._ts_level(level)
             fresh_w, fresh_x = _fresh_ts_level(level)
@@ -725,7 +724,10 @@ class TestIntegrateMany:
         capped = (Integrand(eval=lambda x: np.abs(x - 1.0 / 3.0)), UNIT_ENDS, 1e-15)
         batch = _check_tagged_against_solo([capped] + _bessel_jobs(3) + self.light_jobs())
         assert batch[0].status == quad.STATUS_MAX_EFFORT
-        assert batch[0].evaluations > 2000
+        # a level the cap refuses is neither run nor counted
+        [tagged], [rows] = _tagged([capped])
+        integrate(*tagged)
+        assert batch[0].evaluations == sum(row.size for row in rows) <= 2000
         assert {r.status for r in batch[1:]} == {STATUS_CONVERGED}
 
     def test_every_kernel_call_takes_columns(self):
@@ -769,8 +771,9 @@ class TestIntegrateMany:
 
 
 class TestKernelChunks:
-    """A round hands a shared kernel at most _MAX_ABSCISSAE abscissae per
-    call, however many panels its jobs hold."""
+    """A Gauss-Kronrod round, a tanh-sinh level and a probe wave hand a
+    shared kernel at most _MAX_ABSCISSAE abscissae per call, however many
+    rows their jobs hold."""
 
     def test_heavy_job_never_hands_its_kernel_more_than_the_cap(self):
         sizes = []
@@ -822,6 +825,36 @@ class TestKernelChunks:
         for k, r in zip(ks[:3], batch):
             assert r.status == quad.STATUS_MAX_EFFORT
             assert _same(r, integrate(*jobs[int(round((k - 1.0) * 7.0))]))
+
+
+    def test_no_probe_wave_hands_its_kernel_more_than_the_cap(self):
+        sizes = []
+
+        def kernel(x, k):
+            sizes.append(x.size)
+            return np.exp(-k * x)
+
+        def other(x, k):
+            sizes.append(x.size)
+            return np.cos(k * x) * np.exp(-x)
+
+        # 2,100 jobs of 8 probes each, more than the 2,048 rows one chunk
+        # holds, every third on a second kernel, so the rows come out of
+        # kernel order
+        rng = np.random.default_rng(5)
+        requests = [(quad._PatchedEval(Integrand(eval=other if j % 3 == 2 else kernel,
+                                                 args=(1.0 + j / 700.0,))),
+                     np.sort(rng.uniform(0.0, 20.0, 8))) for j in range(2100)]
+        with np.errstate(all="ignore"):
+            batch = quad._points_many(requests)
+        assert max(sizes) <= quad._MAX_ABSCISSAE
+        # kernel's 1,400 rows, then other's 700, cut at row 2,048
+        assert sizes == [1400 * 8, 648 * 8, 52 * 8]
+        for (pe, x), y in zip(requests, batch):
+            assert pe.used == 8
+            with np.errstate(all="ignore"):
+                [solo] = quad._points_many([(quad._PatchedEval(pe.f), x)])
+            assert y.tobytes() == solo.tobytes()
 
 
 class TestDispatch:
