@@ -43,6 +43,7 @@ from . import specfun as sf
 ParamPoint = Dict[str, float]
 
 _PI = math.pi
+_SQRT_PI = math.sqrt(_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -973,22 +974,46 @@ def cf_4_124_1_ext(p: float, q: float, u: float, nu: float) -> float:
     of the sum.  Convergent for nu < 1/2; at nu = 1/2 the n = 0
     term contains Gamma(0) and the matching integral has a non-integrable
     endpoint, so nu >= 1/2 raises a domain error.
+
+    Each term comes from the last by exact ratios, so a sum calls gamma
+    twice whatever its length: the coefficient c_n by
+    q^2 u/(2p) (n-1/2-nu)/((n-1/2) n), and the leading term
+    (pu/2)^(n-nu)/Gamma(n+1-nu) of J_(n-nu)(pu)'s ascending series by
+    (pu/2)/(n-nu).  Term n rounds by at most |c_n| 4 eps times its Bessel
+    series' absolute sum, bessel_j's rule; DomainError when those bounds
+    reach the sum, or when it overflows.
     """
     if not (p > 0.0 and q > 0.0 and u > 0.0):
         raise DomainError("cf_4_124_1_ext requires p, q, u > 0")
     if not nu < 0.5:
         raise DomainError("cf_4_124_1_ext requires nu < 1/2")
-    total = 0.0
-    fact = 1.0
+    x = p * u
+    if not x <= 50.0:
+        raise DomainError("cf_4_124_1_ext requires pu <= 50, the Bessel series' range")
+    try:
+        coef = 2.0 ** (-(nu + 1.0)) * (u / p) ** (-nu) * sf.gamma(0.5 - nu).value / _SQRT_PI
+        lead = (0.5 * x) ** (-nu) / sf.gamma(1.0 - nu).value
+    except OverflowError:
+        raise DomainError("cf_4_124_1_ext overflows a double at (p, q, u, nu) = "
+                          f"{(p, q, u, nu)}") from None
+    ratio = q * q * u / (2.0 * p)
+    total = bound = 0.0
     for n in range(61):
         if n > 0:
-            fact *= n
-        coef = (q ** (2 * n) * 2.0 ** (-(n + nu + 1.0)) * (u / p) ** (n - nu)
-                * sf.gamma(n + 0.5 - nu).value / sf.gamma(n + 0.5).value / fact)
-        term = coef * sf.bessel_j(n - nu, p * u).value
+            coef *= ratio * (n - 0.5 - nu) / ((n - 0.5) * n)
+            lead *= 0.5 * x / (n - nu)
+        series, abs_series = sf._bessel_series(n - nu, x, lead)
+        term = coef * series
         total += term
+        bound += abs(coef) * abs_series
         if n > 4 and abs(term) < 1e-17 * abs(total):
             break
+    if not math.isfinite(total):
+        raise DomainError("cf_4_124_1_ext overflows a double at (p, q, u, nu) = "
+                          f"{(p, q, u, nu)}")
+    if not 4.0 * sf._EPS * bound < abs(total):
+        raise DomainError("cf_4_124_1_ext has no correct digits at (p, q, u, nu) = "
+                          f"{(p, q, u, nu)}")
     return _PI * total
 
 
@@ -1104,11 +1129,17 @@ def _e41179c_factory(pp):
 
 def _e41179c_closed(pp):
     a = pp["a"]
-    # log(1/tanh(a/2)) loses digits as tanh(a/2) -> 1; above the audit's
-    # draws (a <= 5) it is taken as 2 atanh(e^-a), which keeps them
-    log_coth = math.log(1.0 / math.tanh(0.5 * a)) if a <= 6.0 else 2.0 * math.atanh(math.exp(-a))
-    return (-0.5 * _PI * math.exp(-a) + 2.0 * math.cosh(a) * math.atan(math.exp(-a))
-            + math.sinh(a) * log_coth)
+    if a <= 6.0:
+        return (-0.5 * _PI * math.exp(-a) + 2.0 * math.cosh(a) * math.atan(math.exp(-a))
+                + math.sinh(a) * math.log(1.0 / math.tanh(0.5 * a)))
+    # above the audit's draws (a <= 5) log(1/tanh(a/2)) loses digits as
+    # tanh(a/2) -> 1, and cosh and sinh overflow from a ~ 710: with t = e^-a,
+    # 2 cosh(a) = (1 + t^2)/t, sinh(a) = (1 - t^2)/(2t), log coth(a/2) = 2 atanh(t),
+    # and the value is 2 to the last bit once t underflows
+    t = math.exp(-a)
+    if t == 0.0:
+        return 2.0
+    return -0.5 * _PI * t + (1.0 + t * t) * math.atan(t) / t + (1.0 - t * t) * math.atanh(t) / t
 
 
 _register(EntryDescriptor(

@@ -326,25 +326,40 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
     return vals, errs, finite
 
 
-def _partition(a: float, b: float, forced: Sequence[float], panel_width: float):
-    """Sorted distinct initial panel bounds of [a, b].
+def _initial_panels(intervals: Sequence[tuple]):
+    """The initial panels (lo, hi, owner) of many intervals, in one pass.
 
-    The bounds are a, b, every forced point inside, and, when panel_width
-    is set and [a, b] is wider, the equal-width grid a + (b - a) j / count
-    (count <= 4096) that resolves an oscillation per panel: an unresolved
-    wide panel can make the embedded rules agree on garbage.
+    Interval i, (a, b, tol, forced, panel_width), is cut at a, b, every
+    forced point inside, and, when panel_width is set and [a, b] is wider,
+    at the equal-width grid a + (b - a) j / count (count <= 4096) that
+    resolves an oscillation per panel: an unresolved wide panel can make
+    the embedded rules agree on garbage.  Its panels run between its
+    sorted distinct cuts, owned by i, after the panels of interval i - 1.
     """
-    inner = [p for p in forced if a < p < b]
-    if not (panel_width > 0.0 and (b - a) > panel_width):
-        return sorted({a, b, *inner})
-    count = min(int(math.ceil((b - a) / panel_width)), 4096)
-    grid = a + (b - a) * np.arange(1, count) / count
-    bounds = np.concatenate((grid, (a, b, *inner)))
-    bounds.sort()
-    distinct = np.empty(len(bounds), dtype=bool)
-    distinct[0] = True
-    np.not_equal(bounds[1:], bounds[:-1], out=distinct[1:])
-    return bounds[distinct]
+    m = len(intervals)
+    a = np.array([iv[0] for iv in intervals], dtype=float)
+    b = np.array([iv[1] for iv in intervals], dtype=float)
+    width = np.array([iv[4] for iv in intervals], dtype=float)
+    span = b - a
+    gridded = (width > 0.0) & (span > width)
+    count = np.ones(m)
+    count[gridded] = np.minimum(np.ceil(span[gridded] / width[gridded]), 4096.0)
+    inner = count.astype(np.intp) - 1
+    grid_owner = np.repeat(np.arange(m), inner)
+    j = np.arange(1, len(grid_owner) + 1) - np.repeat(np.cumsum(inner) - inner, inner)
+    grid = a[grid_owner] + span[grid_owner] * j / count[grid_owner]
+    forced_owner = np.array([i for i, iv in enumerate(intervals) for _ in iv[3]], dtype=np.intp)
+    forced = np.array([x for iv in intervals for x in iv[3]], dtype=float)
+    inside = (a[forced_owner] < forced) & (forced < b[forced_owner])
+    cuts = np.concatenate((grid, a, b, forced[inside]))
+    owner = np.concatenate((grid_owner, np.arange(m), np.arange(m), forced_owner[inside]))
+    order = np.lexsort((cuts, owner))
+    cuts, owner = cuts[order], owner[order]
+    distinct = np.ones(len(cuts), dtype=bool)
+    distinct[1:] = (cuts[1:] != cuts[:-1]) | (owner[1:] != owner[:-1])
+    cuts, owner = cuts[distinct], owner[distinct]
+    same = owner[1:] == owner[:-1]
+    return cuts[:-1][same], cuts[1:][same], owner[1:][same]
 
 
 def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
@@ -353,7 +368,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     requests holds one (pe, intervals) pair per integrand, each interval
     (a, b, tol, forced, panel_width); the result holds, per pair, the
     QuadResults of its intervals in order.  Every interval (an owner)
-    holds its own panels, initially _partition(a, b, forced, panel_width),
+    holds its own panels, initially those of _initial_panels,
     but each round makes one _gk_batch call over the split panels of all
     live owners, so each kernel is called once per round and chunk.  An owner
     retires, with its own QuadResult, as soon as it meets its own test:
@@ -376,11 +391,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     tols = np.array([iv[2] for iv in intervals])
     # 4 tol / 8n is tol / 2n to the bit, so the share is one division
     tols4 = 4.0 * tols
-    parts = [_partition(a, b, forced, width) for a, b, _, forced, width in intervals]
-    lo = np.concatenate([p[:-1] for p in parts])
-    hi = np.concatenate([p[1:] for p in parts])
-    owner = np.repeat(np.arange(m), [len(p) - 1 for p in parts])
-    del parts  # a merged audit's first round holds tens of thousands of panels
+    lo, hi, owner = _initial_panels(intervals)
     groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
     vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels

@@ -8,7 +8,10 @@ and the Dirichlet beta, Bessel-J and theta series directly from their
 defining sums.  All routines are pure and deterministic: the same input
 gives bit-identical output.  A series whose rounding bound reaches its
 own value reports est_rel_error inf, as does hurwitz_zeta when the value
-is below the smallest normal double.
+is below the smallest normal double.  The ascending Bessel series is one
+private loop, _bessel_series(nu, x, lead), which bessel_j calls with
+lead = (x/2)^nu / Gamma(nu+1) and catalog.cf_4_124_1_ext with each
+term's leading term, built from the last one's without a Gamma call.
 """
 
 from __future__ import annotations
@@ -277,23 +280,40 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
         if nu > 0.0:
             return SpecialValue(0.0, 0.0)
         raise DomainError("J_nu(0) is unbounded for nu < 0")
-    term = (0.5 * x) ** nu / gamma(nu + 1.0).value
+    total, abs_total = _bessel_series(nu, x, (0.5 * x) ** nu / gamma(nu + 1.0).value)
+    est = _rel_bound(total, 4.0 * _EPS * abs_total)
+    return SpecialValue(total, max(_TARGET_REL_ERROR, est))
+
+
+# _bessel_series stops at a term of at most _STOP of the sum, _STOP_FLOOR
+# when the sum is below 1e-300
+_STOP = 0.25 * _TARGET_REL_ERROR
+_STOP_FLOOR = _STOP * 1e-300
+
+
+def _bessel_series(nu: float, x: float, lead: float) -> tuple[float, float]:
+    """lead times sum_k (-x^2/4)^k / (k! (nu+1)_k), the ascending series
+    of J_nu(x) (DLMF 10.2.2) when lead = (x/2)^nu / Gamma(nu+1), and the
+    sum of its terms' absolute values; x >= 0 and nu > -1.  Summed until
+    a term is below 2.5e-13 of the sum and the terms shrink by more than
+    half per step."""
     q = 0.25 * x * x
-    total = term
-    abs_total = abs(term)
+    term = total = lead
+    abs_total = abs(lead)
     k = 0
     while True:
         k += 1
         term *= -q / (k * (k + nu))
         total += term
-        abs_total += abs(term)
-        if abs(term) <= 0.25 * _TARGET_REL_ERROR * max(abs(total), 1e-300):
-            if q / ((k + 1) * (k + 1 + nu)) < 0.5:
-                break
+        size = abs(term)
+        abs_total += size
+        # size <= _STOP max(|total|, 1e-300), without the call to max
+        if ((size <= _STOP * abs(total) or size <= _STOP_FLOOR)
+                and q / ((k + 1) * (k + 1 + nu)) < 0.5):
+            break
         if k > _MAX_TERMS:
             break
-    est = _rel_bound(total, 4.0 * _EPS * abs_total)
-    return SpecialValue(total, max(_TARGET_REL_ERROR, est))
+    return total, abs_total
 
 
 def theta1_prime0(q: float) -> SpecialValue:

@@ -57,10 +57,11 @@ class TestClosedFormSpotValues:
 
     def test_41179c_large_a_against_mpmath(self):
         # log(1/tanh(a/2)) loses digits as tanh -> 1 (0.5 relative at
-        # a = 100); above a = 6 the closed form takes it as 2 atanh(e^-a).
-        # The reference is written in the atanh form too: at 60 digits
-        # mpmath's own log form returns 1.0 at a = 700
-        for a in np.geomspace(6.0, 700.0, 301).tolist():
+        # a = 100), and 2 cosh(a) overflows from a ~ 709.8; above a = 6
+        # the closed form is written in t = e^-a, and is 2 once t
+        # underflows.  The reference is written in the atanh form too: at
+        # 60 digits mpmath's own log form returns 1.0 from a = 300
+        for a in np.geomspace(6.0, 1e4, 401).tolist() + [709.8, 710.0, 710.6, 746.0, 1e300]:
             with mpmath.workdps(60):
                 x = mpmath.mpf(a)
                 ref = (-mpmath.pi / 2 * mpmath.exp(-x) + 2 * mpmath.cosh(x) * mpmath.atan(mpmath.exp(-x))
@@ -514,6 +515,60 @@ class TestNuExtension:
         for nu in (0.5, 0.75, 2.0, math.nan):
             with pytest.raises(DomainError, match="nu < 1/2"):
                 cf_4_124_1_ext(2.0, 1.0, 1.0, nu)
+
+    @staticmethod
+    def _mp_series(p, q, u, nu):
+        # the same series at 40 digits, 90 terms, each from mpmath's own
+        # Gamma and Bessel J
+        with mpmath.workdps(40):
+            p, q, u, nu = map(mpmath.mpf, (p, q, u, nu))
+            return mpmath.pi * mpmath.fsum(
+                q ** (2 * n) * 2 ** (-(n + nu + 1)) * (u / p) ** (n - nu)
+                * mpmath.gamma(n + 0.5 - nu) / mpmath.gamma(n + 0.5)
+                * mpmath.besselj(n - nu, p * u) / mpmath.factorial(n) for n in range(90))
+
+    def test_against_mpmath(self):
+        # nu across (-3, 1/2) at one point, and the corners of the audit's
+        # draws (p, q up to 3, u up to 2) at the ends of that range and at
+        # the two audited members; the worst is 6.4e-15, at (3, 0.2, 2, 0)
+        # where J0(6)'s ascending series cancels 400-fold
+        points = [(1.3, 0.8, 1.1, nu) for nu in (-2.9, -2.5, -1.6, -1.0, -0.7, -0.5, 0.0, 0.3, 0.45)]
+        points += [(p, q, u, nu) for p in (0.2, 3.0) for q in (0.2, 3.0) for u in (0.2, 2.0)
+                   for nu in (-2.9, -1.0, 0.0, 0.45)]
+        for pt in points:
+            assert abs(cf_4_124_1_ext(*pt) / self._mp_series(*pt) - 1) <= 1e-14, pt
+
+    def test_no_digits_or_overflow_is_a_domain_error(self):
+        # p = 40 and 50: J's ascending series at pu = 40, 50 cancels past
+        # every digit (the rounding bound is 1127 and 55 times the sum, and
+        # the sum gives -0.0187 and 7484 against mpmath's 0.0140 and 0.0861)
+        for pt, what in (((40.0, 1.0, 1.0, 0.0), "no correct digits"),
+                         ((50.0, 1.0, 1.0, 0.0), "no correct digits"),
+                         ((1e-300, 1.0, 1.0, 0.0), "overflows"),
+                         ((1.0, 1e300, 1.0, 0.0), "overflows"),
+                         ((1e-300, 1.0, 1.0, -1.5), "overflows"),
+                         ((1.0, 1.0, 51.0, 0.0), "pu <= 50")):
+            with pytest.raises(DomainError, match=what):
+                cf_4_124_1_ext(*pt)
+        # at p = 30 the bound is 0.008 of the sum: the value, 6e-5 off, stands
+        assert math.isfinite(cf_4_124_1_ext(30.0, 1.0, 1.0, 0.0))
+
+    def test_gamma_calls_do_not_grow_with_the_terms(self, monkeypatch):
+        # every term comes from the last by exact ratios: only the first
+        # coefficient and the first Bessel leading term call gamma, and no
+        # term starts a bessel_j of its own
+        calls = dict.fromkeys(("gamma", "bessel_j", "_bessel_series"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(sf, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(sf, name, counted)
+        for pt in ((2.0, 1.0, 1.0, 0.0), (1.5, 0.8, 1.2, 0.0), (2.0, 1.0, 1.0, -1.0),
+                   (3.0, 0.5, 1.5, -1.0), (2.0, 1.0, 1.0, -0.5), (3.0, 3.0, 2.0, 0.45)):
+            calls.update(dict.fromkeys(calls, 0))
+            cf_4_124_1_ext(*pt)
+            assert calls["gamma"] <= 3 and calls["bessel_j"] == 0, pt
+            assert calls["_bessel_series"] >= 6, pt  # one per term, at least 6
 
 
 class TestRegistry:

@@ -388,9 +388,18 @@ class TestPartition:
             b = a + rng.uniform(1e-3, 200.0)
             forced = tuple(rng.uniform(a - 1.0, b + 1.0) for _ in range(rng.randrange(4)))
             cases.append((a, b, forced, rng.choice([0.0, rng.uniform(1e-2, 50.0)])))
-        for a, b, forced, width in cases:
-            got = [float(x).hex() for x in quad._partition(a, b, forced, width)]
-            assert got == [x.hex() for x in _reference_partition(a, b, forced, width)]
+        # one pass over all intervals gives each its own panels, in order
+        lo, hi, owner = quad._initial_panels([(a, b, 1e-10, forced, width)
+                                              for a, b, forced, width in cases])
+        want_lo, want_hi, want_owner = [], [], []
+        for i, (a, b, forced, width) in enumerate(cases):
+            bounds = _reference_partition(a, b, forced, width)
+            want_lo += bounds[:-1]
+            want_hi += bounds[1:]
+            want_owner += [i] * (len(bounds) - 1)
+        assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
+        assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
+        assert owner.tolist() == want_owner
 
 
 def _counting(f):
