@@ -285,6 +285,49 @@ def _to_json(obj, indent: str = "") -> str:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _scalar(x, indent: str = "      ") -> str:
+    # _to_json(x, indent), with no call for a finite float or a string
+    if type(x) is float and x - x == 0.0:
+        return float.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return _to_json(x, indent)
+
+
+def _record_json(r: VerificationRecord) -> str:
+    """One record as _to_json(r, "    ") writes it, from one template.
+
+    The template holds the fields of VerificationRecord and QuadResult in
+    field order; _to_json stays the writer of anything that is not a
+    scalar, and the writer's tests compare the two on every record.
+    """
+    n = r.numeric
+    deep = "        "  # the indent of the fields of params and numeric
+    if r.params:
+        params = f",\n{deep}".join(f"{encode_basestring_ascii(k)}: {_scalar(v, deep)}"
+                                    for k, v in r.params.items())
+        params = f"{{\n{deep}{params}\n      }}"
+    else:
+        params = "{}"
+    return (f'{{\n      "entry_id": {encode_basestring_ascii(r.entry_id)},\n'
+            f'      "params": {params},\n'
+            f'      "numeric": {{\n'
+            f'        "value": {_scalar(n.value, deep)},\n'
+            f'        "abs_error_est": {_scalar(n.abs_error_est, deep)},\n'
+            f'        "evaluations": {_scalar(n.evaluations, deep)},\n'
+            f'        "status": {_scalar(n.status, deep)}\n'
+            f'      }},\n'
+            f'      "closed": {_scalar(r.closed)},\n'
+            f'      "abs_diff": {_scalar(r.abs_diff)},\n'
+            f'      "rel_diff": {_scalar(r.rel_diff)},\n'
+            f'      "verdict": {_scalar(r.verdict)},\n'
+            f'      "ratio_fit": {_scalar(r.ratio_fit)},\n'
+            f'      "convention": {_scalar(r.convention)},\n'
+            f'      "expected_fail": {_scalar(r.expected_fail)},\n'
+            f'      "note": {_scalar(r.note)}\n'
+            f'    }}')
+
+
 def _report_chunks(report: AuditReport) -> Iterator[str]:
     """The report's JSON text, as json.dumps(..., indent=2) lays it out: the
     config, overall_ok and summary in one chunk, then one per record."""
@@ -298,7 +341,7 @@ def _report_chunks(report: AuditReport) -> Iterator[str]:
     yield head + "["
     sep = "\n    "
     for r in report.records:
-        yield sep + _to_json(r, "    ")
+        yield sep + _record_json(r)
         sep = ",\n    "
     yield "\n  ]\n}"
 

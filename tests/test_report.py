@@ -96,6 +96,27 @@ class TestWriter:
         for report in (_synthetic(records), _synthetic([])):
             assert report_to_json(report) == _oracle(report)
 
+    def test_numpy_floats_and_float_edges_equal_the_oracle(self):
+        # the record template writes a finite float itself and hands
+        # anything else to _to_json; np.float64 is a float subclass
+        records = [
+            VerificationRecord(
+                entry_id="X", params={"a": -0.0, "b": np.float64(5e-324), "c": math.inf,
+                                      "k": 2, "t": (1.5, "s"), "m": {"n": None}},
+                numeric=QuadResult(np.float64(-0.0), np.float64(math.inf), 15, "converged"),
+                closed=np.float64(5e-324), abs_diff=-0.0, rel_diff=np.float64(math.nan),
+                verdict="FAIL", ratio_fit=math.inf, convention="printed",
+                expected_fail=True, note="é"),
+            VerificationRecord(
+                entry_id="Y", params={"a": np.float64(1e308)},
+                numeric=QuadResult(np.float64(0.1), 5e-324, 0, "max_effort"),
+                closed=-0.0, abs_diff=np.float64(-math.inf), rel_diff=5e-324,
+                verdict="SKIPPED", ratio_fit=np.float64(-math.inf), convention=None,
+                expected_fail=False, note=""),
+        ]
+        report = _synthetic(records)
+        assert report_to_json(report) == _oracle(report)
+
     def test_file_is_the_text_and_a_newline(self, tmp_path):
         report = _synthetic([])
         path = tmp_path / "report.json"
