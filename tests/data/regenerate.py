@@ -27,12 +27,14 @@ script, the baselines named (all five when none is; `points` and
 
 A deliberate change to any of them is explained in CHANGES.md.
 
-`diff` writes nothing: it compares the audit with values_seed17.json and
-the pinned digest and prints, per entry, how many records moved their
-verdict or the bits of `closed`, `value` or `abs_error_est`, each
-field's largest move in ulps of the pinned value, and the pinned and
-current sha256, then the pinned and current sha256 of each DIGESTS
-report.  It exits 1 when anything moved, like diff(1).
+`diff` writes nothing: it compares the audit with values_seed17.json,
+evaluations_seed17.json and the pinned digest and prints, per entry, how
+many records moved their verdict or the bits of `closed`, `value` or
+`abs_error_est`, each field's largest move in ulps of the pinned value,
+each entry's evaluation sum, pinned -> current, marking the entries
+whose sum rose, and the pinned and current sha256, then the pinned and
+current sha256 of each DIGESTS report.  It exits 1 when anything moved,
+like diff(1).
 """
 
 import hashlib
@@ -126,11 +128,26 @@ def diff(report) -> int:
     for field in FIELDS:
         print(f"largest {field} move: " + ("none" if field not in worst else
               "{:g} ulps, record {} ({})".format(*worst[field])))
+    work = diff_evaluations(report)
     old_digest = (DATA / "report_seed17.sha256").read_text(encoding="utf-8").strip()
     new_digest = digest(report)
     print(f"sha256 pinned  {old_digest}\nsha256 current {new_digest}")
     verdicts = sum(c["verdict"] for c in by_entry.values())
-    return 0 if not worst and not verdicts and old_digest == new_digest else 1
+    return 0 if not worst and not verdicts and not work and old_digest == new_digest else 1
+
+
+def diff_evaluations(report) -> int:
+    """Print each entry's evaluation sum, pinned -> current, with "rose"
+    where it grew; returns the number of entries whose sum moved."""
+    pinned = json.loads((DATA / "evaluations_seed17.json").read_text(encoding="utf-8"))
+    old, new = pinned["evaluations"], evaluations(report)["evaluations"]
+    print("evaluations, pinned -> current:")
+    for entry in {**old, **new}:
+        a, b = old.get(entry, 0), new.get(entry, 0)
+        print(f"  {entry:<14}{a:>12} -> {b:<12}{'rose' if b > a else ''}".rstrip())
+    a, b = sum(old.values()), sum(new.values())
+    print(f"  {'total':<14}{a:>12} -> {b:<12}{f'{b / a:.4f}x' if a else ''}".rstrip())
+    return sum(old.get(entry) != new.get(entry) for entry in {**old, **new})
 
 
 def diff_digests() -> int:

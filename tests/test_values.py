@@ -91,6 +91,23 @@ def test_regenerate_diff_shows_moves_and_writes_nothing(full_audit, capsys):
     assert "largest value move: none" in out
     l1 = next(line.split() for line in out.splitlines() if line.startswith("L1 "))
     assert l1[1:] == ["25", "0", "1", "0", "0"]
+    assert "rose" not in out
+    # seven more evaluations on one record, seven fewer on another
+    pinned = json.loads((BASELINE.parent / "evaluations_seed17.json")
+                        .read_text(encoding="utf-8"))["evaluations"]
+    j, h = next((j, r) for j, r in enumerate(report.records) if r.entry_id == "HW1")
+    records = list(report.records)
+    for k, rec, step in ((i, r, 7), (j, h, -7)):
+        records[k] = dataclasses.replace(rec, numeric=dataclasses.replace(
+            rec.numeric, evaluations=rec.numeric.evaluations + step))
+    assert regenerate.diff(dataclasses.replace(report, records=records)) == 1
+    out = capsys.readouterr().out
+    assert "largest value move: none" in out
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+             if line.startswith("  ") and "->" in line}
+    assert lines["L1"] == [str(pinned["L1"]), "->", str(pinned["L1"] + 7), "rose"]
+    assert lines["HW1"] == [str(pinned["HW1"]), "->", str(pinned["HW1"] - 7)]
+    assert lines["C1"] == [str(pinned["C1"]), "->", str(pinned["C1"])]
     assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
 
 
