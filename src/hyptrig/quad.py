@@ -205,8 +205,9 @@ _WG = np.array([
 
 
 def _row_dot(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # y @ w row by row; a BLAS product can give a row a different last bit
-    # by its position in the batch, this reduction cannot
+    # y @ w row by row, the one row reduction of both engines; a BLAS
+    # product can give a row a different last bit by its position in the
+    # batch, this reduction cannot
     return np.einsum("ij,j->i", y, w)
 
 
@@ -539,10 +540,12 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     and a half that the level would take past the cap stops there as
     max_effort, its level neither run nor counted; a row with non-finite
     values is snapped to its nearest finite ones, or makes its half
-    suspected_divergent if it has none; a row's level sum is its own dot
-    product with the weights, and a half converges once two successive
-    levels from level 3 on agree within its tol.  So each interval, and
-    its evaluation count, is bit for bit its result alone.
+    suspected_divergent if it has none; each chunk's level sums are one
+    _row_dot of its rows with the weights, the row reduction _gk_batch
+    uses, so a row's sum does not depend on its neighbours; a half
+    converges once two successive levels from level 3 on agree within its
+    tol.  So each interval, and its evaluation count, is bit for bit its
+    result alone.
     """
     halves = []  # (pe, end, s, lower, tol)
     for pe, intervals in requests:
@@ -596,7 +599,7 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
             bad[rows] = ~some
             for r in np.flatnonzero(some & ~finite.all(axis=1)).tolist():
                 _snap_to_finite(y[r], ~finite[r])
-            sums[rows] = [w @ row for row in y]
+            sums[rows] = _row_dot(y, w)
         level_sum = 0.5 / (1 << level) * sums
         if level:
             level_sum = 0.5 * total[live] + level_sum

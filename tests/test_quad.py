@@ -727,6 +727,28 @@ class TestIntegrateMany:
             entry = "4.124.1" if i < 5 else "4.124.1-nu-1"
             assert abs(r.value - catalog.closed_form(entry, pp)) <= 1e-8
 
+    def test_tanh_sinh_levels_of_many_chunks_as_if_alone(self, monkeypatch):
+        # 160 Bessel jobs whose lower halves run on their kernels and upper
+        # halves on two keyword-partial distance kernels, with closures in
+        # between: their levels span several chunks of rows from several
+        # groups, and each level's sums are taken chunk by chunk
+        chunks = []
+        eval_chunks = quad._eval_chunks
+
+        def counted(*args):
+            chunks.append(0)
+            for chunk in eval_chunks(*args):
+                chunks[-1] += 1
+                yield chunk
+
+        monkeypatch.setattr(quad, "_eval_chunks", counted)
+        closures = self.tanh_sinh_jobs()[-3:-1]
+        jobs = [(f, spec, 1e-14) for f, spec, _ in _bessel_jobs(80)]
+        jobs = jobs[:40] + closures + jobs[40:120] + closures + jobs[120:]
+        batch = _check_tagged_against_solo(jobs)
+        assert max(chunks) >= 2
+        assert {r.status for r in batch} == {STATUS_CONVERGED}
+
     def test_tanh_sinh_effort_cap_stops_only_its_own_job(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
         # at the kink, no two levels of the left half agree within 1e-15
