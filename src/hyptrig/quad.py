@@ -661,12 +661,17 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     C exp(-lambda T)/lambda < tol/10; the block [a+T, a+2T] is integrated
     as confirmation and further doublings are added if it has not shrunk
     yet.  A tail that keeps growing is reported as suspected_divergent.
-    osc_hint (an angular frequency) caps the initial panel width so the
-    error estimator always resolves the oscillation.  The main range and
-    the first confirmation block are requested together, in the wave after
-    the probes, so every job's ranges share their rounds; a lower_singular
-    job's tanh-sinh piece on [a, a + 1/lambda] comes after them.  The
-    block's evaluations count even when the main range fails.
+    osc_hint (an angular frequency) sets the initial panel grid so the
+    error estimator always resolves the oscillation: pi/osc_hint, half a
+    period, on the main range, and four times that, two periods, on the
+    confirmation blocks.  The probe bound holds a block's mass below
+    tol/10, and K15 still has 7.5 nodes per period there, so its gap to G7
+    stays a pessimistic estimate; a block with no grid can alias.  The
+    main range and the first confirmation block are requested together,
+    in the wave after the probes, so every job's ranges share their
+    rounds; a lower_singular job's tanh-sinh piece on [a, a + 1/lambda]
+    comes after them.  The block's evaluations count even when the main
+    range fails.
     """
     a, lam = spec.lower, spec.decay_hint
     forced = pe.f.removable_points
@@ -684,7 +689,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     first_end = a + 1.0 / lam if spec.lower_singular else a
     lo = a + t_len
     main_range, block = yield _GK, [(first_end, lo, tol / 4.0, forced, width),
-                               (lo, lo + t_len, tol / 16.0, forced, width)]
+                                    (lo, lo + t_len, tol / 16.0, forced, 4.0 * width)]
     pieces = [main_range]
     if spec.lower_singular:
         pieces = (yield _TANH_SINH, [(a, first_end, tol / 16.0)]) + pieces
@@ -698,7 +703,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     tail_prev = math.inf
     for i in range(6):
         if i:
-            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, width)]
+            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, 4.0 * width)]
         if block.status == STATUS_DIVERGENT:
             return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value

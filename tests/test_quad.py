@@ -6,6 +6,7 @@ import functools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -278,6 +279,32 @@ class TestDecay:
     def test_needs_positive_hint(self):
         with pytest.raises(DomainError):
             integrate(Integrand(eval=lambda x: np.exp(-x)), _decay_spec(0.0), 1e-10)
+
+    @pytest.mark.parametrize("lam, omega, tol", [(1.0, 3.0, 1e-10), (1.0, 7.0, 1e-10),
+                                                 (0.5, 5.0, 1e-9)])
+    @pytest.mark.parametrize("where", [0.1, 0.5, 0.9])
+    def test_bump_inside_the_first_block(self, lam, omega, tol, where):
+        # a Gaussian bump that no probe sees, inside the first confirmation
+        # block, whose panels are wider than the main range's: the engine
+        # must find its mass, or not claim convergence
+        def amplitude(x):
+            return np.exp(-lam * x) * np.cos(omega * x)
+
+        spec = _decay_spec(lam, osc_hint=omega)
+        engine = quad._decay(quad._PatchedEval(Integrand(eval=amplitude)), spec, tol)
+        _, probes = next(engine)
+        _, [_, (lo, hi, *_)] = engine.send(amplitude(probes))
+        engine.close()
+        x0, sigma, height = lo + where * (hi - lo), 0.3, 1e-5
+        assert probes[-1] + 10.0 * sigma < x0
+
+        r = integrate(Integrand(eval=lambda x: amplitude(x)
+                                + height * np.exp(-((x - x0) / sigma) ** 2)), spec, tol)
+        with mpmath.workdps(30):
+            exact = mpmath.quad(lambda x: mpmath.exp(-lam * x) * mpmath.cos(omega * x)
+                                + height * mpmath.exp(-((x - x0) / sigma) ** 2),
+                                [0, x0 - 8 * sigma, x0, x0 + 8 * sigma, mpmath.inf])
+        assert r.status != STATUS_CONVERGED or abs(r.value - float(exact)) <= tol
 
     def test_probes_are_dropped_once_read(self):
         # an engine's frame lives until its job ends, so past its probe
