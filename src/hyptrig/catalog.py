@@ -88,6 +88,15 @@ def _log_cosh(t: float) -> float:
     return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
 
 
+def _bessel_j(nu: float, x: float) -> float:
+    """J_nu(x) from sf.bessel_j; DomainError where its est_rel_error is
+    inf, so that no closed form passes a value with no correct digits."""
+    sv = sf.bessel_j(nu, x)
+    if sv.est_rel_error == math.inf:
+        raise DomainError(f"J_{nu:g}({x!r}) has no correct digits")
+    return sv.value
+
+
 def _bessel_i0(z: float) -> float:
     # even ascending series; the unique continuous continuation of
     # J0(sqrt(p^2-q^2) u) across p = q
@@ -865,7 +874,7 @@ def _e41241_closed(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
     d = p * p - q * q
     if d >= 0.0:
-        return 0.5 * _PI * sf.bessel_j(0.0, math.sqrt(d) * u).value
+        return 0.5 * _PI * _bessel_j(0.0, math.sqrt(d) * u)
     return 0.5 * _PI * _bessel_i0(math.sqrt(-d) * u)
 
 
@@ -896,8 +905,8 @@ def _e41241m1_closed(pp):
     p, q, u = pp["p"], pp["q"], pp["u"]
     big_p, big_q = p * u, q * u
     w = math.sqrt((big_p - big_q) * (big_p + big_q))
-    j0 = sf.bessel_j(0.0, w).value
-    j1 = sf.bessel_j(1.0, w).value
+    j0 = _bessel_j(0.0, w)
+    j1 = _bessel_j(1.0, w)
     return _PI * u * u * ((big_p ** 2 + big_q ** 2) * j1 / (2.0 * w ** 3)
                           - big_q ** 2 * j0 / (2.0 * w ** 2))
 
@@ -951,7 +960,7 @@ def _e41242_factory(pp):
 
 def _e41242_closed(pp):
     a, beta, u = pp["a"], pp["beta"], pp["u"]
-    return 0.5 * _PI * sf.bessel_j(0.0, u / math.sqrt(a * a - beta * beta)).value
+    return 0.5 * _PI * _bessel_j(0.0, u / math.sqrt(a * a - beta * beta))
 
 
 _register(EntryDescriptor(

@@ -68,6 +68,21 @@ class TestClosedFormSpotValues:
                        + 2 * mpmath.sinh(x) * mpmath.atanh(mpmath.exp(-x)))
                 assert abs(closed_form("4.117.9c", {"a": a}) / ref - 1) <= 1e-14, a
 
+    def test_bessel_closed_forms_with_no_correct_digits_raise(self):
+        # J's ascending series near x = 45-50 cancels past every digit and
+        # bessel_j reports an infinite est_rel_error; 4.124.1 at p = 50 gave
+        # 3888.86 against mpmath's 0.0861.  At p = 30 the value stands:
+        # bessel_j bounds its error by 0.0078 of J0 and it is 1.3e-4 off
+        for eid, pp in (("4.124.1", {"p": 50.0, "q": 1.0, "u": 1.0}),
+                        ("4.124.1-nu-1", {"p": 45.0, "q": 1.0, "u": 1.0}),
+                        ("4.124.2", {"a": 1.0, "beta": 0.5, "u": 40.0})):
+            with pytest.raises(DomainError, match="no correct digits"):
+                closed_form(eid, pp)
+        with mpmath.workdps(30):
+            ref = mpmath.pi / 2 * mpmath.besselj(0, mpmath.sqrt(899))
+        assert closed_form("4.124.1", {"p": 30.0, "q": 1.0, "u": 1.0}) == pytest.approx(
+            float(ref), rel=1e-3)
+
     def test_l4_zero(self):
         assert closed_form("L4", {"a": 0.0, "beta": 1.0}) == pytest.approx(0.0, abs=1e-15)
 
