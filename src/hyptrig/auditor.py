@@ -309,7 +309,7 @@ def _record_json(r: VerificationRecord) -> str:
         params = f"{{\n{deep}{params}\n      }}"
     else:
         params = "{}"
-    return (f'{{\n      "entry_id": {encode_basestring_ascii(r.entry_id)},\n'
+    return (f'{{\n      "entry_id": {_scalar(r.entry_id)},\n'
             f'      "params": {params},\n'
             f'      "numeric": {{\n'
             f'        "value": {_scalar(n.value, deep)},\n'

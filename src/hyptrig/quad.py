@@ -685,11 +685,12 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     t_len = math.log(10.0 * c / (tol * lam)) / lam
     t_len = max(t_len, 8.0 / lam)
     width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
+    block_width = 4.0 * width
 
     first_end = a + 1.0 / lam if spec.lower_singular else a
     lo = a + t_len
     main_range, block = yield _GK, [(first_end, lo, tol / 4.0, forced, width),
-                                    (lo, lo + t_len, tol / 16.0, forced, 4.0 * width)]
+                                    (lo, lo + t_len, tol / 16.0, forced, block_width)]
     pieces = [main_range]
     if spec.lower_singular:
         pieces = (yield _TANH_SINH, [(a, first_end, tol / 16.0)]) + pieces
@@ -703,7 +704,7 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     tail_prev = math.inf
     for i in range(6):
         if i:
-            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, 4.0 * width)]
+            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, block_width)]
         if block.status == STATUS_DIVERGENT:
             return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
         main += block.value
