@@ -584,87 +584,61 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table section 4.123
 
-def _e4123_sin_kernel(x, a, m):
-    den = _cosh_plus_cos(a * x, m * x) * (x * x - _PI ** 2)
+def _e4123_plus_kernel(x, b, m):
+    den = _cosh_plus_cos(b * x, m * x) * (x * x - _PI ** 2)
     return np.sin(m * x) * x / den
 
 
-def _e4123_sin_factory(m: int):
+def _e4123_minus_kernel(x, b, m):
+    den = _cosh_minus_cos(b * x, m * x) * (x * x - _PI ** 2)
+    return np.sin(m * x) * x / den
+
+
+def _e4123_family(sign: int, m: int, scale: float):
+    """The integrand factory of
+    int_0^inf sin(mx) x / ((cosh bx + sign cos mx)(x^2 - pi^2)) dx, b = scale a.
+
+    The integrand has a removable point at pi and, for sign = -1, one at 0.
+    """
+    kernel = _e4123_plus_kernel if sign > 0 else _e4123_minus_kernel
+    s = (-1) ** m  # cos(m pi)
+
     def factory(pp):
-        a = pp["a"]
-        sign = -1.0 if m % 2 else 1.0
-        lim = sign * m / (2.0 * (math.cosh(a * _PI) + sign))
-        return (Integrand(eval=_e4123_sin_kernel, args=(a, float(m)),
-                          removable_points=(_PI,), limit_values=(lim,)),
-                IntervalSpec(0.0, math.inf, "decay", decay_hint=a,
-                             osc_hint=float(m)))
+        b = scale * pp["a"]
+        limpi = s * m / (2.0 * (math.cosh(b * _PI) + sign * s))
+        if sign > 0:
+            points, limits = (_PI,), (limpi,)
+        else:
+            points, limits = (0.0, _PI), (-2.0 * m / ((b * b + m * m) * _PI ** 2), limpi)
+        return (Integrand(eval=kernel, args=(b, float(m)), removable_points=points,
+                          limit_values=limits),
+                IntervalSpec(0.0, math.inf, "decay", decay_hint=b, osc_hint=float(m)))
 
     return factory
 
 
-for _m, _eid, _cf in (
-    (1, "4.123.1", lambda pp: math.atan(1.0 / pp["a"]) - 1.0 / pp["a"]),
-    (2, "4.123.1-m2", lambda pp: math.atan(2.0 / pp["a"])
+for _eid, _sign, _m, _scale, _cf in (
+    ("4.123.1", 1, 1, 1, lambda pp: math.atan(1.0 / pp["a"]) - 1.0 / pp["a"]),
+    ("4.123.1-m2", 1, 2, 1, lambda pp: math.atan(2.0 / pp["a"])
         - 2.0 * pp["a"] / (1.0 + pp["a"] ** 2)),
-    (3, "4.123.1-m3", lambda pp: math.atan(3.0 / pp["a"])
+    ("4.123.1-m3", 1, 3, 1, lambda pp: math.atan(3.0 / pp["a"])
         - (4.0 + 3.0 * pp["a"] ** 2) / (pp["a"] * (4.0 + pp["a"] ** 2))),
-    (4, "4.123.1-m4", lambda pp: math.atan(4.0 / pp["a"])
+    ("4.123.1-m4", 1, 4, 1, lambda pp: math.atan(4.0 / pp["a"])
         - 4.0 * pp["a"] * (5.0 + pp["a"] ** 2)
         / (9.0 + 10.0 * pp["a"] ** 2 + pp["a"] ** 4)),
+    ("4.123.2", -1, 1, 1, lambda pp: pp["a"] / (1.0 + pp["a"] ** 2) - math.atan(1.0 / pp["a"])),
+    ("4.123.3", -1, 2, 2, lambda pp: (1.0 + 2.0 * pp["a"] ** 2)
+        / (2.0 * pp["a"] * (1.0 + pp["a"] ** 2)) - math.atan(1.0 / pp["a"])),
 ):
     _register(EntryDescriptor(
         id=_eid,
         params=(Param("a"),),
-        integrand_factory=_e4123_sin_factory(_m),
+        integrand_factory=_e4123_family(_sign, _m, _scale),
         closed_form=_cf,
-        provenance_note=f"sin({_m}x) x / ((cosh ax + cos {_m}x)(x^2 - pi^2)); "
-                        "removable point at x = pi.",
+        provenance_note=f"sin({_m}x) x / ((cosh {'a' if _scale == 1 else f'{_scale}a'}x "
+                        f"{'+' if _sign > 0 else '-'} cos {_m}x)(x^2 - pi^2)); removable "
+                        + ("point at x = pi." if _sign > 0 else "points at 0 and pi."),
     ))
-
-
-def _e41232_kernel(x, a, m):
-    # 4.123.2 (m = 1, exact) and 4.123.3 (a -> 2a, m = 2)
-    den = _cosh_minus_cos(a * x, m * x) * (x * x - _PI ** 2)
-    return np.sin(m * x) * x / den
-
-
-def _e41232_factory(pp):
-    a = pp["a"]
-    lim0 = -2.0 / ((a * a + 1.0) * _PI ** 2)
-    limpi = -1.0 / (2.0 * (math.cosh(a * _PI) + 1.0))
-    return (Integrand(eval=_e41232_kernel, args=(a, 1.0), removable_points=(0.0, _PI),
-                      limit_values=(lim0, limpi)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=1.0))
-
-
-_register(EntryDescriptor(
-    id="4.123.2",
-    params=(Param("a"),),
-    integrand_factory=_e41232_factory,
-    closed_form=lambda pp: pp["a"] / (1.0 + pp["a"] ** 2) - math.atan(1.0 / pp["a"]),
-    provenance_note="sin(x) x / ((cosh ax - cos x)(x^2 - pi^2)); removable "
-                    "points at 0 and pi.",
-))
-
-
-def _e41233_factory(pp):
-    a = pp["a"]
-    lim0 = -1.0 / ((a * a + 1.0) * _PI ** 2)
-    limpi = 1.0 / (math.cosh(2.0 * a * _PI) - 1.0)
-    return (Integrand(eval=_e41232_kernel, args=(2.0 * a, 2.0), removable_points=(0.0, _PI),
-                      limit_values=(lim0, limpi)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
-                         osc_hint=2.0))
-
-
-_register(EntryDescriptor(
-    id="4.123.3",
-    params=(Param("a"),),
-    integrand_factory=_e41233_factory,
-    closed_form=lambda pp: (1.0 + 2.0 * pp["a"] ** 2)
-    / (2.0 * pp["a"] * (1.0 + pp["a"] ** 2)) - math.atan(1.0 / pp["a"]),
-    provenance_note="sin(2x) x / ((cosh 2ax - cos 2x)(x^2 - pi^2)).",
-))
 
 
 def _e41234_kernel(x, a):

@@ -413,6 +413,81 @@ class TestMergedKernels:
             assert _hex(upper(x, **kw)) == _hex(ref_upper(x, **kw))
 
 
+# The integrands the six 4.123 sin(mx) entries had before one family
+# builder (catalog._e4123_family) made them, kept as the references its
+# factories must equal bit for bit.
+
+def _e4123_sin_kernel(x, a, m):
+    den = catalog._cosh_plus_cos(a * x, m * x) * (x * x - PI ** 2)
+    return np.sin(m * x) * x / den
+
+
+def _e41232_kernel(x, a, m):
+    den = catalog._cosh_minus_cos(a * x, m * x) * (x * x - PI ** 2)
+    return np.sin(m * x) * x / den
+
+
+def _e4123_sin_factory(m):
+    def factory(pp):
+        a = pp["a"]
+        sign = -1.0 if m % 2 else 1.0
+        lim = sign * m / (2.0 * (math.cosh(a * PI) + sign))
+        return (Integrand(eval=_e4123_sin_kernel, args=(a, float(m)),
+                          removable_points=(PI,), limit_values=(lim,)),
+                quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=float(m)))
+
+    return factory
+
+
+def _e41232_factory(pp):
+    a = pp["a"]
+    lim0 = -2.0 / ((a * a + 1.0) * PI ** 2)
+    limpi = -1.0 / (2.0 * (math.cosh(a * PI) + 1.0))
+    return (Integrand(eval=_e41232_kernel, args=(a, 1.0), removable_points=(0.0, PI),
+                      limit_values=(lim0, limpi)),
+            quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=1.0))
+
+
+def _e41233_factory(pp):
+    a = pp["a"]
+    lim0 = -1.0 / ((a * a + 1.0) * PI ** 2)
+    limpi = 1.0 / (math.cosh(2.0 * a * PI) - 1.0)
+    return (Integrand(eval=_e41232_kernel, args=(2.0 * a, 2.0), removable_points=(0.0, PI),
+                      limit_values=(lim0, limpi)),
+            quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a, osc_hint=2.0))
+
+
+_FAMILY = {"4.123.1": _e4123_sin_factory(1), "4.123.1-m2": _e4123_sin_factory(2),
+           "4.123.1-m3": _e4123_sin_factory(3), "4.123.1-m4": _e4123_sin_factory(4),
+           "4.123.2": _e41232_factory, "4.123.3": _e41233_factory}
+
+
+class TestE4123Family:
+    """The family builder's factory gives each of the six entries the
+    kernel values, args, removable points, limits and spec of the factory
+    it replaced, bit for bit, at the seed-17 points and at a from 1e-3 to
+    100 (4.123.3's limit at pi overflows a double from a = 114)."""
+
+    X = np.array([1e-300, 1e-8, 0.5, PI - 1e-9, 30.0, 700.0])
+    A = [1e-3, 0.05, 0.2, 1.0, 2.0, 5.0, 37.0, 100.0]
+
+    @pytest.mark.parametrize("entry_id", list(_FAMILY))
+    def test_equal_to_the_factory_it_replaced(self, entry_id):
+        points = sample_params(get_entry(entry_id), 25, 17) + [{"a": a} for a in self.A]
+        pairs = [(integrand(entry_id, pp), _FAMILY[entry_id](pp)) for pp in points]
+        for (f, spec), (g, ref_spec) in pairs:
+            # a float's repr is its exact value
+            assert repr((f.args, f.removable_points, f.limit_values, spec)) == \
+                repr((g.args, g.removable_points, g.limit_values, ref_spec))
+        fs, gs = [f for (f, _), _ in pairs], [g for _, (g, _) in pairs]
+        assert len({id(f.eval) for f in fs}) == 1
+        x = np.tile(self.X, (len(fs), 1))
+        with np.errstate(all="ignore"):
+            got = fs[0].eval(x, *_columns([f.args for f in fs]))
+            want = gs[0].eval(x, *_columns([g.args for g in gs]))
+        assert _hex(got) == _hex(want)
+
+
 class TestLemma5:
     def test_vanishing_at_zero(self):
         assert lemma5_lhs(1e-30, 1.0, 5) == pytest.approx(0.0, abs=1e-28)
