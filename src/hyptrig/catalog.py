@@ -798,7 +798,7 @@ def _e41237_kernel(t, half_a):
 def _e41237_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e41237_kernel, args=(0.5 * a,)),
-            IntervalSpec(0.0, math.inf, "oscillatory", period_hint=2.0 * _PI / a))
+            IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=0.5 * a))
 
 
 def _e41237_closed(pp):
@@ -929,7 +929,7 @@ def _e41242_kernel(x, a, beta, u):
 def _e41242_factory(pp):
     a, beta, u = pp["a"], pp["beta"], pp["u"]
     return (Integrand(eval=_e41242_kernel, args=(a, beta, u)),
-            IntervalSpec(u, math.inf, "oscillatory", period_hint=_PI / a))
+            IntervalSpec(u, math.inf, "oscillatory", osc_hint=a))
 
 
 def _e41242_closed(pp):
@@ -1107,7 +1107,7 @@ def _e41179c_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e41179c_kernel, args=(a,), removable_points=(0.0,),
                       limit_values=(4.0 * a / _PI,)),
-            IntervalSpec(0.0, math.inf, "oscillatory", period_hint=_PI / a))
+            IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=a))
 
 
 def _e41179c_closed(pp):

@@ -113,10 +113,9 @@ class IntervalSpec:
     lower: float
     upper: float  # math.inf for semi-infinite shapes
     shape: str  # decay | oscillatory | endpoint_singular (_ENGINES)
-    period_hint: float = 0.0  # half-period length (oscillatory)
     decay_hint: float = 0.0  # exponential rate (decay)
     lower_singular: bool = False  # decay shape with an integrable singularity at lower
-    osc_hint: float = 0.0  # angular frequency riding on a decay shape, if any
+    osc_hint: float = 0.0  # angular frequency: oscillatory, or riding on a decay shape
 
     def __post_init__(self):
         if self.shape not in _ENGINES:
@@ -129,8 +128,8 @@ class IntervalSpec:
         elif self.upper != math.inf:
             # the semi-infinite engines never read upper
             raise DomainError(f"{self.shape} shape needs upper = inf")
-        if self.shape == "oscillatory" and not self.period_hint > 0.0:
-            raise DomainError("oscillatory shape needs period_hint > 0")
+        if self.shape == "oscillatory" and not self.osc_hint > 0.0:
+            raise DomainError("oscillatory shape needs osc_hint > 0")
         if self.shape == "decay" and not self.decay_hint > 0.0:
             raise DomainError("decay shape needs decay_hint > 0")
 
@@ -731,7 +730,7 @@ _EULER_MAX_DEPTH = 24  # the deepest Euler average the stop reads
 def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
-    Consecutive contributions over [a + k h, a + (k+1) h], h = period_hint,
+    Consecutive contributions over [a + k h, a + (k+1) h], h = pi/osc_hint,
     are accumulated and the partial sums fed to the Euler transform at two
     depths; growth over 8 consecutive intervals, or persistent same-sign
     contributions that fail to decay, mark the integral suspected_divergent.
@@ -744,7 +743,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     the same segment as when each half-period was integrated alone;
     segments computed past the stop count in `evaluations`.
     """
-    a, h = spec.lower, spec.period_hint
+    a, h = spec.lower, math.pi / spec.osc_hint
     forced = pe.f.removable_points
     segments = yield _TANH_SINH, [(a, a + h, tol / 32.0)]
     contribs = []

@@ -251,7 +251,7 @@ class TestIntegrandMetadata:
     def test_41237_substituted_variable(self):
         f, spec = integrand("4.123.7", {"a": 1.0})
         assert spec.shape == "oscillatory"
-        assert spec.period_hint == pytest.approx(2.0 * PI)
+        assert spec.osc_hint == 0.5  # half-periods of pi/(a/2) in t
         # value at t corresponds to x = sqrt(t/2) in the original variable
         t = np.array([2.0])
         x = math.sqrt(1.0)

@@ -20,7 +20,7 @@ PI = math.pi
 
 # the domains most of the engine tests integrate over
 UNIT_ENDS = IntervalSpec(0.0, 1.0, "endpoint_singular")
-SINE_HALF_PERIODS = IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI)
+SINE_HALF_PERIODS = IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0)
 
 
 def _decay_spec(decay_hint, **hints):
@@ -343,7 +343,7 @@ class TestOscillatory:
             return np.cos(x) * np.cosh(np.sqrt(w)) / np.sqrt(w)
 
         r = integrate(Integrand(eval=printed),
-                      IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9)
+                      IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_resonant_rewrite_reported_divergent(self):
@@ -353,13 +353,13 @@ class TestOscillatory:
             return np.cos(x) * np.cos(np.sqrt(np.abs(w))) / np.sqrt(np.abs(w))
 
         r = integrate(Integrand(eval=rewritten),
-                      IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9)
+                      IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_needs_period(self):
         with pytest.raises(DomainError):
             integrate(Integrand(eval=np.sin),
-                      IntervalSpec(0.0, math.inf, "oscillatory", period_hint=0.0), 1e-9)
+                      IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=0.0), 1e-9)
 
 
 class TestOscillatoryStop:
@@ -646,9 +646,9 @@ class TestIntegrateMany:
             (Integrand(eval=lambda x: np.exp(-x) / np.sqrt(x)),
              IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0, lower_singular=True), 1e-11),
             (Integrand(eval=lambda x: np.sin(x) / x, removable_points=(0.0,), limit_values=(1.0,)),
-             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-10),
+             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 1e-10),
             (Integrand(eval=lambda x: x * np.sin(x) / (1.0 + x * x)),
-             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
+             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9),
             (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "endpoint_singular"), 1e-12),
             (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
              IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
@@ -703,7 +703,7 @@ class TestIntegrateMany:
              _decay_spec(1.0), 1e-12),
             # the as-printed 4.124.2 form: sqrt of a negative quantity
             (Integrand(eval=lambda x: np.cos(x) / np.sqrt(1.0 - x * x)),
-             IntervalSpec(1.0, math.inf, "oscillatory", period_hint=PI), 1e-9),
+             IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9),
         ]
         light = self.light_jobs()
         batch = self._check_against_solo(light[:3] + divergent + light[3:])
@@ -923,7 +923,7 @@ class TestDispatch:
             (Integrand(eval=lambda x: np.exp(-x)),
              IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0), 1.0),
             (Integrand(eval=lambda x: np.sin(x) * np.exp(-x)),
-             IntervalSpec(0.0, math.inf, "oscillatory", period_hint=PI), 0.5),
+             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 0.5),
         ]
         for f, spec, exact in cases:
             r = integrate(f, spec, 1e-10)
@@ -944,7 +944,7 @@ class TestDispatch:
                 IntervalSpec(*bounds, "endpoint_singular")
         # the semi-infinite engines never read upper, so it must be inf, and
         # every engine starts from a finite lower bound
-        hints = {"decay": {"decay_hint": 1.0}, "oscillatory": {"period_hint": PI}}
+        hints = {"decay": {"decay_hint": 1.0}, "oscillatory": {"osc_hint": 1.0}}
         for shape, hint in hints.items():
             IntervalSpec(-3.0, math.inf, shape, **hint)
             for bounds in ((0.0, 1.0), (0.0, 1e300), (0.0, math.nan), (0.0, -math.inf),
