@@ -14,9 +14,10 @@ layout of json.dumps(..., indent=2).
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -246,60 +247,43 @@ def audit_all(config: AuditConfig) -> AuditReport:
                        config_echo=config_echo, overall_ok=overall_ok)
 
 
-def _to_json(obj, indent: str = "") -> str:
-    """obj as json.dumps(obj, indent=2) writes it at nesting `indent`.
-
-    A float that is nan or infinite is written as the string "nan", "inf"
-    or "-inf", a dataclass as the dict of its fields, and a tuple as a
-    list; strings are ASCII-escaped as json.dumps does.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return '"nan"' if math.isnan(obj) else '"inf"' if obj > 0 else '"-inf"'
-    if is_dataclass(obj):
-        # a dataclass instance's __dict__ holds its fields in field order
-        obj = vars(obj)
-    inner = indent + "  "
+def _plain(obj):
+    """obj with each tuple as a list and each float that is nan or infinite
+    as the string "nan", "inf" or "-inf", for json.dumps."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}"
-                 for k, v in obj.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (_to_json(v, inner) for v in obj)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return [_plain(v) for v in obj]
+    return obj
 
 
 def _scalar(x, indent: str = "      ") -> str:
-    # _to_json(x, indent), with no call for a finite float or a string
-    if type(x) is float and x - x == 0.0:
+    """x as json.dumps(_plain(x), indent=2) writes it at nesting `indent`;
+    only a container goes through json.dumps."""
+    if type(x) is float and x - x == 0.0:  # finite
         return float.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else f'"{_plain(x)}"'
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    return _to_json(x, indent)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return json.dumps(_plain(x), indent=2).replace("\n", "\n" + indent)
 
 
 def _record_json(r: VerificationRecord) -> str:
-    """One record as _to_json(r, "    ") writes it, from one template.
+    """One record as json.dumps(..., indent=2) writes it at nesting "    ",
+    from one template.
 
     The template holds the fields of VerificationRecord and QuadResult in
-    field order; _to_json stays the writer of anything that is not a
-    scalar, and the writer's tests compare the two on every record.
+    field order; _scalar writes each value, and the writer's tests compare
+    the report with json.dumps on every record.
     """
     n = r.numeric
     deep = "        "  # the indent of the fields of params and numeric
@@ -331,14 +315,12 @@ def _record_json(r: VerificationRecord) -> str:
 def _report_chunks(report: AuditReport) -> Iterator[str]:
     """The report's JSON text, as json.dumps(..., indent=2) lays it out: the
     config, overall_ok and summary in one chunk, then one per record."""
-    head = (f'{{\n  "config": {_to_json(report.config_echo, "  ")},\n'
-            f'  "overall_ok": {_to_json(report.overall_ok)},\n'
-            f'  "summary": {_to_json(report.summary, "  ")},\n'
-            f'  "records": ')
+    text = json.dumps(_plain({"config": report.config_echo, "overall_ok": report.overall_ok,
+                              "summary": report.summary, "records": []}), indent=2)
     if not report.records:
-        yield head + "[]\n}"
+        yield text
         return
-    yield head + "["
+    yield text[:-len("]\n}")]  # up to the records' opening "["
     sep = "\n    "
     for r in report.records:
         yield sep + _record_json(r)

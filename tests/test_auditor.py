@@ -110,7 +110,7 @@ class TestUnexpected:
                 # a failure where a PASS is expected, or a PASS where a failure is
                 assert rec.unexpected == ((verdict == PASS) == expected_fail)
                 # a property, so the report does not carry it
-                assert "unexpected" not in auditor._to_json(rec)
+                assert "unexpected" not in auditor._record_json(rec)
 
 
 class TestRatioDiagnose:

@@ -97,8 +97,8 @@ class TestWriter:
             assert report_to_json(report) == _oracle(report)
 
     def test_numpy_floats_and_float_edges_equal_the_oracle(self):
-        # the record template writes a finite float itself and hands
-        # anything else to _to_json; np.float64 is a float subclass
+        # the record template writes a scalar itself and hands a container
+        # to json.dumps; np.float64 is a float subclass
         records = [
             VerificationRecord(
                 entry_id="X", params={"a": -0.0, "b": np.float64(5e-324), "c": math.inf,
