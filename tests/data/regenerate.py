@@ -3,6 +3,7 @@ sampled-points pin from the current code.
 
     PYTHONPATH=src python tests/data/regenerate.py [evaluations] [values] [digest] [points] [digests]
     PYTHONPATH=src python tests/data/regenerate.py diff
+    PYTHONPATH=src python tests/data/regenerate.py verdicts FIRST-LAST
 
 Runs the audit of every entry at 25 samples, seed 17, pass tolerance
 1e-9 (the `full_audit` fixture's configuration) and writes, next to this
@@ -35,6 +36,14 @@ each entry's evaluation sum, pinned -> current, marking the entries
 whose sum rose, and the pinned and current sha256, then the pinned and
 current sha256 of each DIGESTS report.  It exits 1 when anything moved,
 like diff(1).
+
+`verdicts FIRST-LAST` writes nothing either: it audits seeds FIRST to
+LAST in turn, at 25 samples and pass tolerance 1e-9, and prints each
+entry's verdict counts summed over the seeds (a printed form's verdicts
+as FAIL[printed], as the report's summary counts them), the totals, and
+the sha256 of the verdict sequence, one line "seed entry verdict" per
+record in report order.  Two trees with the same sha256 give every
+record of the sweep the same verdict.
 """
 
 import hashlib
@@ -160,9 +169,34 @@ def diff_digests() -> int:
     return 0 if pinned == current else 1
 
 
+def verdicts(reports) -> str:
+    """Print the verdict counts of (seed, report) pairs, per entry and in
+    total, and the sha256 of their verdict sequence; return that sha256."""
+    counts, h = {}, hashlib.sha256()
+    for seed, report in reports:
+        for r in report.records:
+            key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
+            entry = counts.setdefault(r.entry_id, {})
+            entry[key] = entry.get(key, 0) + 1
+            h.update(f"{seed} {r.entry_id} {key}\n".encode("ascii"))
+    total = {}
+    for entry, entry_counts in counts.items():
+        print(f"{entry:<14}" + " ".join(f"{k}:{n}" for k, n in sorted(entry_counts.items())))
+        for k, n in entry_counts.items():
+            total[k] = total.get(k, 0) + n
+    print(f"{'total':<14}" + " ".join(f"{k}:{n}" for k, n in sorted(total.items())))
+    print(f"sha256 {h.hexdigest()}")
+    return h.hexdigest()
+
+
 def main(argv) -> int:
     if argv == ["diff"]:
         return max(diff(audit_all(AuditConfig(**AUDIT))), diff_digests())
+    if len(argv) == 2 and argv[0] == "verdicts":
+        first, _, last = argv[1].partition("-")
+        verdicts((seed, audit_all(AuditConfig(**{**AUDIT, "seed": seed})))
+                 for seed in range(int(first), int(last or first) + 1))
+        return 0
     names = argv or ["evaluations", "values", "digest", "points", "digests"]
     if not set(names) <= {"evaluations", "values", "digest", "points", "digests"}:
         print(__doc__, file=sys.stderr)

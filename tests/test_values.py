@@ -111,6 +111,25 @@ def test_regenerate_diff_shows_moves_and_writes_nothing(full_audit, capsys):
     assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
 
 
+def test_regenerate_verdicts_counts_and_hashes_each_record(full_audit, capsys):
+    regenerate = _regenerate()
+    data = {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()}
+    digest = regenerate.verdicts([(17, full_audit)])
+    out = capsys.readouterr().out.splitlines()
+    lines = {line.split()[0]: line.split()[1:] for line in out}
+    for entry_id, summary in full_audit.summary.items():
+        assert lines[entry_id] == [f"{k}:{n}" for k, n in summary["counts"].items()]
+    assert lines["total"] == ["DIVERGENT:25", "FAIL[printed]:25", "PASS:678"]
+    assert out[-1] == f"sha256 {digest}"
+    # one moved verdict moves the sha256 but not the counts of another seed
+    records = list(full_audit.records)
+    records[0] = dataclasses.replace(records[0], verdict="FAIL")
+    moved = dataclasses.replace(full_audit, records=records)
+    assert regenerate.verdicts([(17, moved)]) != digest
+    assert regenerate.verdicts([(18, full_audit)]) != digest
+    assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
+
+
 def test_sampled_points_match_the_pinned_digest():
     pinned = (BASELINE.parent / "points.sha256").read_text(encoding="utf-8").strip()
     assert _regenerate().points() == pinned
