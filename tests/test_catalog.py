@@ -488,6 +488,52 @@ class TestE4123Family:
         assert _hex(got) == _hex(want)
 
 
+class TestE4123ClosedForms:
+    """The family builder's closed form in m: against its own integrand by
+    quadrature past the table's m, and against the table's six forms in
+    mpmath."""
+
+    def test_matches_quadrature_for_m_up_to_8(self):
+        jobs, closed = [], []
+        for m in range(1, 9):
+            for sign in (1, -1):
+                factory, cf = catalog._e4123_family(sign, m, 1)
+                for a in (0.3, 0.7, 1.9, 4.0):
+                    f, spec = factory({"a": a})
+                    closed.append(cf({"a": a}))
+                    jobs.append((f, spec, max(abs(closed[-1]) * 1e-11, 1e-14)))
+        results = quad.integrate_many(jobs)
+        for r, c in zip(results, closed):
+            assert r.status == quad.STATUS_CONVERGED
+            assert abs(r.value - c) <= 1e-9 * abs(c), (r.value, c)
+
+    # the table's forms, evaluated at 50 digits
+    TABLE = {
+        "4.123.1": (1, lambda a: mpmath.atan(1 / a) - 1 / a),
+        "4.123.1-m2": (2, lambda a: mpmath.atan(2 / a) - 2 * a / (1 + a ** 2)),
+        "4.123.1-m3": (3, lambda a: mpmath.atan(3 / a) - (4 + 3 * a ** 2) / (a * (4 + a ** 2))),
+        "4.123.1-m4": (4, lambda a: mpmath.atan(4 / a)
+                       - 4 * a * (5 + a ** 2) / (9 + 10 * a ** 2 + a ** 4)),
+        "4.123.2": (1, lambda a: a / (1 + a ** 2) - mpmath.atan(1 / a)),
+        "4.123.3": (1, lambda a: (1 + 2 * a ** 2) / (2 * a * (1 + a ** 2)) - mpmath.atan(1 / a)),
+    }
+
+    @pytest.mark.parametrize("entry_id", list(TABLE))
+    def test_against_mpmath_on_a_log_grid(self, entry_id):
+        # the closed form ends in atan(m/b) minus a sum of about its size,
+        # so it may lose the digits that subtraction cancels and no more:
+        # a few ulps of 2 atan(m/b) / |value| (2.4e-12 relative at a = 100)
+        n, ref = self.TABLE[entry_id]
+        for i in range(60):
+            a = 0.2 * 500.0 ** (i / 59)
+            with mpmath.workdps(50):
+                x = mpmath.mpf(a)
+                want, atan = ref(x), mpmath.atan(n / x)
+            got = closed_form(entry_id, {"a": a})
+            cond = float(2 * atan / abs(want))
+            assert abs(got - want) <= 4.0 * sys.float_info.epsilon * cond * abs(want), a
+
+
 class TestLemma5:
     def test_vanishing_at_zero(self):
         assert lemma5_lhs(1e-30, 1.0, 5) == pytest.approx(0.0, abs=1e-28)
