@@ -17,14 +17,17 @@ family builder (_e41241_family), or the kernel of the entry whose
 integrand this one specialises, called with the args that make the two
 equal (C1 is L1 at p = 2).  The quadrature calls one kernel once for
 many points, with each arg a (rows, 1) column, so a kernel broadcasts
-its args and uses numpy only.
-Parameter-only math (math.cos(pi beta), signs, absolute values, removable
-point limits) is done in the factory, in Python floats, so every point's
-node values are the same bits whether its kernel call holds one point or
-many.  An endpoint-distance callback (eval_lower_dist / eval_upper_dist)
-is functools.partial(k, p=..., ...) of a shared kernel k(d, ...)
-with the point's values as keywords: it still takes one argument, and
-the tanh-sinh levels call k once for many points, each keyword a column.
+its args and uses numpy only.  A kernel is finite and accurate at every
+x inside its interval that the quadrature can produce, to about 1e-66
+from an end, so a removable 0/0 point is written in a form that
+evaluates there (_sin_over_x_minus_pi at pi).  Parameter-only math
+(math.cos(pi beta), signs, absolute values) is done in the factory, in
+Python floats, so every point's node values are the same bits whether
+its kernel call holds one point or many.  An endpoint-distance callback
+(eval_lower_dist / eval_upper_dist) is functools.partial(k, p=..., ...)
+of a shared kernel k(d, ...) with the point's values as keywords: it
+still takes one argument, and the tanh-sinh levels call k once for many
+points, each keyword a column.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ def closed_form(entry_id: str, params: ParamPoint) -> float:
 
 
 def integrand(entry_id: str, params: ParamPoint) -> Tuple[Integrand, IntervalSpec]:
-    """The entry's integrand with removable points annotated, plus shape hints."""
+    """The entry's integrand, plus shape hints."""
     entry = get_entry(entry_id)
     entry.validate(params)
     return entry.guarded(entry.integrand_factory, params)
@@ -315,8 +318,7 @@ def _l3a_kernel(x, a, b):
 
 def _l3a_factory(pp):
     a, b = pp["a"], pp["b"]
-    return (Integrand(eval=_l3a_kernel, args=(a, b), removable_points=(0.0,),
-                      limit_values=(b,)),
+    return (Integrand(eval=_l3a_kernel, args=(a, b)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=abs(b)))
 
 
@@ -335,8 +337,7 @@ def _l3b_kernel(x, a, b):
 
 def _l3b_factory(pp):
     a, b = pp["a"], pp["b"]
-    return (Integrand(eval=_l3b_kernel, args=(a, b), removable_points=(0.0,),
-                      limit_values=(0.0,)),
+    return (Integrand(eval=_l3b_kernel, args=(a, b)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a,
                          osc_hint=2.0 * abs(b)))
 
@@ -416,8 +417,7 @@ def _e41221_kernel(x, c, beta, gamma, delta):
 def _e41211_factory(pp):
     # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2): the 4.122.1 kernel
     a, b, beta = pp["a"], pp["b"], pp["beta"]
-    return (Integrand(eval=_e41221_kernel, args=(2.0, 0.5 * (a + b), 0.5 * (a - b), beta),
-                      removable_points=(0.0,), limit_values=(a - b,)),
+    return (Integrand(eval=_e41221_kernel, args=(2.0, 0.5 * (a + b), 0.5 * (a - b), beta)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
                          osc_hint=max(a, b)))
 
@@ -456,9 +456,7 @@ def _e41212_kernel(x, half_sum, half_diff, beta):
 
 def _e41212_factory(pp):
     a, b, beta = pp["a"], pp["b"], pp["beta"]
-    return (Integrand(eval=_e41212_kernel, args=(0.5 * (a + b), 0.5 * (b - a), beta),
-                      removable_points=(0.0,),
-                      limit_values=((b * b - a * a) / (2.0 * beta),)),
+    return (Integrand(eval=_e41212_kernel, args=(0.5 * (a + b), 0.5 * (b - a), beta)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
                          osc_hint=max(a, b)))
 
@@ -475,8 +473,7 @@ _register(EntryDescriptor(
 
 def _e41221_factory(pp):
     beta, gamma, delta = pp["beta"], pp["gamma"], pp["delta"]
-    return (Integrand(eval=_e41221_kernel, args=(1.0, beta, gamma, delta),
-                      removable_points=(0.0,), limit_values=(gamma,)),
+    return (Integrand(eval=_e41221_kernel, args=(1.0, beta, gamma, delta)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=delta,
                          osc_hint=beta + gamma))
 
@@ -511,8 +508,7 @@ def _e41222_kernel(x, a, bb):
 
 def _e41222_factory(pp):
     a, beta = pp["a"], pp["beta"]
-    return (Integrand(eval=_e41222_kernel, args=(a, abs(beta)), removable_points=(0.0,),
-                      limit_values=(a * a,)),
+    return (Integrand(eval=_e41222_kernel, args=(a, abs(beta))),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0 - beta,
                          osc_hint=2.0 * a))
 
@@ -542,8 +538,7 @@ def _e39815_kernel(x, a, sign, bb, gamma):
 def _e39815_factory(pp):
     a, beta, gamma = pp["a"], pp["beta"], pp["gamma"]
     return (Integrand(eval=_e39815_kernel,
-                      args=(a, math.copysign(1.0, beta), abs(beta), gamma),
-                      removable_points=(0.0,), limit_values=(beta / gamma,)),
+                      args=(a, math.copysign(1.0, beta), abs(beta), gamma)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=gamma - abs(beta),
                          osc_hint=a))
 
@@ -584,14 +579,20 @@ _register(EntryDescriptor(
 # ---------------------------------------------------------------------------
 # table section 4.123
 
-def _e4123_plus_kernel(x, b, m):
-    den = _cosh_plus_cos(b * x, m * x) * (x * x - _PI ** 2)
-    return np.sin(m * x) * x / den
+def _sin_over_x_minus_pi(x, m, sm):
+    """sin(mx)/(x - pi), sm = (-1)^m m: the direct ratio below pi/2, which
+    keeps sin(mx)'s relative accuracy as x -> 0, and from there on, finite
+    at pi, sm sinc(m (x - pi)/pi), as sin(mx) = (-1)^m sin(m (x - pi))."""
+    return np.where(x < 0.5 * _PI, np.sin(m * x) / (x - _PI),
+                    sm * np.sinc(m * (x - _PI) / _PI))
 
 
-def _e4123_minus_kernel(x, b, m):
-    den = _cosh_minus_cos(b * x, m * x) * (x * x - _PI ** 2)
-    return np.sin(m * x) * x / den
+def _e4123_plus_kernel(x, b, m, sm):
+    return x / (_cosh_plus_cos(b * x, m * x) * (x + _PI)) * _sin_over_x_minus_pi(x, m, sm)
+
+
+def _e4123_minus_kernel(x, b, m, sm):
+    return x / (_cosh_minus_cos(b * x, m * x) * (x + _PI)) * _sin_over_x_minus_pi(x, m, sm)
 
 
 def _e4123_family(sign: int, m: int, scale: float):
@@ -600,24 +601,16 @@ def _e4123_family(sign: int, m: int, scale: float):
     sign (atan(m/b) - sum_k w_k b/(b^2 + k^2)) over k = 1-m, 3-m, ..., m-1
     (sign = +1) or k = -m, 2-m, ..., m (sign = -1, w = 1/2 at k = +-m), w = 1
     elsewhere.  The form in m was found by pattern from the table's members
-    and is checked by quadrature for m = 1...8 and against mpmath.  The
-    integrand has a removable point at pi and, for sign = -1, one at 0.
+    and is checked by quadrature for m = 1...8 and against mpmath.
     """
     kernel = _e4123_plus_kernel if sign > 0 else _e4123_minus_kernel
-    s = (-1) ** m  # cos(m pi)
     top = m - 1 if sign > 0 else m  # the largest k
     # the sum is even in k: each k > 0 counts twice, but k = m (w = 1/2) once
     pairs = [(k, 1.0 if k == m else 2.0) for k in range(top, 0, -2)]
 
     def factory(pp):
         b = scale * pp["a"]
-        limpi = s * m / (2.0 * (math.cosh(b * _PI) + sign * s))
-        if sign > 0:
-            points, limits = (_PI,), (limpi,)
-        else:
-            points, limits = (0.0, _PI), (-2.0 * m / ((b * b + m * m) * _PI ** 2), limpi)
-        return (Integrand(eval=kernel, args=(b, float(m)), removable_points=points,
-                          limit_values=limits),
+        return (Integrand(eval=kernel, args=(b, float(m), float((-1) ** m * m))),
                 IntervalSpec(0.0, math.inf, "decay", decay_hint=b, osc_hint=float(m)))
 
     def closed(pp):
@@ -646,19 +639,16 @@ for _eid, _sign, _m, _scale in (("4.123.1", 1, 1, 1), ("4.123.1-m2", 1, 2, 1),
 
 
 def _e41234_kernel(x, a):
-    # cosh(ax)/(cosh^2 ax - cos^2 x) = 1/(cosh ax - cos^2 x / cosh ax):
-    # free of inf/inf overflow for large ax
+    # cosh(ax)/(cosh^2 ax - cos^2 x) = 1/(ch tanh^2(ax) + sin^2 x/ch), ch = cosh ax,
+    # as cosh^2 - cos^2 = sinh^2 + sin^2: no cancellation at 0, no inf/inf at large ax
     ch = np.cosh(a * x)
-    den = (ch - np.cos(x) ** 2 / ch) * (x * x - _PI ** 2)
-    return np.sin(x) * x / den
+    den = (ch * np.tanh(a * x) ** 2 + np.sin(x) ** 2 / ch) * (x + _PI)
+    return x / den * _sin_over_x_minus_pi(x, 1.0, -1.0)
 
 
 def _e41234_factory(pp):
     a = pp["a"]
-    lim0 = -1.0 / ((a * a + 1.0) * _PI ** 2)
-    limpi = -math.cosh(a * _PI) / (2.0 * math.sinh(a * _PI) ** 2)
-    return (Integrand(eval=_e41234_kernel, args=(a,), removable_points=(0.0, _PI),
-                      limit_values=(lim0, limpi)),
+    return (Integrand(eval=_e41234_kernel, args=(a,)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=2.0))
 
 
@@ -752,8 +742,7 @@ def _e41236_kernel(x, a, b, pm1):
 
 def _e41236_factory(pp):
     a, b, p = pp["a"], pp["b"], pp["p"]
-    return (Integrand(eval=_e41236_kernel, args=(a, b, p - 1.0), removable_points=(0.0,),
-                      limit_values=(0.0,)),
+    return (Integrand(eval=_e41236_kernel, args=(a, b, p - 1.0)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=b,
                          osc_hint=2.0 * a))
 
@@ -1109,8 +1098,7 @@ def _e41179c_kernel(x, a):
 
 def _e41179c_factory(pp):
     a = pp["a"]
-    return (Integrand(eval=_e41179c_kernel, args=(a,), removable_points=(0.0,),
-                      limit_values=(4.0 * a / _PI,)),
+    return (Integrand(eval=_e41179c_kernel, args=(a,)),
             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=a))
 
 

@@ -4,9 +4,9 @@ Three integral shapes cover every catalog entry: exponentially decaying
 semi-infinite integrals, oscillatory semi-infinite integrals handled by
 half-period partial sums plus Euler acceleration, and finite integrals
 with (at worst) inverse-square-root endpoint singularities handled by a
-tanh-sinh rule.  Removable 0/0 points inside an integrand are declared on
-the Integrand and are never evaluated directly: subdivision is forced at
-each one and the value there comes from the supplied limit.
+tanh-sinh rule.  An integrand's kernel is finite at every abscissa the
+engines can produce inside its interval (tanh-sinh reaches about 1e-66
+times a half's length from an end), a removable 0/0 point included.
 
 Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
 of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
@@ -24,7 +24,7 @@ _MAX_ABSCISSAE abscissae, with each arg a column of per-row values
 (Shampine's vectorised quadgk, carried over to parameters).
 
 Each shape has one engine, a generator that yields its requests, each a
-kind and a list of items: Gauss-Kronrod intervals (a, b, tol, forced,
+kind and a list of items: Gauss-Kronrod intervals (a, b, tol,
 panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which it
 wants the integrand's values (the decay probes); it is sent the answers
 back.  integrate_many runs many integrals (jobs) at once by answering
@@ -64,7 +64,7 @@ MAX_EVALUATIONS = 2_000_000
 
 @dataclass
 class Integrand:
-    """A vectorised real integrand with its removable 0/0 points annotated.
+    """A vectorised real integrand.
 
     The integrand is eval(x, *args): eval maps an ndarray of abscissae to
     an ndarray of values of the same shape, elementwise, and args holds
@@ -75,10 +75,9 @@ class Integrand:
     object that many integrals share, with their parameters in args, is
     batched this way, whether a module-level function or one built once
     and shared; a closure over one integral's parameters (args = ()) is
-    a batch of one.  eval may return nan/inf at the listed removable
-    points (and only there, for a well-formed integrand).  limit_values
-    holds the finite limit at each point, in the same order; the pairs
-    are stored sorted by point.
+    a batch of one.  eval must be finite at every abscissa inside the
+    interval, a removable 0/0 point included: a non-finite value makes
+    the integral suspected_divergent.
 
     eval_lower_dist / eval_upper_dist optionally evaluate f as a function
     of the distance d to the singular endpoint, as a one-argument call.
@@ -91,19 +90,9 @@ class Integrand:
     """
 
     eval: Callable[..., np.ndarray]
-    removable_points: tuple = ()
-    limit_values: tuple = ()
     eval_lower_dist: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_upper_dist: Optional[Callable[[np.ndarray], np.ndarray]] = None
     args: tuple = ()
-
-    def __post_init__(self):
-        if len(self.limit_values) != len(self.removable_points):
-            raise DomainError("each removable point needs one limit value")
-        pairs = sorted(zip(self.removable_points, self.limit_values),
-                       key=lambda pair: pair[0])
-        self.removable_points = tuple(p for p, _ in pairs)
-        self.limit_values = tuple(lim for _, lim in pairs)
 
 
 @dataclass
@@ -142,33 +131,18 @@ class QuadResult:
     status: str
 
 
-def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence,
-              patches: Sequence[tuple]) -> np.ndarray:
-    """kernel(x, *args), with each removable point's limit patched in.
-
-    patches holds one (point, snap, limit) triple per removable point.
-    The args and triples are columns with one value per row of x, for
-    one integral as for many, so a row's values do not depend on the
-    other rows.  Nodes within snap distance of a point receive its limit.
-    """
-    y = np.asarray(kernel(x, *args), dtype=float)
-    for p, snap, lim in patches:
-        near = np.abs(x - p) <= snap
-        if np.count_nonzero(near):
-            y = np.where(near, lim, y)
-    return y
+def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence) -> np.ndarray:
+    """kernel(x, *args) as floats, the one kernel call: each arg a column of
+    one value per row of x, so a row's values do not depend on other rows."""
+    return np.asarray(kernel(x, *args), dtype=float)
 
 
-class _PatchedEval:
-    """One integral (job): its Integrand, the (point, snap, limit) patch
-    of each removable point, and its evaluations against MAX_EVALUATIONS.
-    """
+class _Job:
+    """One integral (job): its Integrand and evaluations against MAX_EVALUATIONS."""
 
     def __init__(self, f: Integrand):
         self.f = f
         self.used = 0
-        self.patches = [(float(p), 1e-12 * (1.0 + abs(float(p))), float(lim))
-                        for p, lim in zip(f.removable_points, f.limit_values)]
 
     def spend(self, n: int) -> bool:
         """Count n evaluations if they stay within the cap; else count
@@ -217,16 +191,14 @@ _CHUNK = _MAX_ABSCISSAE // len(_XK)  # panels per kernel call
 
 
 def _member_groups(members: Sequence[tuple]):
-    """Members (kernel, args, patches) grouped by kernel, for _eval_chunks.
+    """Members (kernel, args) grouped by kernel, for _eval_chunks.
 
     Returns (group, slot, kernels): members[j] is member slot[j] of group
-    group[j], and kernels[g] is (kernel, nargs, table), where table holds
-    one column per member: its args, then its (point, snap, limit)
-    triples.  A member with fewer removable points is padded with nan
-    triples, which are never near a node.
+    group[j], and kernels[g] is (kernel, table), where table holds one
+    column per member, its args.
     """
     by_kernel = {}
-    for j, (kernel, _, _) in enumerate(members):
+    for j, (kernel, _) in enumerate(members):
         by_kernel.setdefault(kernel, []).append(j)
     group = np.empty(len(members), dtype=int)
     slot = np.empty(len(members), dtype=int)
@@ -234,11 +206,7 @@ def _member_groups(members: Sequence[tuple]):
     for g, (kernel, js) in enumerate(by_kernel.items()):
         group[js] = g
         slot[js] = np.arange(len(js))
-        rows = [(*members[j][1], *(v for patch in members[j][2] for v in patch))
-                for j in js]
-        width = max(map(len, rows))
-        table = np.array([row + (math.nan,) * (width - len(row)) for row in rows]).T
-        kernels.append((kernel, len(members[js[0]][1]), table))
+        kernels.append((kernel, np.array([members[j][1] for j in js]).T))
     return group, slot, kernels
 
 
@@ -249,10 +217,10 @@ def _eval_chunks(groups: tuple, member: np.ndarray, width: int, nodes: Callable)
     the given rows, shape (len(rows), width).  The rows are taken in group
     order (a stable sort, skipped when they already are in it) and cut
     into chunks of whole rows of at most _MAX_ABSCISSAE abscissae; each
-    kernel is called once per run of its rows in a chunk, with each arg
-    and removable-point value a (rows, 1) column.  Yields (rows, values)
-    per chunk, rows an index or slice of the caller's rows, so that the
-    caller can reduce each chunk before the next one is built.
+    kernel is called once per run of its rows in a chunk, with each arg a
+    (rows, 1) column.  Yields (rows, values) per chunk, rows an index or
+    slice of the caller's rows, so that the caller can reduce each chunk
+    before the next one is built.
     """
     group, slot, kernels = groups
     gr = group[member]
@@ -269,19 +237,17 @@ def _eval_chunks(groups: tuple, member: np.ndarray, width: int, nodes: Callable)
         g = group[mem]
         cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1).tolist(), len(g)]
         for a, b in zip(cuts, cuts[1:]):
-            kernel, nargs, table = kernels[g[a]]
-            cols = table[:, slot[mem[a:b]], None]
-            y[a:b] = _evaluate(kernel, x[a:b], cols[:nargs],
-                               cols[nargs:].reshape(-1, 3, b - a, 1))
+            kernel, table = kernels[g[a]]
+            y[a:b] = _evaluate(kernel, x[a:b], table[:, slot[mem[a:b]], None])
         yield rows, y
 
 
-def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
+def _gk_batch(pes: Sequence[_Job], groups: tuple, job: np.ndarray,
               lo: np.ndarray, hi: np.ndarray):
     """Apply GK15 to a batch of panels; returns (values, errors, finite?).
 
     Panel i belongs to the integral pes[job[i]], which spends its own
-    evaluations; groups is _member_groups of their (eval, args, patches).
+    evaluations; groups is _member_groups of their (eval, args).
     The panels are evaluated by _eval_chunks, on nodes of shape
     (panels, 15), at most _CHUNK panels per chunk.  Every node value and
     sum is per row, so a panel's results do not depend on the other
@@ -329,17 +295,17 @@ def _gk_batch(pes: Sequence[_PatchedEval], groups: tuple, job: np.ndarray,
 def _initial_panels(intervals: Sequence[tuple]):
     """The initial panels (lo, hi, owner) of many intervals, in one pass.
 
-    Interval i, (a, b, tol, forced, panel_width), is cut at a, b, every
-    forced point inside, and, when panel_width is set and [a, b] is wider,
-    at the equal-width grid a + (b - a) j / count (count <= 4096) that
-    resolves an oscillation per panel: an unresolved wide panel can make
-    the embedded rules agree on garbage.  Its panels run between its
+    Interval i, (a, b, tol, panel_width), is cut at a, b and, when
+    panel_width is set and [a, b] is wider, at the equal-width grid
+    a + (b - a) j / count (count <= 4096) that resolves an oscillation per
+    panel: an unresolved wide panel can make the embedded rules agree on
+    garbage.  Its panels run between its
     sorted distinct cuts, owned by i, after the panels of interval i - 1.
     """
     m = len(intervals)
     a = np.array([iv[0] for iv in intervals], dtype=float)
     b = np.array([iv[1] for iv in intervals], dtype=float)
-    width = np.array([iv[4] for iv in intervals], dtype=float)
+    width = np.array([iv[3] for iv in intervals], dtype=float)
     span = b - a
     gridded = (width > 0.0) & (span > width)
     count = np.ones(m)
@@ -348,11 +314,8 @@ def _initial_panels(intervals: Sequence[tuple]):
     grid_owner = np.repeat(np.arange(m), inner)
     j = np.arange(1, len(grid_owner) + 1) - np.repeat(np.cumsum(inner) - inner, inner)
     grid = a[grid_owner] + span[grid_owner] * j / count[grid_owner]
-    forced_owner = np.array([i for i, iv in enumerate(intervals) for _ in iv[3]], dtype=np.intp)
-    forced = np.array([x for iv in intervals for x in iv[3]], dtype=float)
-    inside = (a[forced_owner] < forced) & (forced < b[forced_owner])
-    cuts = np.concatenate((grid, a, b, forced[inside]))
-    owner = np.concatenate((grid_owner, np.arange(m), np.arange(m), forced_owner[inside]))
+    cuts = np.concatenate((grid, a, b))
+    owner = np.concatenate((grid_owner, np.arange(m), np.arange(m)))
     order = np.lexsort((cuts, owner))
     cuts, owner = cuts[order], owner[order]
     distinct = np.ones(len(cuts), dtype=bool)
@@ -366,7 +329,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     """Adaptive GK15 on many intervals, of one or more integrands, at once.
 
     requests holds one (pe, intervals) pair per integrand, each interval
-    (a, b, tol, forced, panel_width); the result holds, per pair, the
+    (a, b, tol, panel_width); the result holds, per pair, the
     QuadResults of its intervals in order.  Every interval (an owner)
     holds its own panels, initially those of _initial_panels,
     but each round makes one _gk_batch call over the split panels of all
@@ -392,7 +355,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     # 4 tol / 8n is tol / 2n to the bit, so the share is one division
     tols4 = 4.0 * tols
     lo, hi, owner = _initial_panels(intervals)
-    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
+    groups = _member_groups([(pe.f.eval, pe.f.args) for pe in pes])
     vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
     new_owner = owner  # the owners of the last batch's panels
     results = [None] * m
@@ -527,9 +490,9 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     length, so that the factor 2 s v turns an inverse-square-root endpoint
     singularity into a bounded smooth one.  A half whose end has a
     distance callback (eval_lower_dist / eval_upper_dist) is evaluated
-    on the distance s v^2 itself, with no removable-point patches.  An
-    interval's value and error are the sums of its halves', and it is
-    suspected_divergent if either half is, else max_effort if either is.
+    on the distance s v^2 itself.  An interval's value and error are the
+    sums of its halves', and it is suspected_divergent if either half is,
+    else max_effort if either is.
 
     One level loop serves every half.  A level's nodes v are the same for
     all, so the live halves are the rows of one array, evaluated by
@@ -559,15 +522,15 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     for i, (pe, e, _, lower, _) in enumerate(halves):
         cb = pe.f.eval_lower_dist if lower else pe.f.eval_upper_dist
         if cb is None:
-            members.append((pe.f.eval, pe.f.args, pe.patches))
+            members.append((pe.f.eval, pe.f.args))
             end[i], sign[i] = e, 1.0 if lower else -1.0
         elif isinstance(cb, functools.partial) and not cb.args:
             key = (cb.func, tuple(cb.keywords))
             if key not in adapters:
                 adapters[key] = _keyword_kernel(*key)
-            members.append((adapters[key], tuple(cb.keywords.values()), ()))
+            members.append((adapters[key], tuple(cb.keywords.values())))
         else:
-            members.append((cb, (), ()))
+            members.append((cb, ()))
     s = np.array([half[2] for half in halves])
     tol = np.array([half[4] for half in halves])
     groups = _member_groups(members)
@@ -627,7 +590,7 @@ def _points_many(requests: Sequence[tuple]) -> list:
     for pe, x in requests:
         pe.used += x.size
     xs = np.stack([x for _, x in requests])
-    groups = _member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe, _ in requests])
+    groups = _member_groups([(pe.f.eval, pe.f.args) for pe, _ in requests])
     y = np.empty_like(xs)
     for rows, values in _eval_chunks(groups, np.arange(len(xs)), xs.shape[1], lambda rows: xs[rows]):
         y[rows] = values
@@ -635,7 +598,7 @@ def _points_many(requests: Sequence[tuple]) -> list:
 
 
 # The kinds of request an engine yields (_SOLVERS answers each): a list of
-# Gauss-Kronrod intervals (a, b, tol, forced, panel_width) or of tanh-sinh
+# Gauss-Kronrod intervals (a, b, tol, panel_width) or of tanh-sinh
 # intervals (a, b, tol), answered by a list of QuadResults, or an array of
 # abscissae, answered by the integrand's values there.
 _GK = "gauss_kronrod"
@@ -644,26 +607,27 @@ _POINTS = "points"
 
 
 # The engines, one per IntervalSpec shape.  Each is a generator on one
-# job's _PatchedEval: it yields (kind, request) pairs, is sent back each
-# request's answer, and returns the job's QuadResult.
+# _Job: it yields (kind, request) pairs, is sent back each request's
+# answer, and returns the job's QuadResult.
 
 
-def _endpoint(pe: _PatchedEval, spec: IntervalSpec, tol: float):
+def _endpoint(pe: _Job, spec: IntervalSpec, tol: float):
     # tanh-sinh alone: no Gauss-Kronrod request
     return (yield _TANH_SINH, [(spec.lower, spec.upper, tol)])[0]
 
 
-def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
+def _decay(pe: _Job, spec: IntervalSpec, tol: float):
     """Semi-infinite integral of an exponentially damped integrand.
 
     The truncation length T comes from a probed amplitude C and the bound
     C exp(-lambda T)/lambda < tol/10; the block [a+T, a+2T] is integrated
     as confirmation and further doublings are added if it has not shrunk
-    yet.  A tail that keeps growing is reported as suspected_divergent.
-    osc_hint (an angular frequency) sets the initial panel grid so the
-    error estimator always resolves the oscillation: pi/osc_hint, half a
-    period, on the main range, and four times that, two periods, on the
-    confirmation blocks.  The probe bound holds a block's mass below
+    yet.  A tail that keeps growing is reported as suspected_divergent,
+    and a piece or block that ends not converged ends the job with its
+    status.  osc_hint (an angular frequency) sets the initial panel grid
+    so the error estimator always resolves the oscillation: pi/osc_hint,
+    half a period, on the main range, and four times that, two periods,
+    on the confirmation blocks.  The probe bound holds a block's mass below
     tol/10, and K15 still has 7.5 nodes per period there, so its gap to G7
     stays a pessimistic estimate; a block with no grid can alias.  The
     main range and the first confirmation block are requested together,
@@ -673,7 +637,6 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     range fails.
     """
     a, lam = spec.lower, spec.decay_hint
-    forced = pe.f.removable_points
     probes = a + np.array([0.3, 0.7, 1.3, 2.1, 3.4, 5.5, 8.9, 14.4]) / lam
     amp = (yield _POINTS, probes) * np.exp(lam * (probes - a))
     c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
@@ -688,8 +651,8 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
 
     first_end = a + 1.0 / lam if spec.lower_singular else a
     lo = a + t_len
-    main_range, block = yield _GK, [(first_end, lo, tol / 4.0, forced, width),
-                                    (lo, lo + t_len, tol / 16.0, forced, block_width)]
+    main_range, block = yield _GK, [(first_end, lo, tol / 4.0, width),
+                                    (lo, lo + t_len, tol / 16.0, block_width)]
     pieces = [main_range]
     if spec.lower_singular:
         pieces = (yield _TANH_SINH, [(a, first_end, tol / 16.0)]) + pieces
@@ -703,9 +666,9 @@ def _decay(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     tail_prev = math.inf
     for i in range(6):
         if i:
-            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, forced, block_width)]
-        if block.status == STATUS_DIVERGENT:
-            return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
+            (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, block_width)]
+        if block.status != STATUS_CONVERGED:
+            return QuadResult(main, err, pe.used, block.status)
         main += block.value
         err += block.abs_error_est
         if abs(block.value) <= tol / 4.0:
@@ -727,7 +690,7 @@ _OSC_MAX_SEGMENTS = 512
 _EULER_MAX_DEPTH = 24  # the deepest Euler average the stop reads
 
 
-def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
+def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
     Consecutive contributions over [a + k h, a + (k+1) h], h = pi/osc_hint,
@@ -744,7 +707,6 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     segments computed past the stop count in `evaluations`.
     """
     a, h = spec.lower, math.pi / spec.osc_hint
-    forced = pe.f.removable_points
     segments = yield _TANH_SINH, [(a, a + h, tol / 32.0)]
     contribs = []
     diag = []  # last diagonal of the Euler table of the partial sums
@@ -754,7 +716,7 @@ def _oscillatory(pe: _PatchedEval, spec: IntervalSpec, tol: float):
     for k in range(_OSC_MAX_SEGMENTS):
         if k == len(segments):
             size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
-            segments += yield _GK, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), forced, 0.0)
+            segments += yield _GK, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), 0.0)
                                for j in range(k, min(k + size, _OSC_MAX_SEGMENTS))]
         seg = segments[k]
         if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
@@ -805,7 +767,7 @@ _SOLVERS = {_GK: _adaptive_gk_many, _TANH_SINH: _tanh_sinh_many, _POINTS: _point
 def integrate_many(jobs: Sequence[tuple]) -> list:
     """Integrate many jobs (f, spec, tol) together; one QuadResult per job.
 
-    Each job runs its shape's engine on its own _PatchedEval, so it keeps
+    Each job runs its shape's engine on its own _Job, so it keeps
     its own evaluation count and effort cap.  The pending requests of
     every job are answered together, one solver call per kind: the
     Gauss-Kronrod intervals by _adaptive_gk_many, whose rounds call each
@@ -815,14 +777,14 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
     _eval_chunks).  A job whose request is
     answered makes its next one in the following wave.  Every job's
     result is bit for bit integrate(f, spec, tol).  Every tol must be
-    finite and > 0.  All runs under one np.errstate(all="ignore"):
-    integrands may produce nan/inf at removable points and endpoints, and
-    the engines test for non-finite values themselves.
+    finite and > 0.  All runs under one np.errstate(all="ignore"): a
+    kernel may overflow on the way to a finite value (a cosh in a
+    denominator), and the engines test for non-finite values themselves.
     """
     if not all(0.0 < tol < math.inf for _, _, tol in jobs):
         raise DomainError("tol must be finite and > 0")
     with np.errstate(all="ignore"):
-        pes = [_PatchedEval(f) for f, _, _ in jobs]
+        pes = [_Job(f) for f, _, _ in jobs]
         engines = [_ENGINES[spec.shape](pe, spec, tol)
                    for pe, (_, spec, tol) in zip(pes, jobs)]
         results = [None] * len(jobs)

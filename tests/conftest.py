@@ -40,12 +40,11 @@ def time_limit(seconds: float):
 @pytest.fixture(scope="session")
 def gauss_kronrod():
     """gauss_kronrod(f, a, b, tol): adaptive Gauss-Kronrod alone on finite
-    [a, b], split at each removable point of f, for the tests and oracles
-    that need no tanh-sinh and no semi-infinite engine."""
+    [a, b], for the tests and oracles that need no tanh-sinh and no
+    semi-infinite engine."""
     def run(f, a, b, tol):
         with np.errstate(all="ignore"):
-            [[r]] = quad._adaptive_gk_many([(quad._PatchedEval(f),
-                                             [(a, b, tol, f.removable_points, 0.0)])])
+            [[r]] = quad._adaptive_gk_many([(quad._Job(f), [(a, b, tol, 0.0)])])
         return r
     return run
 

@@ -34,8 +34,8 @@ many records moved their verdict or the bits of `closed`, `value` or
 `abs_error_est`, each field's largest move in ulps of the pinned value,
 each entry's evaluation sum, pinned -> current, marking the entries
 whose sum rose, and the pinned and current sha256, then the pinned and
-current sha256 of each DIGESTS report.  It exits 1 when anything moved,
-like diff(1).
+current sha256 of each DIGESTS report and of the sampled points.  It
+exits 1 when anything moved, like diff(1), so it checks all five pins.
 
 `verdicts FIRST-LAST` writes nothing either: it audits seeds FIRST to
 LAST in turn, at 25 samples and pass tolerance 1e-9, and prints each
@@ -169,6 +169,14 @@ def diff_digests() -> int:
     return 0 if pinned == current else 1
 
 
+def diff_points() -> int:
+    """Print the pinned and current sha256 of the sampled points."""
+    pinned = (DATA / "points.sha256").read_text(encoding="utf-8").strip()
+    current = points()
+    print(f"points sha256 pinned  {pinned}\npoints sha256 current {current}")
+    return 0 if pinned == current else 1
+
+
 def verdicts(reports) -> str:
     """Print the verdict counts of (seed, report) pairs, per entry and in
     total, and the sha256 of their verdict sequence; return that sha256."""
@@ -191,7 +199,7 @@ def verdicts(reports) -> str:
 
 def main(argv) -> int:
     if argv == ["diff"]:
-        return max(diff(audit_all(AuditConfig(**AUDIT))), diff_digests())
+        return max(diff(audit_all(AuditConfig(**AUDIT))), diff_digests(), diff_points())
     if len(argv) == 2 and argv[0] == "verdicts":
         first, _, last = argv[1].partition("-")
         verdicts((seed, audit_all(AuditConfig(**{**AUDIT, "seed": seed})))

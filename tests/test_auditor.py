@@ -60,6 +60,15 @@ class TestVerifyEntry:
         assert rec.rel_diff <= 1e-9
         assert rec.numeric.status == "converged"
 
+    @pytest.mark.parametrize("entry_id, a", [("4.123.1", 300.0), ("4.123.1-m4", 300.0),
+                                             ("4.123.2", 300.0), ("4.123.3", 150.0),
+                                             ("4.123.4", 150.0)])
+    def test_4123_entries_at_large_a(self, entry_id, a):
+        # the limits at pi that the factories once computed with cosh(b pi)
+        # overflowed a double from b pi ~ 710, so integrand raised here
+        [rec] = verify_point(entry_id, {"a": a}, 1e-9)
+        assert rec.verdict == PASS
+
     def test_suspect_divergent(self):
         [rec] = verify_point("4.124.2", {"a": 1.0, "beta": 0.5, "u": 1.0}, 1e-9)
         assert rec.verdict == DIVERGENT

@@ -169,7 +169,7 @@ class TestSchemaDomain:
     @given(_DOMAIN_POINTS)
     @example(("4.118", {"a": 1000.0}))  # sinh overflows
     @example(("4.124.1", {"p": 1.0, "q": 10.0, "u": 80.0}))  # I0(796) overflows
-    @example(("4.123.1", {"a": 1e-300}))  # the limit at x = pi divides by zero
+    @example(("4.123.1", {"a": 1e-300}))  # the closed form is about -1/a
     @example(("L3b", {"a": 1e-300, "b": 1e-300}))
     @example(("4.123.5", {"a": 5e-324, "beta": 0.5, "gamma": 5.722234971514057e307}))  # cos(inf)
     @example(("4.122.2", {"a": 1e300, "beta": 0.5}))  # numpy's sinh overflows
@@ -190,8 +190,9 @@ class TestSchemaDomain:
         with time_limit(5.0):
             with pytest.raises(DomainError, match=r"^4\.118: overflows a double at \{'a': 1000\.0\}$"):
                 closed_form("4.118", {"a": 1000.0})
-            with pytest.raises(DomainError, match=r"^4\.123\.1: divides by zero at \{'a': 1e-300\}$"):
-                integrand("4.123.1", {"a": 1e-300})
+            with pytest.raises(DomainError,
+                               match=r"^4\.122\.2: divides by zero at \{'a': 1\.0, 'beta': 0\.9999999999999999\}$"):
+                closed_form("4.122.2", {"a": 1.0, "beta": 1 - 2 ** -53})  # 1 + cos(beta pi) = 0
             with pytest.raises(DomainError, match=r"^3\.981\.5: leaves a math function's domain at"):
                 closed_form("3.981.5", {"a": 1e308, "beta": 8e307, "gamma": 1e308})  # sin(inf)
             with pytest.raises(DomainError,
@@ -235,18 +236,14 @@ class TestIntegrandMetadata:
         assert f.eval_upper_dist is not None
 
     def test_41232_removable_points(self):
-        f, spec = integrand("4.123.2", {"a": 1.0})
-        assert f.removable_points == (0.0, PI)
-        # annotated limits match a Taylor expansion of the integrand
-        a = 1.0
-        lim0, limpi = f.limit_values
-        assert lim0 == pytest.approx(-2.0 / ((a * a + 1.0) * PI ** 2), rel=1e-13)
-        assert limpi == pytest.approx(-1.0 / (2.0 * (math.cosh(a * PI) + 1.0)), rel=1e-13)
-        eps = 1e-5
-        near0 = float(f.eval(np.array([eps]), *f.args)[0])
-        nearpi = float(f.eval(np.array([PI + eps]), *f.args)[0])
-        assert near0 == pytest.approx(lim0, rel=1e-4)
-        assert nearpi == pytest.approx(limpi, rel=1e-4)
+        # the kernel itself is finite at its 0/0 points x = pi and x -> 0,
+        # and equals the limits the factory once supplied there
+        for a in (0.05, 1.0, 5.0, 150.0):
+            f, _ = integrand("4.123.2", {"a": a})
+            with np.errstate(divide="ignore"):  # the direct branch at pi, not taken
+                at0, atpi = f.eval(np.array([1e-100, PI]), *f.args).tolist()
+            assert at0 == pytest.approx(-2.0 / ((a * a + 1.0) * PI ** 2), rel=1e-13)
+            assert atpi == pytest.approx(-1.0 / (2.0 * (math.cosh(a * PI) + 1.0)), rel=1e-13)
 
     def test_41237_substituted_variable(self):
         f, spec = integrand("4.123.7", {"a": 1.0})
@@ -286,22 +283,14 @@ class TestKernelBatch:
         ends = np.sort(rng.uniform(0.0, 30.0, (n, 2)), axis=1)
         lo, hi = ends[:, 0], ends[:, 1]
         job = rng.integers(len(fs), size=n)
-        # panels around each removable point, with nodes inside and
-        # outside its snap distance, on both sides of the chunk boundary
-        k = len(fs)
-        for p in fs[0].removable_points:
-            w = 3e-12 * (1.0 + abs(p))  # 3 snap distances
-            lo = np.concatenate([np.full(k, max(p - w, 0.0)), lo, np.full(k, max(p - w, 0.0))])
-            hi = np.concatenate([np.full(k, p + w), hi, np.full(k, p + w)])
-            job = np.concatenate([np.arange(k), job, np.arange(k)])
         calls = []
         evaluate = quad._evaluate
         with monkeypatch.context() as mp:
             mp.setattr(quad, "_evaluate", lambda kernel, x, *rest: calls.append(
                 (x, evaluate(kernel, x, *rest))) or calls[-1][1])
             with np.errstate(all="ignore"):
-                pes = [quad._PatchedEval(f) for f in fs]
-                groups = quad._member_groups([(pe.f.eval, pe.f.args, pe.patches) for pe in pes])
+                pes = [quad._Job(f) for f in fs]
+                groups = quad._member_groups([(pe.f.eval, pe.f.args) for pe in pes])
                 quad._gk_batch(pes, groups, job, lo, hi)
         assert len(calls) == 2
         assert max(x.size for x, _ in calls) <= quad._MAX_ABSCISSAE
@@ -312,8 +301,40 @@ class TestKernelBatch:
         for j, f in enumerate(fs):
             mine = job == j
             with np.errstate(all="ignore"):
-                own = quad._evaluate(f.eval, x[mine], f.args, quad._PatchedEval(f).patches)
+                own = quad._evaluate(f.eval, x[mine], f.args)
             assert _hex(y[mine]) == _hex(own)
+
+
+class TestKernelContract:
+    """Every kernel is finite at every x inside its interval that the
+    engines can produce: tanh-sinh's nodes come within about 1e-66 times
+    a half's length of an end, and a Gauss-Kronrod node can land on a
+    removable 0/0 point such as pi.  Checked at each entry's seed-17
+    points on a log grid from 1e-70 past the lower end, plus math.pi and
+    its two neighbours.  4.124.2's printed integrand is nan past u by
+    design, so it is nan everywhere there."""
+
+    @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.id)
+    def test_finite_inside_the_interval(self, entry):
+        for pp in sample_params(entry, 25, 17):
+            f, spec = integrand(entry.id, pp)
+            if spec.shape == "endpoint_singular":
+                reach = spec.upper - spec.lower
+            elif spec.shape == "oscillatory":
+                reach = quad._OSC_MAX_SEGMENTS * PI / spec.osc_hint
+            else:
+                # T solves C e^(-lambda T)/lambda = tol/10, so no block
+                # reaches e^(-lambda x) = 1e-300
+                reach = 690.0 / spec.decay_hint
+            x = spec.lower + np.logspace(-70.0, math.log10(reach), 400)
+            x = np.concatenate([x, [np.nextafter(PI, 0.0), PI, np.nextafter(PI, 4.0)]])
+            x = x[(spec.lower < x) & (x < spec.upper)]
+            with np.errstate(all="ignore"):
+                y = f.eval(x, *f.args)
+            if entry.id == "4.124.2":
+                assert not np.isfinite(y).any()
+            else:
+                assert np.isfinite(y).all(), (pp, x[~np.isfinite(y)])
 
 
 # Each entry below calls the kernel of the entry whose integrand it
@@ -335,11 +356,6 @@ def _e41211_kernel(x, half_sum, half_diff, beta):
 
 def _e4119_kernel(x, half_p, q):
     return 2.0 * np.sin(half_p * x) ** 2 / (x * np.sinh(q * x))
-
-
-def _e41233_kernel(x, two_a):
-    den = catalog._cosh_minus_cos(two_a * x, 2.0 * x) * (x * x - PI ** 2)
-    return np.sin(2.0 * x) * x / den
 
 
 def _e41241_kernel(x, p, q, u):
@@ -369,7 +385,6 @@ _MERGED = {
     "4.119": (_e4119_kernel, lambda pp: (0.5 * pp["p"], pp["q"]), None),
     "4.121.1": (_e41211_kernel, lambda pp: (0.5 * (pp["a"] + pp["b"]),
                                             0.5 * (pp["a"] - pp["b"]), pp["beta"]), None),
-    "4.123.3": (_e41233_kernel, lambda pp: (2.0 * pp["a"],), None),
     "4.124.1": (_e41241_kernel, lambda pp: (pp["p"], pp["q"], pp["u"]), _e41241_upper),
     "4.124.1-nu-1": (_e41241m1_kernel, lambda pp: (pp["p"], pp["q"], pp["u"]),
                      _e41241m1_upper),
@@ -413,79 +428,60 @@ class TestMergedKernels:
             assert _hex(upper(x, **kw)) == _hex(ref_upper(x, **kw))
 
 
-# The integrands the six 4.123 sin(mx) entries had before one family
-# builder (catalog._e4123_family) made them, kept as the references its
-# factories must equal bit for bit.
-
-def _e4123_sin_kernel(x, a, m):
-    den = catalog._cosh_plus_cos(a * x, m * x) * (x * x - PI ** 2)
-    return np.sin(m * x) * x / den
+# The six 4.123 sin(mx) entries by (sign, m, scale): their printed
+# integrand is sin(mx) x / ((cosh bx + sign cos mx)(x^2 - pi^2)), b = scale a.
+_FAMILY = {"4.123.1": (1, 1, 1), "4.123.1-m2": (1, 2, 1), "4.123.1-m3": (1, 3, 1),
+           "4.123.1-m4": (1, 4, 1), "4.123.2": (-1, 1, 1), "4.123.3": (-1, 2, 2)}
 
 
-def _e41232_kernel(x, a, m):
-    den = catalog._cosh_minus_cos(a * x, m * x) * (x * x - PI ** 2)
-    return np.sin(m * x) * x / den
-
-
-def _e4123_sin_factory(m):
-    def factory(pp):
-        a = pp["a"]
-        sign = -1.0 if m % 2 else 1.0
-        lim = sign * m / (2.0 * (math.cosh(a * PI) + sign))
-        return (Integrand(eval=_e4123_sin_kernel, args=(a, float(m)),
-                          removable_points=(PI,), limit_values=(lim,)),
-                quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=float(m)))
-
-    return factory
-
-
-def _e41232_factory(pp):
-    a = pp["a"]
-    lim0 = -2.0 / ((a * a + 1.0) * PI ** 2)
-    limpi = -1.0 / (2.0 * (math.cosh(a * PI) + 1.0))
-    return (Integrand(eval=_e41232_kernel, args=(a, 1.0), removable_points=(0.0, PI),
-                      limit_values=(lim0, limpi)),
-            quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=1.0))
-
-
-def _e41233_factory(pp):
-    a = pp["a"]
-    lim0 = -1.0 / ((a * a + 1.0) * PI ** 2)
-    limpi = 1.0 / (math.cosh(2.0 * a * PI) - 1.0)
-    return (Integrand(eval=_e41232_kernel, args=(2.0 * a, 2.0), removable_points=(0.0, PI),
-                      limit_values=(lim0, limpi)),
-            quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a, osc_hint=2.0))
-
-
-_FAMILY = {"4.123.1": _e4123_sin_factory(1), "4.123.1-m2": _e4123_sin_factory(2),
-           "4.123.1-m3": _e4123_sin_factory(3), "4.123.1-m4": _e4123_sin_factory(4),
-           "4.123.2": _e41232_factory, "4.123.3": _e41233_factory}
+def _printed_4123(entry_id, a, x):
+    """The entry's integrand as printed, in mpmath at mpf a and x."""
+    if entry_id == "4.123.4":
+        return (mpmath.cosh(a * x) * mpmath.sin(x) * x
+                / ((mpmath.cosh(a * x) ** 2 - mpmath.cos(x) ** 2) * (x * x - mpmath.pi ** 2)))
+    sign, m, scale = _FAMILY[entry_id]
+    return (mpmath.sin(m * x) * x
+            / ((mpmath.cosh(scale * a * x) + sign * mpmath.cos(m * x)) * (x * x - mpmath.pi ** 2)))
 
 
 class TestE4123Family:
-    """The family builder's factory gives each of the six entries the
-    kernel values, args, removable points, limits and spec of the factory
-    it replaced, bit for bit, at the seed-17 points and at a from 1e-3 to
-    100 (4.123.3's limit at pi overflows a double from a = 114)."""
+    """The family builder's factory gives each of the six entries the spec
+    of the factory it replaced and a kernel equal to the printed
+    integrand, and so does 4.123.4's factory: within 1e-13 relative of
+    mpmath at x from 1e-100 to 100 and at math.pi, where the kernels meet
+    their 0/0, away from the other zeros of sin(mx), at the seed-17 points
+    and at a from 1e-3 to 100."""
 
-    X = np.array([1e-300, 1e-8, 0.5, PI - 1e-9, 30.0, 700.0])
+    X = np.concatenate([np.logspace(-100.0, 2.0, 52), [PI]])
     A = [1e-3, 0.05, 0.2, 1.0, 2.0, 5.0, 37.0, 100.0]
+
+    def check_kernel(self, entry_id, m):
+        points = sample_params(get_entry(entry_id), 25, 17) + [{"a": a} for a in self.A]
+        fs = [integrand(entry_id, pp)[0] for pp in points]
+        assert len({id(f.eval) for f in fs}) == 1
+        with np.errstate(all="ignore"):
+            got = fs[0].eval(np.tile(self.X, (len(fs), 1)), *_columns([f.args for f in fs]))
+        k = np.round(m * self.X / PI)
+        keep = (np.abs(m * self.X - k * PI) > 1e-3) | (k == 0) | (k == m)
+        with mpmath.workdps(250):  # cosh - cos cancels to about x^2 at x = 1e-100
+            for pp, row in zip(points, got):
+                for x, y in zip(self.X[keep].tolist(), row[keep].tolist()):
+                    want = _printed_4123(entry_id, mpmath.mpf(pp["a"]), mpmath.mpf(x))
+                    # below 1e-300 the value underflows with cosh's overflow
+                    assert abs(y - want) <= 1e-13 * abs(want) + 1e-300, (pp, x, y)
+        return points
 
     @pytest.mark.parametrize("entry_id", list(_FAMILY))
     def test_equal_to_the_factory_it_replaced(self, entry_id):
-        points = sample_params(get_entry(entry_id), 25, 17) + [{"a": a} for a in self.A]
-        pairs = [(integrand(entry_id, pp), _FAMILY[entry_id](pp)) for pp in points]
-        for (f, spec), (g, ref_spec) in pairs:
+        _, m, scale = _FAMILY[entry_id]
+        for pp in self.check_kernel(entry_id, m):
+            spec = quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=scale * pp["a"],
+                                     osc_hint=float(m))
             # a float's repr is its exact value
-            assert repr((f.args, f.removable_points, f.limit_values, spec)) == \
-                repr((g.args, g.removable_points, g.limit_values, ref_spec))
-        fs, gs = [f for (f, _), _ in pairs], [g for _, (g, _) in pairs]
-        assert len({id(f.eval) for f in fs}) == 1
-        x = np.tile(self.X, (len(fs), 1))
-        with np.errstate(all="ignore"):
-            got = fs[0].eval(x, *_columns([f.args for f in fs]))
-            want = gs[0].eval(x, *_columns([g.args for g in gs]))
-        assert _hex(got) == _hex(want)
+            assert repr(integrand(entry_id, pp)[1]) == repr(spec)
+
+    def test_41234_kernel(self):
+        self.check_kernel("4.123.4", 1)
 
 
 class TestE4123ClosedForms:

@@ -130,9 +130,17 @@ def test_regenerate_verdicts_counts_and_hashes_each_record(full_audit, capsys):
     assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
 
 
-def test_sampled_points_match_the_pinned_digest():
+def test_sampled_points_match_the_pinned_digest(capsys, monkeypatch):
     pinned = (BASELINE.parent / "points.sha256").read_text(encoding="utf-8").strip()
-    assert _regenerate().points() == pinned
+    regenerate = _regenerate()
+    assert regenerate.points() == pinned
+    # `regenerate.py diff` prints the pin and exits 1 when the points move
+    assert regenerate.diff_points() == 0
+    assert capsys.readouterr().out.split() == ["points", "sha256", "pinned", pinned,
+                                               "points", "sha256", "current", pinned]
+    monkeypatch.setattr(regenerate, "points", lambda: "0" * 64)
+    assert regenerate.diff_points() == 1
+    assert capsys.readouterr().out.split()[-1] == "0" * 64
 
 
 def test_other_reports_match_their_pinned_digests():
