@@ -270,9 +270,12 @@ def _l1_kernel(x, bb, a, pm1):
 def _l1_factory(pp):
     p, a, b = pp["p"], pp["a"], pp["b"]
     lam = a - abs(b)
-    return (Integrand(eval=_l1_kernel, args=(abs(b), a, p - 1.0)),
+    pm1 = p - 1.0
+    # a non-integer power of x is not analytic at 0: tanh-sinh takes
+    # [0, 1/lam] (C1's weight x keeps Gauss-Kronrod)
+    return (Integrand(eval=_l1_kernel, args=(abs(b), a, pm1)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=lam,
-                         lower_singular=p < 2.0))
+                         lower_singular=not pm1.is_integer()))
 
 
 def _l1_closed(pp):
@@ -1002,8 +1005,10 @@ def _e35273_kernel(x, mum1, a):
 
 def _e35273_factory(pp):
     mu, a = pp["mu"], pp["a"]
-    return (Integrand(eval=_e35273_kernel, args=(mu - 1.0, a)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a))
+    mum1 = mu - 1.0
+    return (Integrand(eval=_e35273_kernel, args=(mum1, a)),
+            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
+                         lower_singular=not mum1.is_integer()))
 
 
 def _e35273_closed(pp):
@@ -1068,7 +1073,7 @@ def _e35321_factory(pp):
     n, a, b = pp["n"], pp["a"], pp["b"]
     return (Integrand(eval=_e35321_kernel, args=(n, a, b)),
             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0,
-                         lower_singular=n < 0.0))
+                         lower_singular=not float(n).is_integer()))
 
 
 def _e35321_sample(rng, i):

@@ -2,7 +2,8 @@
 
 Three integral shapes cover every catalog entry: exponentially decaying
 semi-infinite integrals, oscillatory semi-infinite integrals handled by
-half-period partial sums plus Euler acceleration, and finite integrals
+half-period contributions summed by the alternating-series acceleration
+of Cohen, Rodriguez Villegas and Zagier (CRVZ), and finite integrals
 with (at worst) inverse-square-root endpoint singularities handled by a
 tanh-sinh rule.  An integrand's kernel is finite at every abscissa the
 engines can produce inside its interval (tanh-sinh reaches about 1e-66
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -103,7 +105,10 @@ class IntervalSpec:
     upper: float  # math.inf for semi-infinite shapes
     shape: str  # decay | oscillatory | endpoint_singular (_ENGINES)
     decay_hint: float = 0.0  # exponential rate (decay)
-    lower_singular: bool = False  # decay shape with an integrable singularity at lower
+    # decay shape whose f is not analytic at lower (an integrable
+    # singularity or a non-integer power of x - lower): [lower, lower +
+    # 1/decay_hint] runs on tanh-sinh
+    lower_singular: bool = False
     osc_hint: float = 0.0  # angular frequency: oscillatory, or riding on a decay shape
 
     def __post_init__(self):
@@ -299,8 +304,11 @@ def _initial_panels(intervals: Sequence[tuple]):
     panel_width is set and [a, b] is wider, at the equal-width grid
     a + (b - a) j / count (count <= 4096) that resolves an oscillation per
     panel: an unresolved wide panel can make the embedded rules agree on
-    garbage.  Its panels run between its
-    sorted distinct cuts, owned by i, after the panels of interval i - 1.
+    garbage.  Its panels run between its sorted distinct cuts, owned by
+    i, after the panels of interval i - 1.  The cuts are written in place,
+    a, the grid, b, which is already sorted when a <= b: rounding is
+    monotone and keeps every grid point in [a, b].  Only a batch with a
+    reversed interval is sorted.
     """
     m = len(intervals)
     a = np.array([iv[0] for iv in intervals], dtype=float)
@@ -313,13 +321,21 @@ def _initial_panels(intervals: Sequence[tuple]):
     inner = count.astype(np.intp) - 1
     grid_owner = np.repeat(np.arange(m), inner)
     j = np.arange(1, len(grid_owner) + 1) - np.repeat(np.cumsum(inner) - inner, inner)
-    grid = a[grid_owner] + span[grid_owner] * j / count[grid_owner]
-    cuts = np.concatenate((grid, a, b))
-    owner = np.concatenate((grid_owner, np.arange(m), np.arange(m)))
-    order = np.lexsort((cuts, owner))
-    cuts, owner = cuts[order], owner[order]
+    size = inner + 2
+    last = np.cumsum(size) - 1
+    first = last + 1 - size
+    owner = np.repeat(np.arange(m), size)
+    cuts = np.empty(len(owner))
+    on_grid = np.ones(len(owner), dtype=bool)
+    on_grid[first] = on_grid[last] = False
+    cuts[on_grid] = a[grid_owner] + span[grid_owner] * j / count[grid_owner]
+    cuts[first], cuts[last] = a, b
+    same = owner[1:] == owner[:-1]
+    if np.any(same & (cuts[1:] < cuts[:-1])):
+        order = np.lexsort((cuts, owner))
+        cuts, owner = cuts[order], owner[order]
     distinct = np.ones(len(cuts), dtype=bool)
-    distinct[1:] = (cuts[1:] != cuts[:-1]) | (owner[1:] != owner[:-1])
+    distinct[1:] = (cuts[1:] != cuts[:-1]) | ~same
     cuts, owner = cuts[distinct], owner[distinct]
     same = owner[1:] == owner[:-1]
     return cuts[:-1][same], cuts[1:][same], owner[1:][same]
@@ -681,35 +697,64 @@ def _decay(pe: _Job, spec: IntervalSpec, tol: float):
     return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
 
 
-# half-periods per Gauss-Kronrod request: the Euler stop can first fire at
-# n = 14 partial sums, so segments 1-13 go in one request; later ones go
-# in blocks of 4, so an Euler stop computes at most 3 segments past itself
+# half-periods per Gauss-Kronrod request: the CRVZ stop can first fire at
+# n = 14 contributions, so segments 1-13 go in one request; later ones go
+# in blocks of 4, so a CRVZ stop computes at most 3 segments past itself
 _OSC_FIRST_BLOCK = 13
 _OSC_BLOCK = 4
 _OSC_MAX_SEGMENTS = 512
-_EULER_MAX_DEPTH = 24  # the deepest Euler average the stop reads
+
+
+@functools.lru_cache(maxsize=None)
+def _crvz_weights(n: int) -> tuple:
+    """The weights w_0..w_{n-1} of the CRVZ sum of n terms.
+
+    Algorithm 1 of Cohen, Rodriguez Villegas and Zagier, "Convergence
+    acceleration of alternating series", Exp. Math. 9 (2000), sums an
+    alternating series as sum_k w_k c_k over its first n terms c_k, with
+    w_k = (b_{k+1} + ... + b_n) / d: b_j are the integer coefficients
+    b_0 = 1, b_{j+1} = b_j 2 (n^2 - j^2) / ((2j + 1)(j + 1)), and
+    d = b_0 + ... + b_n = T_n(3), the Chebyshev polynomial, about
+    5.83^n / 2.  The error falls like 5.83^-n where the Euler transform's
+    falls like 2^-n.  Each weight is an exact ratio of integers rounded
+    once (int / int), since d overflows a double past n = 402.
+    """
+    b = [1]
+    for j in range(n):
+        b.append(b[-1] * 2 * (n * n - j * j) // ((2 * j + 1) * (j + 1)))
+    d = tail = sum(b)
+    weights = []
+    for bj in b[:-1]:
+        tail -= bj
+        weights.append(tail / d)
+    return tuple(weights)
+
+
+def _crvz(terms: Sequence[float]) -> float:
+    """The CRVZ sum of an alternating series from its terms, in one fsum."""
+    return math.fsum(map(operator.mul, _crvz_weights(len(terms)), terms))
 
 
 def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
     Consecutive contributions over [a + k h, a + (k+1) h], h = pi/osc_hint,
-    are accumulated and the partial sums fed to the Euler transform at two
-    depths; growth over 8 consecutive intervals, or persistent same-sign
-    contributions that fail to decay, mark the integral suspected_divergent.
-    Segment 0 runs on tanh-sinh, which tolerates an integrable edge
-    singularity or an undefined integrand right at the lower limit; each
-    later one has tolerance tol / (32 (k+1)).  Half-periods 1-13 are
-    requested together, since the Euler stop needs 14 partial sums, and
-    later ones in blocks of 4, when the tests reach them.  The stopping
-    tests still run segment by segment, in order, so the engine stops at
-    the same segment as when each half-period was integrated alone;
-    segments computed past the stop count in `evaluations`.
+    are accumulated and summed by the CRVZ acceleration (_crvz) of the
+    first n, n - 1 and n - 2 contributions; growth over 8 consecutive
+    intervals, or persistent same-sign contributions that fail to decay,
+    mark the integral suspected_divergent.  Segment 0 runs on tanh-sinh,
+    which tolerates an integrable edge singularity or an undefined
+    integrand right at the lower limit; each later one has tolerance
+    tol / (32 (k+1)).  Half-periods 1-13 are requested together, since the
+    CRVZ stop needs 14 contributions, and later ones in blocks of 4, when
+    the tests reach them.  The stopping tests still run segment by
+    segment, in order, so the engine stops at the same segment as when
+    each half-period was integrated alone; segments computed past the
+    stop count in `evaluations`.
     """
     a, h = spec.lower, math.pi / spec.osc_hint
     segments = yield _TANH_SINH, [(a, a + h, tol / 32.0)]
     contribs = []
-    diag = []  # last diagonal of the Euler table of the partial sums
     seg_err = 0.0
     running = 0.0
     precise = True
@@ -726,7 +771,6 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
         contribs.append(seg.value)
         seg_err += seg.abs_error_est
         running += seg.value
-        prev, diag = diag, _euler_diagonal(diag[:_EULER_MAX_DEPTH], running)
         n = len(contribs)
         if n >= 9:
             tail = contribs[-8:]
@@ -743,14 +787,13 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
                 return QuadResult(running, seg_err + 2.0 * abs(contribs[-1]),
                                   pe.used, STATUS_CONVERGED)
             if n >= 14:
-                # the Euler transforms of the partial sums at depths d and
-                # d - 3, and of all but the last at depth min(24, n - 3)
-                depth = min(_EULER_MAX_DEPTH, n - 2)
-                e1 = diag[depth]
-                e2 = diag[depth - 3]
-                e3 = prev[min(_EULER_MAX_DEPTH, n - 3)]
-                # depth agreement alone can dip far below the true error on
-                # modulated envelopes; truncation sensitivity catches that
+                # the CRVZ sums of the first n, n - 1 and n - 2
+                # contributions: agreement of the last two alone can dip far
+                # below the true error on modulated envelopes; the third
+                # catches that
+                e1 = _crvz(contribs)
+                e2 = _crvz(contribs[:-1])
+                e3 = _crvz(contribs[:-2])
                 accel_err = 4.0 * max(abs(e1 - e2), abs(e1 - e3))
                 if accel_err <= tol / 2.0 and abs(contribs[-1]) < 1.0:
                     return QuadResult(e1, seg_err + accel_err, pe.used,

@@ -40,10 +40,12 @@ exits 1 when anything moved, like diff(1), so it checks all five pins.
 `verdicts FIRST-LAST` writes nothing either: it audits seeds FIRST to
 LAST in turn, at 25 samples and pass tolerance 1e-9, and prints each
 entry's verdict counts summed over the seeds (a printed form's verdicts
-as FAIL[printed], as the report's summary counts them), the totals, and
-the sha256 of the verdict sequence, one line "seed entry verdict" per
-record in report order.  Two trees with the same sha256 give every
-record of the sweep the same verdict.
+as FAIL[printed], as the report's summary counts them), the totals, the
+under-estimated PASS records (|numeric - closed| > abs_error_est) per
+entry with the worst finite ratio of the two, and the sha256 of the
+verdict sequence, one line "seed entry verdict" per record in report
+order.  Two trees with the same sha256 give every record of the sweep
+the same verdict.
 """
 
 import hashlib
@@ -52,7 +54,7 @@ import math
 import sys
 from pathlib import Path
 
-from hyptrig.auditor import AuditConfig, audit_all, report_to_json, sample_params
+from hyptrig.auditor import PASS, AuditConfig, audit_all, report_to_json, sample_params
 from hyptrig.catalog import list_entries
 
 DATA = Path(__file__).parent
@@ -179,22 +181,38 @@ def diff_points() -> int:
 
 def verdicts(reports) -> str:
     """Print the verdict counts of (seed, report) pairs, per entry and in
-    total, and the sha256 of their verdict sequence; return that sha256."""
-    counts, h = {}, hashlib.sha256()
+    total, the under-estimated PASS records, and the sha256 of their
+    verdict sequence; return that sha256."""
+    counts, under, h = {}, {}, hashlib.sha256()
     for seed, report in reports:
         for r in report.records:
             key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
             entry = counts.setdefault(r.entry_id, {})
             entry[key] = entry.get(key, 0) + 1
             h.update(f"{seed} {r.entry_id} {key}\n".encode("ascii"))
+            miss = abs(r.numeric.value - r.closed)
+            if r.verdict == PASS and miss > r.numeric.abs_error_est:
+                n, worst = under.get(r.entry_id, (0, 0.0))
+                ratio = miss / r.numeric.abs_error_est if r.numeric.abs_error_est else 0.0
+                under[r.entry_id] = (n + 1, max(worst, ratio))
     total = {}
     for entry, entry_counts in counts.items():
         print(f"{entry:<14}" + " ".join(f"{k}:{n}" for k, n in sorted(entry_counts.items())))
         for k, n in entry_counts.items():
             total[k] = total.get(k, 0) + n
     print(f"{'total':<14}" + " ".join(f"{k}:{n}" for k, n in sorted(total.items())))
+    print_under(under)
     print(f"sha256 {h.hexdigest()}")
     return h.hexdigest()
+
+
+def print_under(under: dict) -> None:
+    """Print, per entry, the PASS records whose |numeric - closed| exceeds
+    their abs_error_est and the worst finite ratio of the two (none when
+    every such estimate is 0), one line "under ENTRY COUNT worst RATIO"."""
+    for entry, (n, worst) in under.items():
+        print(f"under {entry:<14}{n:>6}  worst {f'{worst:.3g}' if worst else 'none'}")
+    print(f"under {'total':<14}{sum(n for n, _ in under.values()):>6}")
 
 
 def main(argv) -> int:

@@ -283,9 +283,17 @@ class TestAuditBatch:
     def test_tanh_sinh_levels_and_probes_share_their_kernel_calls(self, full_audit):
         # the points of all entries share each tanh-sinh level's and each
         # probe wave's kernel calls; integrated one at a time, the same
-        # audit makes 1,137 tanh-sinh and 578 probe integrand calls
+        # audit makes 1,149 tanh-sinh and 578 probe integrand calls
+        # (3.527.3's lower pieces joined the levels: 43 -> 48 calls)
         echo = full_audit.config_echo
-        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (43, 18)
+        assert (echo["ts_kernel_calls"], echo["probe_kernel_calls"]) == (48, 18)
+
+    def test_no_straggler_rounds(self, full_audit):
+        # the non-integer powers at x = 0 (L1, 3.527.3, 3.532.1) run on
+        # tanh-sinh and the oscillatory tails stop by CRVZ, so no entry
+        # keeps bisecting or asking for half-periods after the rest: 43
+        # rounds when both bisected and Euler-accelerated
+        assert full_audit.config_echo["gk_rounds"] <= 16
 
 
 def _traced_peak(run):

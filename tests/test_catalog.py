@@ -229,6 +229,24 @@ class TestIntegrandMetadata:
         expect = xs * np.sin(xs) / np.cosh(xs) ** 2
         assert np.allclose(f.eval(xs, *f.args), expect, rtol=1e-14)
 
+    @pytest.mark.parametrize("entry_id, point, power", [
+        ("L1", {"a": 1.0, "b": 0.5}, lambda p: p - 1.0),
+        ("3.527.3", {"a": 1.0}, lambda mu: mu - 1.0),
+        ("3.532.1", {"a": 1.0, "b": 2.0}, lambda n: n)], ids=["L1", "3.527.3", "3.532.1"])
+    def test_lower_singular_exactly_at_non_integer_powers(self, entry_id, point, power):
+        # x^power is analytic at x = 0 only for an integer power
+        name = get_entry(entry_id).params[0].name
+        for value in (-0.5, 0.0, 1.0, 1.05, 1.5, 2.0, 3.0, 3.7):
+            pp = {name: value, **point}
+            try:
+                get_entry(entry_id).validate(pp)
+            except DomainError:
+                continue
+            _, spec = integrand(entry_id, pp)
+            assert spec.lower_singular == (not float(power(value)).is_integer()), pp
+        # C1 is L1 at p = 2: weight x, on Gauss-Kronrod
+        assert not integrand("C1", {"a": 1.0, "b": 0.5})[1].lower_singular
+
     def test_41241_shape(self):
         f, spec = integrand("4.124.1", {"p": 2.0, "q": 1.0, "u": 1.0})
         assert spec.shape == "endpoint_singular"

@@ -255,6 +255,21 @@ class TestDecay:
         r = integrate(f, _decay_spec(1.0, lower_singular=True), 1e-11)
         assert r.value == pytest.approx(math.sqrt(PI), abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.05, 1.3, 3.7])
+    def test_non_integer_power_at_lower(self, alpha, monkeypatch):
+        # x^alpha e^(-x) = Gamma(alpha + 1): lower_singular puts [0, 1] on
+        # tanh-sinh, so Gauss-Kronrod no longer bisects toward x = 0 (38
+        # rounds at alpha = 0.05 without the flag)
+        rounds = []
+        gk_batch = quad._gk_batch
+        monkeypatch.setattr(quad, "_gk_batch", lambda *a: rounds.append(1) or gk_batch(*a))
+        f = Integrand(eval=lambda x, alpha: x ** alpha * np.exp(-x), args=(alpha,))
+        r = integrate(f, _decay_spec(1.0, lower_singular=True), 1e-11)
+        assert r.status == STATUS_CONVERGED
+        assert abs(r.value - math.gamma(alpha + 1.0)) <= 1e-11
+        if alpha == 0.05:
+            assert len(rounds) <= 8
+
     def test_divergence_detected(self):
         # not actually decaying at the promised rate
         f = Integrand(eval=lambda x: 1.0 / (1.0 + x))
@@ -364,17 +379,18 @@ class TestOscillatoryStop:
     """The oscillatory engine's stopping point, pinned.
 
     Half-periods are integrated in blocks, so the evaluation count alone
-    does not show at which segment the engine stopped; the Euler error
-    estimate does.  Recorded values: 1553 evaluations each, and the
-    estimates below."""
+    does not show at which segment the engine stopped; the CRVZ error
+    estimate does.  Recorded values: 1013 evaluations each, and the
+    estimates below (actual errors 1.3e-13 and 6.6e-14; the Euler stop
+    took 1553 evaluations for errors of 1.0e-12 and 1.6e-13)."""
 
     CASES = [
         # int_0^inf x sin x / (1 + x^2) dx = pi / (2e)
         (lambda: Integrand(eval=lambda x: x * np.sin(x) / (1.0 + x * x)),
-         PI / (2.0 * math.e), 1553, 4.7490508878230185e-11),
+         PI / (2.0 * math.e), 1013, 2.0178782220687e-11),
         # int_0^inf sin x / x dx = pi / 2
         (lambda: Integrand(eval=lambda x: np.sin(x) / x),
-         PI / 2.0, 1553, 6.178600836575465e-12),
+         PI / 2.0, 1013, 8.910077976477267e-12),
     ]
 
     @pytest.mark.parametrize("make, exact, evaluations, estimate", CASES,
@@ -385,8 +401,8 @@ class TestOscillatoryStop:
         assert abs(r.value - exact) <= 1e-10
         assert abs(r.value - exact) <= r.abs_error_est
         assert r.evaluations == evaluations
-        # the estimate moves with the stopping segment and the Euler
-        # depths; last-bit changes of the segment values move it far less
+        # the estimate moves with the stopping segment; last-bit changes
+        # of the segment values move it far less
         assert r.abs_error_est == pytest.approx(estimate, rel=1e-2, abs=0.0)
 
 
@@ -409,17 +425,20 @@ class TestPartition:
             a = rng.uniform(-50.0, 50.0)
             b = a + rng.uniform(1e-3, 200.0)
             cases.append((a, b, rng.choice([0.0, rng.uniform(1e-2, 50.0)])))
-        # one pass over all intervals gives each its own panels, in order
-        lo, hi, owner = quad._initial_panels([(a, b, 1e-10, width) for a, b, width in cases])
-        want_lo, want_hi, want_owner = [], [], []
-        for i, (a, b, width) in enumerate(cases):
-            bounds = _reference_partition(a, b, width)
-            want_lo += bounds[:-1]
-            want_hi += bounds[1:]
-            want_owner += [i] * (len(bounds) - 1)
-        assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
-        assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
-        assert owner.tolist() == want_owner
+        # a reversed interval is the one kind whose cuts need a sort
+        for batch in (cases, cases + [(5.0, 1.0, 0.0)]):
+            # one pass over all intervals gives each its own panels, in order
+            lo, hi, owner = quad._initial_panels([(a, b, 1e-10, width)
+                                                  for a, b, width in batch])
+            want_lo, want_hi, want_owner = [], [], []
+            for i, (a, b, width) in enumerate(batch):
+                bounds = _reference_partition(a, b, width)
+                want_lo += bounds[:-1]
+                want_hi += bounds[1:]
+                want_owner += [i] * (len(bounds) - 1)
+            assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
+            assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
+            assert owner.tolist() == want_owner
 
 
 def _counting(f):
@@ -954,6 +973,44 @@ class TestDispatch:
             with pytest.raises(DomainError, match="tol"):
                 quad.integrate_many([good, (good[0], good[1], tol), good])
         assert integrate(*good).status == STATUS_CONVERGED
+
+
+def _crvz_algorithm_1(terms):
+    # Cohen, Rodriguez Villegas and Zagier's Algorithm 1 as printed, in
+    # floats: the sum of the alternating series sum_k (-1)^k a_k from its
+    # first n terms c_k = (-1)^k a_k
+    n = len(terms)
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b, c, s = -1.0, -d, 0.0
+    for k, term in enumerate(terms):
+        c = b - c
+        s += c * (-1.0) ** k * term
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+class TestCRVZ:
+    @pytest.mark.parametrize("term, exact", [
+        (lambda k: 1.0 / (k + 1), math.log(2.0)),
+        (lambda k: 1.0 / (2 * k + 1), PI / 4.0),
+        (lambda k: 1.0 / math.sqrt(k + 1), float(mpmath.altzeta(0.5)))],
+        ids=["ln2", "leibniz", "eta_one_half"])
+    def test_twenty_terms(self, term, exact):
+        # the error falls like 5.83^-n: 20 terms reach double precision
+        terms = [(-1.0) ** k * term(k) for k in range(20)]
+        assert abs(quad._crvz(terms) - exact) <= 1e-15 * abs(exact)
+        assert quad._crvz(terms) == pytest.approx(_crvz_algorithm_1(terms), rel=1e-14)
+
+    def test_weights(self):
+        for n in (1, 2, 14, 60, 402, 512):
+            w = quad._crvz_weights(n)
+            assert len(w) == n
+            # each weight in (0, 1], falling with k; past n = 402 the
+            # printed algorithm's d overflows, the exact weights do not
+            assert all(1.0 >= x >= y for x, y in zip(w, w[1:])) and w[-1] > 0.0
+        # n = 1: d = T_1(3) = 3, b = (1, 2), so w_0 = 2/3
+        assert quad._crvz_weights(1) == (2.0 / 3.0,)
 
 
 class TestEulerTransform:

@@ -121,6 +121,13 @@ def test_regenerate_verdicts_counts_and_hashes_each_record(full_audit, capsys):
         assert lines[entry_id] == [f"{k}:{n}" for k, n in summary["counts"].items()]
     assert lines["total"] == ["DIVERGENT:25", "FAIL[printed]:25", "PASS:678"]
     assert out[-1] == f"sha256 {digest}"
+    # the PASS records whose error exceeds their estimate, per entry
+    under = {}
+    for r in full_audit.records:
+        if r.verdict == "PASS" and abs(r.numeric.value - r.closed) > r.numeric.abs_error_est:
+            under[r.entry_id] = under.get(r.entry_id, 0) + 1
+    printed = {line.split()[1]: int(line.split()[2]) for line in out if line.startswith("under ")}
+    assert printed == {**under, "total": sum(under.values())}
     # one moved verdict moves the sha256 but not the counts of another seed
     records = list(full_audit.records)
     records[0] = dataclasses.replace(records[0], verdict="FAIL")
