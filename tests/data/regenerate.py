@@ -190,10 +190,9 @@ def verdicts(reports) -> str:
             entry = counts.setdefault(r.entry_id, {})
             entry[key] = entry.get(key, 0) + 1
             h.update(f"{seed} {r.entry_id} {key}\n".encode("ascii"))
-            miss = abs(r.numeric.value - r.closed)
-            if r.verdict == PASS and miss > r.numeric.abs_error_est:
+            if r.verdict == PASS and r.abs_diff > r.numeric.abs_error_est:
                 n, worst = under.get(r.entry_id, (0, 0.0))
-                ratio = miss / r.numeric.abs_error_est if r.numeric.abs_error_est else 0.0
+                ratio = r.abs_diff / r.numeric.abs_error_est if r.numeric.abs_error_est else 0.0
                 under[r.entry_id] = (n + 1, max(worst, ratio))
     total = {}
     for entry, entry_counts in counts.items():

