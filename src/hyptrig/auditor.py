@@ -1,8 +1,8 @@
 """Sampling, verification, and report assembly.
 
 The audit draws seeded parameter points from each entry's parameter
-schema, integrates the entry's integrand at every point with the
-shape-matched engine (every point of every entry in one integrate_many
+schema, integrates the entry's integrand at every point with the engine
+its interval picks (every point of every entry in one integrate_many
 call, so the whole audit shares its rounds and kernel calls), compares
 against the closed form, and classifies the outcome.  Suspect entries
 and printed forms are expected to fail and are counted separately; an
@@ -36,6 +36,12 @@ SKIPPED = "SKIPPED"
 SUSPECT_BAND_HIGH = 1e-5
 
 
+def _check_pass_tol(pass_tol: float) -> None:
+    """The one check of a pass tolerance, for the audit and verify_point."""
+    if not (0.0 < pass_tol < 1.0):
+        raise DomainError("pass_tol must lie in (0, 1)")
+
+
 @dataclass
 class AuditConfig:
     samples: int = 25
@@ -46,8 +52,7 @@ class AuditConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
-        if not (0.0 < self.pass_tol < 1.0):
-            raise DomainError("pass_tol must lie in (0, 1)")
+        _check_pass_tol(self.pass_tol)
 
 
 @dataclass
@@ -163,7 +168,9 @@ def verify_point(entry_id: str, params: ParamPoint,
     "printed" for an entry with a printed_form.  They equal the audit's
     records of the same point, but where the closed form is inf or nan
     catalog.closed_form's DomainError is raised (the audit records a FAIL).
+    A pass_tol outside (0, 1) raises DomainError, as in AuditConfig.
     """
+    _check_pass_tol(pass_tol)
     entry = catalog.get_entry(entry_id)
     catalog.closed_form(entry_id, params)  # validates the point too
     closed, job = _point(entry, params, pass_tol)

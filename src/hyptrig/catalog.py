@@ -254,7 +254,7 @@ def closed_form(entry_id: str, params: ParamPoint) -> float:
 
 
 def integrand(entry_id: str, params: ParamPoint) -> Tuple[Integrand, IntervalSpec]:
-    """The entry's integrand, plus shape hints."""
+    """The entry's integrand, plus its interval and engine hints."""
     entry = get_entry(entry_id)
     entry.validate(params)
     return entry.guarded(entry.integrand_factory, params)
@@ -274,8 +274,7 @@ def _l1_factory(pp):
     # a non-integer power of x is not analytic at 0: tanh-sinh takes
     # [0, 1/lam] (C1's weight x keeps Gauss-Kronrod)
     return (Integrand(eval=_l1_kernel, args=(abs(b), a, pm1)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=lam,
-                         lower_singular=not pm1.is_integer()))
+            IntervalSpec(0.0, decay_hint=lam, lower_singular=not pm1.is_integer()))
 
 
 def _l1_closed(pp):
@@ -322,7 +321,7 @@ def _l3a_kernel(x, a, b):
 def _l3a_factory(pp):
     a, b = pp["a"], pp["b"]
     return (Integrand(eval=_l3a_kernel, args=(a, b)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=abs(b)))
+            IntervalSpec(0.0, decay_hint=a, osc_hint=abs(b)))
 
 
 _register(EntryDescriptor(
@@ -341,8 +340,7 @@ def _l3b_kernel(x, a, b):
 def _l3b_factory(pp):
     a, b = pp["a"], pp["b"]
     return (Integrand(eval=_l3b_kernel, args=(a, b)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=a,
-                         osc_hint=2.0 * abs(b)))
+            IntervalSpec(0.0, decay_hint=a, osc_hint=2.0 * abs(b)))
 
 
 _register(EntryDescriptor(
@@ -375,7 +373,7 @@ def _e4118_kernel(x, a):
 def _e4118_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e4118_kernel, args=(a,)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0, osc_hint=a))
+            IntervalSpec(0.0, decay_hint=2.0, osc_hint=a))
 
 
 def _e4118_closed(pp):
@@ -421,8 +419,7 @@ def _e41211_factory(pp):
     # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2): the 4.122.1 kernel
     a, b, beta = pp["a"], pp["b"], pp["beta"]
     return (Integrand(eval=_e41221_kernel, args=(2.0, 0.5 * (a + b), 0.5 * (a - b), beta)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
-                         osc_hint=max(a, b)))
+            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(a, b)))
 
 
 def _e41211_closed(pp):
@@ -460,8 +457,7 @@ def _e41212_kernel(x, half_sum, half_diff, beta):
 def _e41212_factory(pp):
     a, b, beta = pp["a"], pp["b"], pp["beta"]
     return (Integrand(eval=_e41212_kernel, args=(0.5 * (a + b), 0.5 * (b - a), beta)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=beta,
-                         osc_hint=max(a, b)))
+            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(a, b)))
 
 
 _register(EntryDescriptor(
@@ -477,8 +473,7 @@ _register(EntryDescriptor(
 def _e41221_factory(pp):
     beta, gamma, delta = pp["beta"], pp["gamma"], pp["delta"]
     return (Integrand(eval=_e41221_kernel, args=(1.0, beta, gamma, delta)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=delta,
-                         osc_hint=beta + gamma))
+            IntervalSpec(0.0, decay_hint=delta, osc_hint=beta + gamma))
 
 
 def _e41221_sample(rng, i):
@@ -512,8 +507,7 @@ def _e41222_kernel(x, a, bb):
 def _e41222_factory(pp):
     a, beta = pp["a"], pp["beta"]
     return (Integrand(eval=_e41222_kernel, args=(a, abs(beta))),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0 - beta,
-                         osc_hint=2.0 * a))
+            IntervalSpec(0.0, decay_hint=1.0 - beta, osc_hint=2.0 * a))
 
 
 def _e41222_closed(pp):
@@ -542,8 +536,7 @@ def _e39815_factory(pp):
     a, beta, gamma = pp["a"], pp["beta"], pp["gamma"]
     return (Integrand(eval=_e39815_kernel,
                       args=(a, math.copysign(1.0, beta), abs(beta), gamma)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=gamma - abs(beta),
-                         osc_hint=a))
+            IntervalSpec(0.0, decay_hint=gamma - abs(beta), osc_hint=a))
 
 
 def _e39815_closed(pp):
@@ -614,7 +607,7 @@ def _e4123_family(sign: int, m: int, scale: float):
     def factory(pp):
         b = scale * pp["a"]
         return (Integrand(eval=kernel, args=(b, float(m), float((-1) ** m * m))),
-                IntervalSpec(0.0, math.inf, "decay", decay_hint=b, osc_hint=float(m)))
+                IntervalSpec(0.0, decay_hint=b, osc_hint=float(m)))
 
     def closed(pp):
         b = scale * pp["a"]
@@ -652,7 +645,7 @@ def _e41234_kernel(x, a):
 def _e41234_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e41234_kernel, args=(a,)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=a, osc_hint=2.0))
+            IntervalSpec(0.0, decay_hint=a, osc_hint=2.0))
 
 
 _register(EntryDescriptor(
@@ -709,7 +702,7 @@ def _e41235_factory(pp):
     a, beta, gamma = pp["a"], pp["beta"], pp["gamma"]
     return (Integrand(eval=_e41235_kernel,
                       args=(a, math.cos(_PI * beta), gamma * gamma)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=_PI, osc_hint=a))
+            IntervalSpec(0.0, decay_hint=_PI, osc_hint=a))
 
 
 def _e41235_sample(rng, i):
@@ -746,8 +739,7 @@ def _e41236_kernel(x, a, b, pm1):
 def _e41236_factory(pp):
     a, b, p = pp["a"], pp["b"], pp["p"]
     return (Integrand(eval=_e41236_kernel, args=(a, b, p - 1.0)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=b,
-                         osc_hint=2.0 * a))
+            IntervalSpec(0.0, decay_hint=b, osc_hint=2.0 * a))
 
 
 def _e41236_closed(pp):
@@ -794,7 +786,7 @@ def _e41237_kernel(t, half_a):
 def _e41237_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e41237_kernel, args=(0.5 * a,)),
-            IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=0.5 * a))
+            IntervalSpec(0.0, osc_hint=0.5 * a))
 
 
 def _e41237_closed(pp):
@@ -835,7 +827,7 @@ def _e41241_family(op):
         p, q, u = pp["p"], pp["q"], pp["u"]
         return (Integrand(eval=kernel, args=(p, q, u),
                           eval_upper_dist=functools.partial(upper, p=p, q=q, u=u)),
-                IntervalSpec(0.0, u, "endpoint_singular"))
+                IntervalSpec(0.0, u))
 
     return factory
 
@@ -925,7 +917,7 @@ def _e41242_kernel(x, a, beta, u):
 def _e41242_factory(pp):
     a, beta, u = pp["a"], pp["beta"], pp["u"]
     return (Integrand(eval=_e41242_kernel, args=(a, beta, u)),
-            IntervalSpec(u, math.inf, "oscillatory", osc_hint=a))
+            IntervalSpec(u, osc_hint=a))
 
 
 def _e41242_closed(pp):
@@ -1007,8 +999,7 @@ def _e35273_factory(pp):
     mu, a = pp["mu"], pp["a"]
     mum1 = mu - 1.0
     return (Integrand(eval=_e35273_kernel, args=(mum1, a)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0 * a,
-                         lower_singular=not mum1.is_integer()))
+            IntervalSpec(0.0, decay_hint=2.0 * a, lower_singular=not mum1.is_integer()))
 
 
 def _e35273_closed(pp):
@@ -1072,8 +1063,7 @@ def _e35321_kernel(x, n, a, b):
 def _e35321_factory(pp):
     n, a, b = pp["n"], pp["a"], pp["b"]
     return (Integrand(eval=_e35321_kernel, args=(n, a, b)),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0,
-                         lower_singular=not float(n).is_integer()))
+            IntervalSpec(0.0, decay_hint=1.0, lower_singular=not float(n).is_integer()))
 
 
 def _e35321_sample(rng, i):
@@ -1104,7 +1094,7 @@ def _e41179c_kernel(x, a):
 def _e41179c_factory(pp):
     a = pp["a"]
     return (Integrand(eval=_e41179c_kernel, args=(a,)),
-            IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=a))
+            IntervalSpec(0.0, osc_hint=a))
 
 
 def _e41179c_closed(pp):
@@ -1169,7 +1159,7 @@ for _eid, _kernel, _cf, _note in (
         # every HW integrand is its kernel on [0, inf), damped like e^(-t/2)
         integrand_factory=lambda pp, kernel=_kernel: (
             Integrand(eval=kernel),
-            IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=1.0)),
+            IntervalSpec(0.0, decay_hint=0.5, osc_hint=1.0)),
         closed_form=_cf,
         flags=frozenset({"constant_entry"}),
         provenance_note=_note,

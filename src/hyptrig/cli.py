@@ -113,7 +113,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
-    tol = auditor.AuditConfig(**_given(args)).pass_tol
+    tol = _given(args).get("pass_tol", auditor.AuditConfig.pass_tol)
     records = auditor.verify_point(args.entry, params, tol)
     for rec in records:
         tag = f"[{rec.convention}]" if rec.convention else ""

@@ -1,13 +1,15 @@
 """Quadrature and series acceleration.
 
-Three integral shapes cover every catalog entry: exponentially decaying
-semi-infinite integrals, oscillatory semi-infinite integrals handled by
-half-period contributions summed by the alternating-series acceleration
-of Cohen, Rodriguez Villegas and Zagier (CRVZ), and finite integrals
-with (at worst) inverse-square-root endpoint singularities handled by a
-tanh-sinh rule.  An integrand's kernel is finite at every abscissa the
-engines can produce inside its interval (tanh-sinh reaches about 1e-66
-times a half's length from an end), a removable 0/0 point included.
+Three kinds of integral cover every catalog entry: exponentially
+decaying semi-infinite integrals, oscillatory semi-infinite integrals
+handled by half-period contributions summed by the alternating-series
+acceleration of Cohen, Rodriguez Villegas and Zagier (CRVZ), and finite
+integrals with (at worst) inverse-square-root endpoint singularities
+handled by a tanh-sinh rule.  The IntervalSpec alone says which: a
+finite upper bound, a decay rate or an angular frequency (_engine).  An
+integrand's kernel is finite at every abscissa the engines can produce
+inside its interval (tanh-sinh reaches about 1e-66 times a half's
+length from an end), a removable 0/0 point included.
 
 Adaptive Gauss-Kronrod runs in one refinement loop that owns the panels
 of many intervals (_adaptive_gk_many), in the manner of QUADPACK's
@@ -24,7 +26,7 @@ each kernel once per run of its rows in a chunk of at most
 _MAX_ABSCISSAE abscissae, with each arg a column of per-row values
 (Shampine's vectorised quadgk, carried over to parameters).
 
-Each shape has one engine, a generator that yields its requests, each a
+Each kind has one engine, a generator that yields its requests, each a
 kind and a list of items: Gauss-Kronrod intervals (a, b, tol,
 panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which it
 wants the integrand's values (the decay probes); it is sent the answers
@@ -99,35 +101,20 @@ class Integrand:
 
 @dataclass
 class IntervalSpec:
-    """Integration domain plus the shape hints the engine dispatches on."""
+    """Integration domain plus the hints that pick its engine (_engine)."""
 
     lower: float
-    upper: float  # math.inf for semi-infinite shapes
-    shape: str  # decay | oscillatory | endpoint_singular (_ENGINES)
-    decay_hint: float = 0.0  # exponential rate (decay)
-    # decay shape: [lower, lower + 1/decay_hint] runs on tanh-sinh, not
-    # Gauss-Kronrod.  A factory sets it where f is not analytic at lower
-    # (an integrable singularity or a non-integer power of x - lower) and
-    # bisection toward lower would cost rounds; 4.123.6's x^(p-1) is left
-    # unset, since there tanh-sinh costs more evaluations than it saves
+    upper: float = math.inf
+    decay_hint: float = 0.0  # exponential rate: the decay engine
+    # decay engine: [lower, lower + 1/decay_hint] runs on tanh-sinh, set
+    # where f is not analytic at lower (an integrable singularity or a
+    # non-integer power of x - lower) and bisection would cost rounds; not
+    # for 4.123.6's x^(p-1), where tanh-sinh costs more than it saves
     lower_singular: bool = False
-    osc_hint: float = 0.0  # angular frequency: oscillatory, or riding on a decay shape
+    osc_hint: float = 0.0  # angular frequency: oscillatory, or riding on decay
 
     def __post_init__(self):
-        if self.shape not in _ENGINES:
-            raise DomainError(f"unknown shape {self.shape!r}")
-        if not math.isfinite(self.lower):
-            raise DomainError("lower must be finite")
-        if self.shape == "endpoint_singular":
-            if not (self.lower < self.upper and math.isfinite(self.upper)):
-                raise DomainError("endpoint_singular shape needs finite lower < upper")
-        elif self.upper != math.inf:
-            # the semi-infinite engines never read upper
-            raise DomainError(f"{self.shape} shape needs upper = inf")
-        if self.shape == "oscillatory" and not self.osc_hint > 0.0:
-            raise DomainError("oscillatory shape needs osc_hint > 0")
-        if self.shape == "decay" and not self.decay_hint > 0.0:
-            raise DomainError("decay shape needs decay_hint > 0")
+        _engine(self)  # DomainError where no engine fits
 
 
 @dataclass
@@ -621,9 +608,9 @@ _TANH_SINH = "tanh_sinh"
 _POINTS = "points"
 
 
-# The engines, one per IntervalSpec shape.  Each is a generator on one
-# _Job: it yields (kind, request) pairs, is sent back each request's
-# answer, and returns the job's QuadResult.
+# The engines, one per kind of integral (_engine picks it).  Each is a
+# generator on one _Job: it yields (kind, request) pairs, is sent back
+# each request's answer, and returns the job's QuadResult.
 
 
 def _endpoint(pe: _Job, spec: IntervalSpec, tol: float):
@@ -738,15 +725,17 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
     Consecutive contributions over [a + k h, a + (k+1) h], h = pi/osc_hint,
-    are accumulated and summed by the CRVZ acceleration (_crvz) of the
-    first n, n - 1 and n - 2 contributions; growth over 8 consecutive
-    intervals, or persistent same-sign contributions that fail to decay,
-    mark the integral suspected_divergent.  Segment 0 runs on tanh-sinh,
-    which tolerates an integrable edge singularity or an undefined
-    integrand right at the lower limit; each later one has tolerance
-    tol / (32 (k+1)).  Half-periods 1-13 are requested together, since the
-    CRVZ stop needs 14 contributions, and later ones in blocks of 4, when
-    the tests reach them.  The stopping tests still run segment by
+    are summed by the CRVZ acceleration (_crvz); the only convergence stop
+    is the agreement of the CRVZ sums of the first n, n - 1 and n - 2
+    contributions while every segment converged.  Growth over 8
+    consecutive intervals, or persistent same-sign contributions that
+    fail to decay, mark the integral suspected_divergent; past the effort
+    cap the job returns its plain running sum as max_effort.  Segment 0
+    runs on tanh-sinh, which tolerates an integrable edge singularity or
+    an undefined integrand right at the lower limit; each later one has
+    tolerance tol / (32 (k+1)).  Half-periods 1-13 are requested together,
+    since the CRVZ stop needs 14 contributions, and later ones in blocks
+    of 4, when the tests reach them.  The stopping tests still run segment by
     segment, in order, so the engine stops at the same segment as when
     each half-period was integrated alone; segments computed past the
     stop count in `evaluations`.
@@ -782,14 +771,10 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
                 # a persistent same-sign tail above the noise floor violates
                 # the alternation contract (e.g. a ~1/x log-divergent tail)
                 return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
-        if precise:
-            if n >= 3 and abs(contribs[-1]) <= tol / 4.0 and abs(contribs[-2]) <= tol / 4.0:
-                return QuadResult(running, seg_err + 2.0 * abs(contribs[-1]),
-                                  pe.used, STATUS_CONVERGED)
-            if n >= 12:
-                # precise never comes back once lost, so sums holds every
-                # prefix from 12 terms on while it holds
-                sums.append(_crvz(contribs))
+        if precise and n >= 12:
+            # precise never comes back once lost, so sums holds every
+            # prefix from 12 terms on while it holds
+            sums.append(_crvz(contribs))
             if n >= 14:
                 # the CRVZ sums of the first n, n - 1 and n - 2
                 # contributions: agreement of the last two alone can dip far
@@ -805,32 +790,49 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
     return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
 
 
-_ENGINES = {"endpoint_singular": _endpoint, "decay": _decay, "oscillatory": _oscillatory}
+def _engine(spec: IntervalSpec):
+    """The engine of an interval: _endpoint (tanh-sinh) on a finite
+    [lower, upper] with no hint set; on [lower, inf), _decay when
+    decay_hint > 0, else _oscillatory when osc_hint > 0.  Anything else
+    raises DomainError: a non-finite lower, upper <= lower, a nan bound,
+    a hint on a finite interval (tanh-sinh reads none), a negative or nan
+    decay_hint, or [lower, inf) with neither hint."""
+    a, b, lam = spec.lower, spec.upper, spec.decay_hint
+    if math.isfinite(a) and a < b:
+        if b < math.inf and not (lam or spec.osc_hint or spec.lower_singular):
+            return _endpoint
+        if b == math.inf and lam > 0.0:
+            return _decay
+        if b == math.inf and lam == 0.0 and spec.osc_hint > 0.0:
+            return _oscillatory
+    raise DomainError(f"no engine integrates {spec}")
+
+
 _SOLVERS = {_GK: _adaptive_gk_many, _TANH_SINH: _tanh_sinh_many, _POINTS: _points_many}
 
 
 def integrate_many(jobs: Sequence[tuple]) -> list:
     """Integrate many jobs (f, spec, tol) together; one QuadResult per job.
 
-    Each job runs its shape's engine on its own _Job, so it keeps
-    its own evaluation count and effort cap.  The pending requests of
+    Each job runs its interval's engine (_engine) on its own _Job, so it
+    keeps its own evaluation count and effort cap.  The pending requests of
     every job are answered together, one solver call per kind: the
     Gauss-Kronrod intervals by _adaptive_gk_many, whose rounds call each
     kernel once on the panels of every live job that shares it, the
     tanh-sinh intervals by _tanh_sinh_many, whose levels do the same with
     rows of nodes, and the probe points by _points_many (each through
-    _eval_chunks).  A job whose request is
-    answered makes its next one in the following wave.  Every job's
-    result is bit for bit integrate(f, spec, tol).  Every tol must be
-    finite and > 0.  All runs under one np.errstate(all="ignore"): a
-    kernel may overflow on the way to a finite value (a cosh in a
-    denominator), and the engines test for non-finite values themselves.
+    _eval_chunks).  A job whose request is answered makes its next one in
+    the following wave.  Every job's result is bit for bit integrate(f,
+    spec, tol).  Every tol must be finite and > 0.  All runs under one
+    np.errstate(all="ignore"): a kernel may overflow on the way to a
+    finite value (a cosh in a denominator), and the engines test for
+    non-finite values themselves.
     """
     if not all(0.0 < tol < math.inf for _, _, tol in jobs):
         raise DomainError("tol must be finite and > 0")
     with np.errstate(all="ignore"):
         pes = [_Job(f) for f, _, _ in jobs]
-        engines = [_ENGINES[spec.shape](pe, spec, tol)
+        engines = [_engine(spec)(pe, spec, tol)
                    for pe, (_, spec, tol) in zip(pes, jobs)]
         results = [None] * len(jobs)
         replies = dict.fromkeys(range(len(jobs)))
@@ -851,7 +853,7 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
 
 
 def integrate(f: Integrand, spec: IntervalSpec, tol: float) -> QuadResult:
-    """Integrate f with the engine matching its declared shape."""
+    """Integrate f with the engine its interval picks (_engine)."""
     return integrate_many([(f, spec, tol)])[0]
 
 
@@ -864,22 +866,13 @@ def euler_transform(s: Sequence[float], depth: int) -> float:
         raise DomainError("depth must be >= 0")
     if len(s) < depth + 2:
         raise DomainError("euler_transform needs at least depth + 2 entries")
-    # the last entry after depth averagings depends on the last depth + 1 only
-    diag = []
+    # the last entry after depth averagings depends on the last depth + 1
+    # only; prev[d] is that of the window so far after d averagings, and
+    # each entry x extends it to diag[d] = (prev[d - 1] + diag[d - 1]) / 2
+    prev = []
     for x in s[len(s) - depth - 1:]:
-        diag = _euler_diagonal(diag, float(x))
-    return diag[depth]
-
-
-def _euler_diagonal(prev: Sequence[float], s: float) -> list:
-    """Extend the Euler table of a partial-sum sequence by its next entry s.
-
-    prev[d] is the last entry after d averagings of the sequence so far;
-    the result is that diagonal, one entry longer, for the sequence with
-    s appended: result[d] = (prev[d - 1] + result[d - 1]) / 2, so that
-    result[d] is the mean of two neighbours d - 1 averagings deep.
-    """
-    diag = [s]
-    for d in range(1, len(prev) + 1):
-        diag.append(0.5 * (prev[d - 1] + diag[d - 1]))
-    return diag
+        diag = [float(x)]
+        for d in range(1, len(prev) + 1):
+            diag.append(0.5 * (prev[d - 1] + diag[d - 1]))
+        prev = diag
+    return prev[depth]

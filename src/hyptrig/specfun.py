@@ -38,8 +38,10 @@ class SpecialValue:
     est_rel_error: float
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Gives ~1e-14 relative
-# accuracy on the real axis once the argument is shifted to x >= 1.5.
+# Lanczos approximation, g = 7, 9 coefficients, on the real axis once the
+# argument is shifted to x >= 1.5.  Its sum tends to c_0 where the exact
+# one tends to 1: its relative error, about 1e-15 up to x = 20, grows
+# toward 1 - c_0 = 1.9e-13 at large x (_lanczos_error bounds it).
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -63,17 +65,19 @@ def _lanczos_series(x: float) -> float:
     return s
 
 
-def _log_gamma_raw(x: float) -> float:
-    # valid for x >= 1.5; callers shift smaller arguments up by recurrence
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
+def _lanczos_error(y: float) -> float:
+    # (1 - c_0) y/(y + 50) bounds the formula's relative error at every
+    # y >= 1.5 (checked against mpmath up to 1e9); 5e-14 its rounding
+    return 5e-14 + (1.0 - _LANCZOS_C[0]) * y / (y + 50.0)
 
 
 def log_gamma(x: float) -> SpecialValue:
     """ln Gamma(x) for x > 0, usable up to x = 1e4 without overflow.
 
     est_rel_error is the estimated relative error of Gamma itself, i.e.
-    the absolute error of the returned logarithm.
+    the absolute error of the returned logarithm: the Lanczos formula's
+    error plus 4 eps times the terms the sum rounds, (x - 1/2) ln t, t
+    and the shift's logarithms, so it grows like eps x ln x.
     """
     if not (x > 0.0):
         raise DomainError("log_gamma requires x > 0")
@@ -82,8 +86,10 @@ def log_gamma(x: float) -> SpecialValue:
     while y < 1.5:
         shift += math.log(y)
         y += 1.0
-    val = _log_gamma_raw(y) - shift
-    return SpecialValue(val, 5e-14)
+    t = y + _LANCZOS_G - 0.5
+    lead = (y - 0.5) * math.log(t)
+    val = _LN_SQRT_2PI + lead - t + math.log(_lanczos_series(y)) - shift
+    return SpecialValue(val, _lanczos_error(y) + 4.0 * _EPS * (abs(lead) + t + abs(shift)))
 
 
 def gamma(x: float) -> SpecialValue:
@@ -92,7 +98,8 @@ def gamma(x: float) -> SpecialValue:
     Past x = 142.215 the factor t^(x-1/2) of the direct product overflows,
     although Gamma itself stays finite up to x ~ 171.6; there, and for x
     so close to 0 that Gamma(x) ~ 1/x overflows, DomainError is raised.
-    log_gamma covers large x.
+    log_gamma covers large x.  est_rel_error is _lanczos_error, from
+    5e-14 at small x to 1.9e-13 at the top of the range.
     """
     if not (x > 0.0):
         raise DomainError("gamma requires x > 0")
@@ -109,7 +116,7 @@ def gamma(x: float) -> SpecialValue:
         val = math.inf
     if not math.isfinite(val):
         raise DomainError(f"gamma({x!r}) overflows a double; use log_gamma")
-    return SpecialValue(val, 5e-14)
+    return SpecialValue(val, _lanczos_error(y))
 
 
 # B_{2j}/(2j)! for j = 1..10, from the exact rationals
@@ -256,7 +263,8 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
     """Bessel J_nu(x) by the ascending series, for nu >= -1 and |x| <= 50.
 
     Negative x is folded by parity for integer nu (J_n(-x) = (-1)^n J_n(x));
-    non-integer orders are restricted to x >= 0.  est_rel_error accounts for
+    any other order, however near an integer, is restricted to x >= 0.
+    est_rel_error accounts for
     the cancellation between alternating terms, which dominates once
     |x| grows past ~15, and is inf once the rounding bound reaches the sum.
     """
@@ -264,7 +272,7 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
         raise DomainError("bessel_j requires nu >= -1")
     if abs(x) > 50.0:
         raise DomainError("bessel_j series is restricted to |x| <= 50")
-    is_int = abs(nu - round(nu)) < 1e-12
+    is_int = float(nu).is_integer()
     if x < 0.0:
         if not is_int:
             raise DomainError("negative x needs an integer order")

@@ -42,10 +42,15 @@ LAST in turn, at 25 samples and pass tolerance 1e-9, and prints each
 entry's verdict counts summed over the seeds (a printed form's verdicts
 as FAIL[printed], as the report's summary counts them), the totals, the
 under-estimated PASS records (|numeric - closed| > abs_error_est) per
-entry with the worst finite ratio of the two, and the sha256 of the
-verdict sequence, one line "seed entry verdict" per record in report
-order.  Two trees with the same sha256 give every record of the sweep
-the same verdict.
+entry with the worst finite ratio of the two, then two sha256 lines:
+"reports sha256", of the report files of the seeds in turn (the bytes
+save_report writes, concatenated), and "sha256", of the verdict
+sequence, one line "seed entry verdict" per record in report order.  Two
+trees with the same verdict sha256 give every record of the sweep the
+same verdict; with the same reports sha256 every report of the sweep is
+byte-identical, so one run per tree checks a change that must move no
+byte.  For a single seed the reports sha256 is that seed's report
+digest (for seed 17, report_seed17.sha256).
 """
 
 import hashlib
@@ -80,9 +85,14 @@ def values(report) -> dict:
     return {"audit": AUDIT, "records": records}
 
 
+def report_bytes(report) -> bytes:
+    """The bytes of the report file save_report writes."""
+    return (report_to_json(report) + "\n").encode("utf-8")
+
+
 def digest(report) -> str:
     """sha256 of the report file save_report writes."""
-    return hashlib.sha256((report_to_json(report) + "\n").encode("utf-8")).hexdigest()
+    return hashlib.sha256(report_bytes(report)).hexdigest()
 
 
 def points() -> str:
@@ -181,10 +191,11 @@ def diff_points() -> int:
 
 def verdicts(reports) -> str:
     """Print the verdict counts of (seed, report) pairs, per entry and in
-    total, the under-estimated PASS records, and the sha256 of their
-    verdict sequence; return that sha256."""
-    counts, under, h = {}, {}, hashlib.sha256()
+    total, the under-estimated PASS records, the sha256 of their report
+    files and the sha256 of their verdict sequence; return the latter."""
+    counts, under, h, files = {}, {}, hashlib.sha256(), hashlib.sha256()
     for seed, report in reports:
+        files.update(report_bytes(report))
         for r in report.records:
             key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
             entry = counts.setdefault(r.entry_id, {})
@@ -201,6 +212,7 @@ def verdicts(reports) -> str:
             total[k] = total.get(k, 0) + n
     print(f"{'total':<14}" + " ".join(f"{k}:{n}" for k, n in sorted(total.items())))
     print_under(under)
+    print(f"reports sha256 {files.hexdigest()}")
     print(f"sha256 {h.hexdigest()}")
     return h.hexdigest()
 

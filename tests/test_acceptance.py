@@ -177,7 +177,7 @@ def _ext_quadrature(p, q, u, nu, tol):
         return np.cos(p * (u - d)) * np.cosh(q * np.sqrt(w)) * w ** (-(nu + 0.5))
 
     f = Integrand(eval=ev, eval_upper_dist=ev_upper)
-    return integrate(f, IntervalSpec(0.0, u, "endpoint_singular"), tol)
+    return integrate(f, IntervalSpec(0.0, u), tol)
 
 
 class TestCriterion7BesselFamily:

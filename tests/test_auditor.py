@@ -85,6 +85,15 @@ class TestVerifyEntry:
         assert rec.closed / rec.numeric.value == pytest.approx(6.0, rel=1e-10)
         assert rec.ratio_fit == pytest.approx(1.0 / 6.0, rel=1e-10)
 
+    def test_bad_pass_tol_is_rejected(self):
+        # 4.119 at p = q = 1 passes at 1e-9; a tolerance outside (0, 1) is
+        # no tolerance, so it must not give PASS at 2 nor SUSPECT at 0
+        for tol in (2.0, 1.0, 0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="pass_tol"):
+                verify_point("4.119", {"p": 1.0, "q": 1.0}, tol)
+            with pytest.raises(DomainError, match="pass_tol"):
+                AuditConfig(pass_tol=tol)
+
     def test_convention_rejected_elsewhere(self):
         # only a dual_convention entry has a printed record
         records = verify_point("4.119", {"p": 1.0, "q": 1.0}, 1e-9)

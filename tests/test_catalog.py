@@ -222,9 +222,23 @@ class TestSchemaDomain:
 
 
 class TestIntegrandMetadata:
+    def test_the_interval_picks_the_engine(self):
+        # one engine per entry at all its seed-17 points: 26 decay, 3
+        # oscillatory and 2 on tanh-sinh
+        by_engine = {}
+        for entry in list_entries():
+            engines = {quad._engine(integrand(entry.id, pp)[1])
+                       for pp in sample_params(entry, 25, 17)}
+            assert len(engines) == 1, entry.id
+            by_engine.setdefault(engines.pop(), set()).add(entry.id)
+        assert by_engine.pop(quad._oscillatory) == {"4.123.7", "4.124.2", "4.117.9c"}
+        assert by_engine.pop(quad._endpoint) == {"4.124.1", "4.124.1-nu-1"}
+        assert len(by_engine.pop(quad._decay)) == 26
+        assert not by_engine
+
     def test_4118_shape(self):
         f, spec = integrand("4.118", {"a": 1.0})
-        assert spec.shape == "decay"
+        assert quad._engine(spec) is quad._decay
         xs = np.array([0.5, 1.0, 2.0])
         expect = xs * np.sin(xs) / np.cosh(xs) ** 2
         assert np.allclose(f.eval(xs, *f.args), expect, rtol=1e-14)
@@ -249,7 +263,6 @@ class TestIntegrandMetadata:
 
     def test_41241_shape(self):
         f, spec = integrand("4.124.1", {"p": 2.0, "q": 1.0, "u": 1.0})
-        assert spec.shape == "endpoint_singular"
         assert (spec.lower, spec.upper) == (0.0, 1.0)
         assert f.eval_upper_dist is not None
 
@@ -265,7 +278,7 @@ class TestIntegrandMetadata:
 
     def test_41237_substituted_variable(self):
         f, spec = integrand("4.123.7", {"a": 1.0})
-        assert spec.shape == "oscillatory"
+        assert quad._engine(spec) is quad._oscillatory
         assert spec.osc_hint == 0.5  # half-periods of pi/(a/2) in t
         # value at t corresponds to x = sqrt(t/2) in the original variable
         t = np.array([2.0])
@@ -276,7 +289,7 @@ class TestIntegrandMetadata:
 
     def test_41242_undefined_as_printed(self):
         f, spec = integrand("4.124.2", {"a": 1.0, "beta": 0.5, "u": 1.0})
-        assert spec.lower == 1.0 and spec.shape == "oscillatory"
+        assert spec.lower == 1.0 and quad._engine(spec) is quad._oscillatory
         with np.errstate(invalid="ignore"):
             vals = f.eval(np.array([1.5, 2.0, 10.0]), *f.args)
         assert np.all(~np.isfinite(vals))
@@ -336,9 +349,10 @@ class TestKernelContract:
     def test_finite_inside_the_interval(self, entry):
         for pp in sample_params(entry, 25, 17):
             f, spec = integrand(entry.id, pp)
-            if spec.shape == "endpoint_singular":
+            engine = quad._engine(spec)
+            if engine is quad._endpoint:
                 reach = spec.upper - spec.lower
-            elif spec.shape == "oscillatory":
+            elif engine is quad._oscillatory:
                 reach = quad._OSC_MAX_SEGMENTS * PI / spec.osc_hint
             else:
                 # T solves C e^(-lambda T)/lambda = tol/10, so no block
@@ -493,7 +507,7 @@ class TestE4123Family:
     def test_equal_to_the_factory_it_replaced(self, entry_id):
         _, m, scale = _FAMILY[entry_id]
         for pp in self.check_kernel(entry_id, m):
-            spec = quad.IntervalSpec(0.0, math.inf, "decay", decay_hint=scale * pp["a"],
+            spec = quad.IntervalSpec(0.0, decay_hint=scale * pp["a"],
                                      osc_hint=float(m))
             # a float's repr is its exact value
             assert repr(integrand(entry_id, pp)[1]) == repr(spec)

@@ -1,6 +1,6 @@
 """Quadrature engine tests: elementary oracles, kernels finite at a
-removable point, shape dispatch, acceleration, and the kernel/product
-identities the integrand rewrites rely on."""
+removable point, the engine each interval picks, acceleration, and the
+kernel/product identities the integrand rewrites rely on."""
 
 import functools
 import math
@@ -19,12 +19,12 @@ from hyptrig.quad import (Integrand, IntervalSpec, integrate, euler_transform,
 PI = math.pi
 
 # the domains most of the engine tests integrate over
-UNIT_ENDS = IntervalSpec(0.0, 1.0, "endpoint_singular")
-SINE_HALF_PERIODS = IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0)
+UNIT_ENDS = IntervalSpec(0.0, 1.0)
+SINE_HALF_PERIODS = IntervalSpec(0.0, osc_hint=1.0)
 
 
 def _decay_spec(decay_hint, **hints):
-    return IntervalSpec(0.0, math.inf, "decay", decay_hint=decay_hint, **hints)
+    return IntervalSpec(0.0, decay_hint=decay_hint, **hints)
 
 
 class TestIntegrateFinite:
@@ -54,7 +54,7 @@ class TestIntegrateFinite:
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate(Integrand(eval=np.sin), IntervalSpec(1.0, 1.0, "endpoint_singular"), 1e-10)
+            integrate(Integrand(eval=np.sin), IntervalSpec(1.0, 1.0), 1e-10)
 
     def test_linearity_property(self, gauss_kronrod):
         rng = random.Random(99)
@@ -135,7 +135,7 @@ class TestEndpointSingular:
         f = Integrand(
             eval=lambda x: np.cos(p * x) / np.sqrt((u - x) * (u + x)),
             eval_upper_dist=lambda d: np.cos(p * (u - d)) / np.sqrt(d * (2.0 * u - d)))
-        r = integrate(f, IntervalSpec(0.0, u, "endpoint_singular"), 1e-12)
+        r = integrate(f, IntervalSpec(0.0, u), 1e-12)
         oracle = gauss_kronrod(
             Integrand(eval=lambda t: np.cos(p * u * np.cos(t))), 0.0, PI / 2.0, 1e-13)
         assert r.value == pytest.approx(oracle.value, abs=1e-11)
@@ -356,7 +356,7 @@ class TestOscillatory:
             return np.cos(x) * np.cosh(np.sqrt(w)) / np.sqrt(w)
 
         r = integrate(Integrand(eval=printed),
-                      IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9)
+                      IntervalSpec(1.0, osc_hint=1.0), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_resonant_rewrite_reported_divergent(self):
@@ -366,13 +366,13 @@ class TestOscillatory:
             return np.cos(x) * np.cos(np.sqrt(np.abs(w))) / np.sqrt(np.abs(w))
 
         r = integrate(Integrand(eval=rewritten),
-                      IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9)
+                      IntervalSpec(1.0, osc_hint=1.0), 1e-9)
         assert r.status == STATUS_DIVERGENT
 
     def test_needs_period(self):
         with pytest.raises(DomainError):
             integrate(Integrand(eval=np.sin),
-                      IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=0.0), 1e-9)
+                      IntervalSpec(0.0, osc_hint=0.0), 1e-9)
 
 
 class TestOscillatoryStop:
@@ -648,18 +648,18 @@ class TestIntegrateMany:
     def light_jobs():
         return [
             (Integrand(eval=lambda x: np.exp(-x)),
-             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0), 1e-11),
+             IntervalSpec(0.0, decay_hint=1.0), 1e-11),
             (Integrand(eval=lambda x: x / np.cosh(x) ** 2),
-             IntervalSpec(0.0, math.inf, "decay", decay_hint=2.0), 1e-12),
+             IntervalSpec(0.0, decay_hint=2.0), 1e-12),
             (Integrand(eval=lambda x: np.exp(-x) / np.sqrt(x)),
-             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0, lower_singular=True), 1e-11),
+             IntervalSpec(0.0, decay_hint=1.0, lower_singular=True), 1e-11),
             (Integrand(eval=lambda x: np.sin(x) / x),
-             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 1e-10),
+             IntervalSpec(0.0, osc_hint=1.0), 1e-10),
             (Integrand(eval=lambda x: x * np.sin(x) / (1.0 + x * x)),
-             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9),
-            (Integrand(eval=np.sin), IntervalSpec(0.0, PI, "endpoint_singular"), 1e-12),
+             IntervalSpec(0.0, osc_hint=1.0), 1e-9),
+            (Integrand(eval=np.sin), IntervalSpec(0.0, PI), 1e-12),
             (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
-             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
+             IntervalSpec(0.0, 1.0), 1e-12),
         ]
 
     # 3158 evaluations alone, over 37 rounds
@@ -683,7 +683,7 @@ class TestIntegrateMany:
     def test_each_job_as_if_alone(self, monkeypatch):
         jobs = self.light_jobs() + [
             (Integrand(eval=lambda x: np.exp(-0.5 * x) * np.cos(7.0 * x)),
-             IntervalSpec(0.0, math.inf, "decay", decay_hint=0.5, osc_hint=7.0), 1e-10),
+             IntervalSpec(0.0, decay_hint=0.5, osc_hint=7.0), 1e-10),
             self.HEAVY]
         rounds = []
         gk_batch = quad._gk_batch
@@ -711,7 +711,7 @@ class TestIntegrateMany:
              _decay_spec(1.0), 1e-12),
             # the as-printed 4.124.2 form: sqrt of a negative quantity
             (Integrand(eval=lambda x: np.cos(x) / np.sqrt(1.0 - x * x)),
-             IntervalSpec(1.0, math.inf, "oscillatory", osc_hint=1.0), 1e-9),
+             IntervalSpec(1.0, osc_hint=1.0), 1e-9),
         ]
         light = self.light_jobs()
         batch = self._check_against_solo(light[:3] + divergent + light[3:])
@@ -737,13 +737,13 @@ class TestIntegrateMany:
             # a closure distance callback: a batch of its own
             (Integrand(eval=lambda x: np.cos(x) / np.sqrt((u - x) * (u + x)),
                        eval_upper_dist=lambda d: np.cos(u - d) / np.sqrt(d * (2.0 * u - d))),
-             IntervalSpec(0.0, u, "endpoint_singular"), 1e-12),
+             IntervalSpec(0.0, u), 1e-12),
             # non-finite at the nodes nearest 0 of every level: snapped
             (Integrand(eval=lambda x: np.where(x < 1e-14, np.nan, np.cos(x))),
-             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-10),
+             IntervalSpec(0.0, 1.0), 1e-10),
             # nan everywhere: divergent
             (Integrand(eval=lambda x: np.full_like(x, np.nan)),
-             IntervalSpec(0.0, 1.0, "endpoint_singular"), 1e-12),
+             IntervalSpec(0.0, 1.0), 1e-12),
         ]
 
     def test_tanh_sinh_jobs_as_if_alone(self, monkeypatch):
@@ -810,11 +810,11 @@ class TestIntegrateMany:
             return np.exp(-a * (u - d)) / np.sqrt(u - d)
 
         jobs = [(Integrand(eval=kernel, args=(a,)),
-                 IntervalSpec(0.0, math.inf, "decay", decay_hint=a, lower_singular=True), 1e-10)
+                 IntervalSpec(0.0, decay_hint=a, lower_singular=True), 1e-10)
                 for a in (1.0, 2.0)]
         jobs += [(Integrand(eval=kernel, args=(a,),
                             eval_upper_dist=functools.partial(upper, a=a, u=2.0)),
-                  IntervalSpec(0.0, 2.0, "endpoint_singular"), 1e-10) for a in (0.5, 3.0)]
+                  IntervalSpec(0.0, 2.0), 1e-10) for a in (0.5, 3.0)]
         for batch in ([jobs], [[job] for job in jobs]):
             del seen[:]
             for part in batch:
@@ -927,38 +927,47 @@ class TestDispatch:
     def test_all_shapes(self):
         cases = [
             (Integrand(eval=lambda x: 1.0 / np.sqrt(x)),
-             IntervalSpec(0.0, 1.0, "endpoint_singular"), 2.0),
+             IntervalSpec(0.0, 1.0), 2.0),
             (Integrand(eval=lambda x: np.exp(-x)),
-             IntervalSpec(0.0, math.inf, "decay", decay_hint=1.0), 1.0),
+             IntervalSpec(0.0, decay_hint=1.0), 1.0),
             (Integrand(eval=lambda x: np.sin(x) * np.exp(-x)),
-             IntervalSpec(0.0, math.inf, "oscillatory", osc_hint=1.0), 0.5),
+             IntervalSpec(0.0, osc_hint=1.0), 0.5),
         ]
         for f, spec, exact in cases:
             r = integrate(f, spec, 1e-10)
             assert r.value == pytest.approx(exact, abs=1e-9)
 
+    def test_the_interval_picks_the_engine(self):
+        cases = [(IntervalSpec(-3.0, 1e300), quad._endpoint),
+                 (IntervalSpec(-3.0, decay_hint=1.0), quad._decay),
+                 (IntervalSpec(-3.0, decay_hint=1.0, osc_hint=2.0), quad._decay),
+                 (IntervalSpec(-3.0, decay_hint=1.0, lower_singular=True), quad._decay),
+                 (IntervalSpec(-3.0, osc_hint=1.0), quad._oscillatory)]
+        for spec, engine in cases:
+            assert quad._engine(spec) is engine
+
     def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            IntervalSpec(0.0, 1.0, "weird")
-        # no engine is Gauss-Kronrod alone
-        with pytest.raises(DomainError, match="unknown shape 'plain'"):
-            IntervalSpec(0.0, 1.0, 'plain')
-        with pytest.raises(DomainError):
-            IntervalSpec(1.0, 0.0, "endpoint_singular")
-        with pytest.raises(DomainError):
-            IntervalSpec(0.0, math.inf, "decay")
-        for bounds in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
-            with pytest.raises(DomainError):
-                IntervalSpec(*bounds, "endpoint_singular")
-        # the semi-infinite engines never read upper, so it must be inf, and
-        # every engine starts from a finite lower bound
-        hints = {"decay": {"decay_hint": 1.0}, "oscillatory": {"osc_hint": 1.0}}
-        for shape, hint in hints.items():
-            IntervalSpec(-3.0, math.inf, shape, **hint)
-            for bounds in ((0.0, 1.0), (0.0, 1e300), (0.0, math.nan), (0.0, -math.inf),
-                           (-math.inf, math.inf), (math.nan, math.inf)):
+        # every engine starts from a finite lower bound below upper, and a
+        # nan bound fits none, whatever the hints
+        hints = ({}, {"decay_hint": 1.0}, {"osc_hint": 1.0}, {"lower_singular": True})
+        for hint in hints:
+            for bounds in ((1.0, 0.0), (1.0, 1.0), (0.0, math.nan), (0.0, -math.inf),
+                           (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0),
+                           (math.nan, math.inf)):
+                with pytest.raises(DomainError, match="no engine"):
+                    IntervalSpec(*bounds, **hint)
+        # tanh-sinh reads no hint, so a finite interval takes none
+        for hint in hints[1:]:
+            for upper in (1.0, 1e300):
                 with pytest.raises(DomainError):
-                    IntervalSpec(*bounds, shape, **hint)
+                    IntervalSpec(0.0, upper, **hint)
+        # [lower, inf) needs a decay rate > 0, or else an angular frequency > 0
+        for hint in ({}, {"lower_singular": True}, {"decay_hint": -1.0},
+                     {"decay_hint": math.nan}, {"decay_hint": -1.0, "osc_hint": 1.0},
+                     {"decay_hint": math.nan, "osc_hint": 1.0}, {"osc_hint": 0.0},
+                     {"osc_hint": -1.0}, {"osc_hint": math.nan}):
+            with pytest.raises(DomainError):
+                IntervalSpec(0.0, **hint)
 
     def test_tol_must_be_finite_and_positive(self):
         good = (Integrand(eval=lambda x: np.exp(-x)), _decay_spec(1.0), 1e-10)
@@ -1041,15 +1050,10 @@ class TestEulerTransform:
             else:
                 terms = [(-1.0) ** k * rng.uniform(0.5, 2.0) / (k + 1) for k in range(40)]
             partial = []
-            diag = []
             for term in terms:
                 partial.append((partial[-1] if partial else 0.0) + term)
-                diag = quad._euler_diagonal(diag, partial[-1])
-                n = len(partial)
-                for d in range(min(24, n - 2) + 1):
-                    ref = full_table(partial, d).hex()
-                    assert euler_transform(partial, d).hex() == ref
-                    assert diag[d].hex() == ref
+                for d in range(min(24, len(partial) - 2) + 1):
+                    assert euler_transform(partial, d).hex() == full_table(partial, d).hex()
 
 
 class TestKernelIdentities:

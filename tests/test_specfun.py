@@ -208,6 +208,78 @@ class TestHurwitzAgainstMpmath:
         assert err <= 32 * EPS
 
 
+def _assert_within_estimate(sv, ref, relative=True):
+    """|sv.value - ref| is at most sv.est_rel_error, times |ref| unless
+    relative is False (log_gamma's estimate is absolute), or 2 ulps of
+    ref: no double is nearer than half an ulp."""
+    ref = mpmath.mpf(ref)
+    err = float(abs(mpmath.mpf(sv.value) - ref))
+    bound = sv.est_rel_error * (abs(float(ref)) if relative else 1.0)
+    assert err <= max(bound, 2.0 * math.ulp(float(ref))), (sv, ref)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0 ** u)
+
+
+class TestAgainstMpmath:
+    """The rest of specfun over its documented domains against mpmath at 40
+    digits: the error is within est_rel_error, up to 2 ulps.  A series
+    that reports est_rel_error inf promises nothing."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(x=st.one_of(_log_uniform(1e-300, 142.2), st.floats(1e-3, 142.2)))
+    @example(x=141.8968717595409)  # 9e-14, where the Lanczos sum tends to c_0
+    def test_gamma(self, x):
+        with mpmath.workdps(40):
+            _assert_within_estimate(gamma(x), mpmath.gamma(x))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(x=st.one_of(_log_uniform(1e-300, 1e4), st.floats(1e-3, 1e4)))
+    @example(x=2157.140191797621)  # 5.6e-12, eps x ln x of rounding
+    @example(x=1e-300)
+    def test_log_gamma(self, x):
+        with mpmath.workdps(40):
+            _assert_within_estimate(log_gamma(x), mpmath.loggamma(x), relative=False)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(nu=st.one_of(st.integers(-1, 30).map(float), st.floats(-1.0, 30.0)),
+           x=st.one_of(st.floats(-50.0, 50.0), _log_uniform(1e-3, 50.0)))
+    def test_bessel_j(self, nu, x):
+        try:
+            sv = bessel_j(nu, x)
+        except DomainError:
+            # a non-integer order takes x >= 0, and J_nu(0) is unbounded for nu < 0
+            assert nu != round(nu) and (x < 0.0 or x == 0.0 and nu < 0.0)
+            return
+        if sv.est_rel_error < math.inf:
+            with mpmath.workdps(40):
+                _assert_within_estimate(sv, mpmath.besselj(nu, x))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(q=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       _log_uniform(1e-300, 0.5)))
+    def test_theta1_prime0(self, q):
+        sv = theta1_prime0(q)
+        if sv.est_rel_error < math.inf:
+            with mpmath.workdps(40):
+                _assert_within_estimate(sv, mpmath.jtheta(1, 0, q, 1))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(p=st.one_of(_log_uniform(1e-3, 100.0), st.floats(0.0, 100.0, exclude_min=True)))
+    @example(p=1.0 + 1e-6)  # two Hurwitz zetas near 1e6 cancel
+    def test_dirichlet_beta(self, p):
+        with mpmath.workdps(40):
+            _assert_within_estimate(dirichlet_beta(p), mpmath.dirichlet(p, [0, 1, 0, -1]))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(s=st.one_of(_log_uniform(1e-3, 100.0), st.floats(0.0, 100.0)))
+    @example(s=1.25)  # the last point of the Euler-accelerated series
+    def test_dirichlet_eta(self, s):
+        with mpmath.workdps(40):
+            _assert_within_estimate(dirichlet_eta(s), mpmath.altzeta(s))
+
+
 class TestHurwitzEdges:
     """The ends of the domain: overflow, underflow, huge a and huge s."""
 

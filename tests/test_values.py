@@ -121,6 +121,8 @@ def test_regenerate_verdicts_counts_and_hashes_each_record(full_audit, capsys):
         assert lines[entry_id] == [f"{k}:{n}" for k, n in summary["counts"].items()]
     assert lines["total"] == ["DIVERGENT:25", "FAIL[printed]:25", "PASS:678"]
     assert out[-1] == f"sha256 {digest}"
+    # one seed's reports sha256 is its report file's
+    assert out[-2] == f"reports sha256 {regenerate.digest(full_audit)}"
     # the PASS records whose error exceeds their estimate, per entry
     under = {}
     for r in full_audit.records:
@@ -133,6 +135,10 @@ def test_regenerate_verdicts_counts_and_hashes_each_record(full_audit, capsys):
     records[0] = dataclasses.replace(records[0], verdict="FAIL")
     moved = dataclasses.replace(full_audit, records=records)
     assert regenerate.verdicts([(17, moved)]) != digest
+    # a moved byte with the same verdicts moves the reports sha256 alone
+    records[0] = dataclasses.replace(full_audit.records[0], note="moved")
+    assert regenerate.verdicts([(17, dataclasses.replace(full_audit, records=records))]) == digest
+    assert capsys.readouterr().out.splitlines()[-2] != out[-2]
     assert regenerate.verdicts([(18, full_audit)]) != digest
     assert {p: p.read_bytes() for p in BASELINE.parent.iterdir() if p.is_file()} == data
 
