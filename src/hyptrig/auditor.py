@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -83,47 +84,49 @@ class AuditReport:
     overall_ok: bool
 
 
-def sample_params(entry: EntryDescriptor, n: int, seed: int) -> List[ParamPoint]:
-    """n deterministic points from the entry's parameter schema.
-
-    Point i is entry.sample(rng, i): each Param's draw in order, or the
-    entry's own sampler where a draw depends on another parameter or keeps
-    out of a guard zone (pole bands, resolvability constraints).  Every
-    point is validated; zero-parameter entries yield one empty point.
-    """
+def _draw_points(entry: EntryDescriptor, n: int, seed: int) -> List[Tuple[ParamPoint, Optional[float]]]:
+    """sample_params's points, each with the closed form its draw computed, if any."""
     if n < 1:
         raise DomainError("sample_params needs n >= 1")
     if not entry.param_names:
-        return [{}]
+        return [({}, None)]
     rng = random.Random(f"{seed}|{entry.id}")
-    out = []
-    for i in range(n):
-        pp = entry.sample(rng, i)
-        entry.validate(pp)
-        out.append(pp)
-    return out
+    return [entry.sample(rng, i) for i in range(n)]
 
 
-def _point(entry: EntryDescriptor, params: ParamPoint,
-           pass_tol: float) -> Tuple[Dict[Optional[str], float], tuple]:
+def sample_params(entry: EntryDescriptor, n: int, seed: int) -> List[ParamPoint]:
+    """n deterministic points from the entry's parameter schema.
+
+    Point i is entry.sample(rng, i): each Param's draw in order, or the first
+    candidate of the entry's own sampler (a draw that depends on another parameter,
+    or keeps out of a pole band) that its accept, if set, takes on its closed form.
+    """
+    return [pp for pp, _ in _draw_points(entry, n, seed)]
+
+
+def _point(entry: EntryDescriptor, params: ParamPoint, pass_tol: float,
+           closed: Optional[float] = None) -> Tuple[Dict[Optional[str], float], tuple]:
     """The closed form of a point under each convention, and its job.
 
-    The conventions are None (closed_form) and "printed" (printed_form, if
-    set), each through entry.guarded.  One integral serves them all.  Its
+    The conventions are None (closed_form, or `closed` where the draw
+    computed it) and "printed" (printed_form, if set), each through
+    entry.guarded.  One integral serves them all.  Its
     tolerance is pass_tol/10 of the convention-None closed form's magnitude
     (at least 1e-14, and 1e-14 for a closed form that is not finite), so
     the PASS comparison stays a genuinely relative test, even for
     small-valued samples; the printed form is known to be wrong and sets
     nothing.
     """
-    closed = {None: entry.guarded(entry.closed_form, params)}
+    if closed is None:
+        closed = entry.guarded(entry.closed_form, params)
+    forms = {None: closed}
     if entry.printed_form is not None:
-        closed["printed"] = entry.guarded(entry.printed_form, params)
+        forms["printed"] = entry.guarded(entry.printed_form, params)
     f, spec = entry.guarded(entry.integrand_factory, params)
-    tol = abs(closed[None]) * pass_tol / 10.0
+    tol = abs(closed) * pass_tol / 10.0
     if not 1e-14 <= tol < math.inf:  # nan included
         tol = 1e-14
-    return closed, (f, spec, tol)
+    return forms, (f, spec, tol)
 
 
 def _record(entry: EntryDescriptor, params: ParamPoint, closed: float,
@@ -133,9 +136,7 @@ def _record(entry: EntryDescriptor, params: ParamPoint, closed: float,
     expected_fail = "suspect" in entry.flags or convention == "printed"
 
     if numeric.status == STATUS_DIVERGENT:
-        verdict = DIVERGENT
-        abs_diff = math.inf
-        rel_diff = math.inf
+        verdict, abs_diff, rel_diff = DIVERGENT, math.inf, math.inf
     elif numeric.status != STATUS_CONVERGED:
         verdict = SKIPPED
         abs_diff = abs(numeric.value - closed) if math.isfinite(numeric.value) else math.inf
@@ -172,11 +173,11 @@ def verify_point(entry_id: str, params: ParamPoint,
     """
     _check_pass_tol(pass_tol)
     entry = catalog.get_entry(entry_id)
-    catalog.closed_form(entry_id, params)  # validates the point too
-    closed, job = _point(entry, params, pass_tol)
+    # catalog.closed_form validates the point and rejects a value not finite
+    forms, job = _point(entry, params, pass_tol, catalog.closed_form(entry_id, params))
     numeric = integrate(*job)
     return [_record(entry, params, value, numeric, pass_tol, convention)
-            for convention, value in closed.items()]
+            for convention, value in forms.items()]
 
 
 def ratio_diagnose(records: Sequence[VerificationRecord]) -> Optional[float]:
@@ -216,36 +217,35 @@ def audit_all(config: AuditConfig) -> AuditReport:
 
     # every point of every entry first, then one integral per point, all in
     # one integrate_many call, so the whole audit shares its rounds
-    points = [(entry, params, *_point(entry, params, config.pass_tol))
+    points = [(entry, params, *_point(entry, params, config.pass_tol, closed))
               for entry in entries
-              for params in sample_params(entry, config.samples, config.seed)]
+              for params, closed in _draw_points(entry, config.samples, config.seed)]
     numerics = integrate_many([job for *_, job in points])
     records: List[VerificationRecord] = [
         _record(entry, params, value, numeric, config.pass_tol, convention)
         for (entry, params, closed, _), numeric in zip(points, numerics)
         for convention, value in closed.items()]
 
+    by_entry: Dict[str, List[VerificationRecord]] = {entry.id: [] for entry in entries}
+    for r in records:
+        by_entry[r.entry_id].append(r)
     summary: Dict[str, Dict] = {}
-    overall_ok = True
     for entry in entries:
-        recs = [r for r in records if r.entry_id == entry.id]
+        recs = by_entry[entry.id]
         normal = [r for r in recs if not r.expected_fail]
         expected = [r for r in recs if r.expected_fail]
-        counts: Dict[str, int] = {}
-        for r in recs:
-            key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
-            counts[key] = counts.get(key, 0) + 1
-        entry_ok = not any(r.unexpected for r in recs)
-        overall_ok = overall_ok and entry_ok
+        counts = Counter(r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
+                         for r in recs)
         summary[entry.id] = {
             "flags": sorted(entry.flags),
             "counts": dict(sorted(counts.items())),
             "pass": sum(1 for r in normal if r.verdict == PASS),
             "total": len(normal),
             "expected_fail_records": len(expected),
-            "ok": entry_ok,
+            "ok": not any(r.unexpected for r in recs),
             "ratio_fit": ratio_diagnose(expected if expected else recs),
         }
+    overall_ok = all(s["ok"] for s in summary.values())
 
     config_echo = {"samples": config.samples, "seed": config.seed,
                    "pass_tol": config.pass_tol,
@@ -294,12 +294,9 @@ def _record_json(r: VerificationRecord) -> str:
     """
     n = r.numeric
     deep = "        "  # the indent of the fields of params and numeric
-    if r.params:
-        params = f",\n{deep}".join(f"{encode_basestring_ascii(k)}: {_scalar(v, deep)}"
-                                    for k, v in r.params.items())
-        params = f"{{\n{deep}{params}\n      }}"
-    else:
-        params = "{}"
+    params = f",\n{deep}".join([f"{encode_basestring_ascii(k)}: {_scalar(v, deep)}"
+                                 for k, v in r.params.items()])
+    params = f"{{\n{deep}{params}\n      }}" if params else "{}"
     return (f'{{\n      "entry_id": {_scalar(r.entry_id)},\n'
             f'      "params": {params},\n'
             f'      "numeric": {{\n'

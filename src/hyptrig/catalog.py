@@ -1,7 +1,8 @@
 """The entry registry: Gradshteyn-Ryzhik-style table entries 4.118-4.124
 plus related identities, each with a parameter schema (one Param per
 parameter; validate, the audit's draw and `hyptrig show` derive from it),
-an integrand factory, and a closed-form evaluator.
+an integrand factory, and a closed-form evaluator; an entry's own sampler
+yields candidate points, and its accept(pp, closed) guards their closed form.
 
 Entry ids follow the table numbering ("4.119", "4.123.6", ...); auxiliary
 results carry short labels (L1, C1, L3a, L3b, L4, HW1-HW3).  Provenance
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,16 +154,18 @@ class Param:
 class EntryDescriptor:
     """One table entry: parameter schema, integrand factory, closed form.
     `relations` are the coupled constraints, (predicate, check) pairs that
-    validate tests after the Params; `sampler(rng, i)`, when set, draws the
-    audit's points in place of the Params' draws.  `printed_form` is what the
-    table prints where it disagrees with `closed_form` (flag dual_convention)."""
+    validate tests after the Params; `sampler(rng, i)` yields candidates
+    for point i in place of the Params' draws, and `accept(pp, closed)`
+    screens their closed forms (see sample).  `printed_form` is what the
+    table prints where it disagrees with `closed_form` (dual_convention)."""
 
     id: str
     integrand_factory: Callable[[ParamPoint], Tuple[Integrand, IntervalSpec]]
     closed_form: Callable[[ParamPoint], float]
     params: Tuple[Param, ...] = ()
     relations: Tuple[Tuple[str, Callable[[ParamPoint], bool]], ...] = ()
-    sampler: Optional[Callable[[object, int], ParamPoint]] = None
+    sampler: Optional[Callable[[object, int], Iterator[ParamPoint]]] = None
+    accept: Optional[Callable[[ParamPoint, float], bool]] = None
     flags: frozenset = frozenset()
     provenance_note: str = ""
     printed_form: Optional[Callable[[ParamPoint], float]] = None
@@ -180,16 +183,25 @@ class EntryDescriptor:
         """The predicates validate checks, in its order."""
         return [p.predicate for p in self.params if p.predicate] + [r for r, _ in self.relations]
 
-    def sample(self, rng, i: int) -> ParamPoint:
-        """The audit's point i, drawn from rng."""
-        if self.sampler is not None:
-            return self.sampler(rng, i)
+    def _draw(self, rng, i: int) -> Iterator[ParamPoint]:
+        """The default sampler: one candidate, each Param's draw in order."""
         pp: ParamPoint = {}
         for p in self.params:
             lo, hi, scale = p.draw
             x = _log_uniform(rng, lo, hi) if scale == "log" else rng.uniform(lo, hi)
             pp[p.name] = pp[p.of] * x if p.of else x
-        return pp
+        yield pp
+
+    def sample(self, rng, i: int) -> Tuple[ParamPoint, Optional[float]]:
+        """The audit's point i, drawn from rng and validated: the sampler's
+        first candidate whose closed form (through guarded) accept takes,
+        with that value, or with accept unset its first candidate and None."""
+        for pp in (self.sampler or self._draw)(rng, i):
+            closed = None if self.accept is None else self.guarded(self.closed_form, pp)
+            if closed is None or self.accept(pp, closed):
+                self.validate(pp)
+                return pp, closed
+        raise DomainError(f"{self.id}: empty feasible region")
 
     def validate(self, params: ParamPoint) -> None:
         for name in self.param_names:
@@ -287,7 +299,7 @@ def _l1_closed(pp):
 
 def _l1_sample(rng, i):
     a = _log_uniform(rng, 0.2, 5.0)
-    return {"p": rng.uniform(1.25, 6.0), "a": a, "b": a * rng.uniform(-0.9, 0.9)}
+    yield {"p": rng.uniform(1.25, 6.0), "a": a, "b": a * rng.uniform(-0.9, 0.9)}
 
 
 _register(EntryDescriptor(
@@ -434,7 +446,7 @@ def _e41211_sample(rng, i):
     b = _log_uniform(rng, 0.2, 5.0)
     # value ~ 2(e^-B - e^-A), A,B = a,b * pi/(2 beta): keep it resolvable
     beta = _log_uniform(rng, max(0.2, _PI * min(a, b) / 30.0), 5.0)
-    return {"a": a, "b": b, "beta": beta}
+    yield {"a": a, "b": b, "beta": beta}
 
 
 _register(EntryDescriptor(
@@ -484,8 +496,7 @@ def _e41221_sample(rng, i):
         # the value decays like e^((gamma-beta) pi/(2 delta)); keep the
         # exponent above -15 so a relative comparison stays meaningful
         if (beta - gamma) * _PI / (2.0 * delta) <= 15.0:
-            return {"beta": beta, "gamma": gamma, "delta": delta}
-    raise DomainError("4.122.1: empty feasible region")
+            yield {"beta": beta, "gamma": gamma, "delta": delta}
 
 
 _register(EntryDescriptor(
@@ -550,14 +561,7 @@ def _e39815_sample(rng, i):
         gamma = _log_uniform(rng, 0.2, 5.0)
         beta = gamma * rng.uniform(0.1, 0.9)
         # keep cosh(a pi/gamma) moderate so the value stays resolvable
-        a = _log_uniform(rng, 0.2, min(5.0, 3.0 * gamma))
-        pp = {"a": a, "beta": beta, "gamma": gamma}
-        # cancellation guard: |f|-mass over |value| beyond ~5e3 pushes the
-        # requested absolute tolerance under the roundoff floor
-        mass = (beta / gamma) / (gamma - beta)
-        if mass / abs(_e39815_closed(pp)) <= 5e3:
-            return pp
-    raise DomainError("3.981.5: empty feasible region")
+        yield {"a": _log_uniform(rng, 0.2, min(5.0, 3.0 * gamma)), "beta": beta, "gamma": gamma}
 
 
 _register(EntryDescriptor(
@@ -567,6 +571,9 @@ _register(EntryDescriptor(
     integrand_factory=_e39815_factory,
     closed_form=_e39815_closed,
     sampler=_e39815_sample,
+    # |f|-mass over |value| past ~5e3 puts the tolerance under the roundoff floor
+    accept=lambda pp, closed: (pp["beta"] / pp["gamma"]) / (pp["gamma"] - pp["beta"])
+    / abs(closed) <= 5e3,
     provenance_note="cos(ax) sinh(beta x)/sinh(gamma x); integrating over "
                     "beta recovers 4.122.2.",
 ))
@@ -712,8 +719,7 @@ def _e41235_sample(rng, i):
         k_hi = int(gamma) + 1
         if all(abs(gamma - (2 * k + 1 + s * beta)) >= 0.11
                for k in range(k_hi + 1) for s in (-1, 1)):
-            return {"a": _log_uniform(rng, 0.2, 5.0), "beta": beta, "gamma": gamma}
-    raise DomainError("4.123.5: empty feasible region")
+            yield {"a": _log_uniform(rng, 0.2, 5.0), "beta": beta, "gamma": gamma}
 
 
 _register(EntryDescriptor(
@@ -760,8 +766,7 @@ def _e41236_sample(rng, i):
         # ((a^2+b^2)/b^2)^(p/2) / (2 sin(p atan(a/b))); past ~1e4 the
         # roundoff floor of double precision eats the relative comparison
         if ((a * a + b * b) / (b * b)) ** (0.5 * p) / (2.0 * s) <= 5e3:
-            return {"a": a, "b": b, "p": p}
-    raise DomainError("4.123.6: empty feasible region")
+            yield {"a": a, "b": b, "p": p}
 
 
 _register(EntryDescriptor(
@@ -842,13 +847,9 @@ def _e41241_closed(pp):
 
 def _e41241_sample(rng, i):
     for _ in range(1000):
-        pp = {"p": _log_uniform(rng, 0.2, 3.0),
-              "q": _log_uniform(rng, 0.2, 3.0),
-              "u": _log_uniform(rng, 0.2, 2.0)}
-        # J0 has zeros: keep the closed value relatively resolvable
-        if abs(_e41241_closed(pp)) >= 1e-4:
-            return pp
-    raise DomainError("4.124.1: empty feasible region")
+        yield {"p": _log_uniform(rng, 0.2, 3.0),
+               "q": _log_uniform(rng, 0.2, 3.0),
+               "u": _log_uniform(rng, 0.2, 2.0)}
 
 
 _register(EntryDescriptor(
@@ -857,6 +858,7 @@ _register(EntryDescriptor(
     integrand_factory=_e41241_family(np.divide),
     closed_form=_e41241_closed,
     sampler=_e41241_sample,
+    accept=lambda pp, closed: abs(closed) >= 1e-4,  # J0 has zeros: keep it resolvable
     provenance_note="cos(px) cosh(q sqrt(u^2-x^2))/sqrt(u^2-x^2) on [0,u]; "
                     "q > p continues through (pi/2) I0(sqrt(q^2-p^2) u), the "
                     "even-series continuation.",
@@ -878,10 +880,8 @@ def _e41241m1_sample(rng, i):
     q = _log_uniform(rng, 0.2, 2.0)
     for _ in range(1000):
         p = _log_uniform(rng, 0.2, 3.0)
-        pp = {"p": p, "q": q, "u": u}
-        if p >= q + 0.1 and abs(_e41241m1_closed(pp)) >= 1e-4:
-            return pp
-    raise DomainError("4.124.1-nu-1: empty feasible region")
+        if p >= q + 0.1:
+            yield {"p": p, "q": q, "u": u}
 
 
 _register(EntryDescriptor(
@@ -891,6 +891,7 @@ _register(EntryDescriptor(
     integrand_factory=_e41241_family(np.multiply),
     closed_form=_e41241m1_closed,
     sampler=_e41241m1_sample,
+    accept=lambda pp, closed: abs(closed) >= 1e-4,
     provenance_note="nu = -1 member of the 4.124.1 family (weight "
                     "sqrt(u^2-x^2)); closed form with the J1 coefficient "
                     "(p^2+q^2)/(u q^2 sqrt(p^2-q^2)).",
@@ -1047,9 +1048,7 @@ def cf_3_532_1(n: float, a: float, b: float, convention: str) -> float:
         total += term
         m += 1
         rm *= r
-        if abs(rm) < 1e-17 * max(1.0, abs(total)) * (2.0 * m + 1.0) ** (n + 1.0):
-            break
-        if m > 200_000:
+        if abs(rm) < 1e-17 * max(1.0, abs(total)) * (2.0 * m + 1.0) ** (n + 1.0) or m > 200_000:
             break
     if convention == "derived":
         return 2.0 * sf.gamma(n + 1.0).value / (a + b) * total
@@ -1071,7 +1070,7 @@ def _e35321_sample(rng, i):
     # every fifth point sits on the r = 0 stratum (b = a), where the
     # printed/derived ratio collapses to Gamma(2n+1)/(2 Gamma(n+1))
     b = a if i % 5 == 0 else _log_uniform(rng, 0.2, 5.0)
-    return {"n": rng.uniform(-0.5, 4.0), "a": a, "b": b}
+    yield {"n": rng.uniform(-0.5, 4.0), "a": a, "b": b}
 
 
 _register(EntryDescriptor(

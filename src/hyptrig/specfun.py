@@ -119,6 +119,9 @@ def gamma(x: float) -> SpecialValue:
     return SpecialValue(val, _lanczos_error(y))
 
 
+# bessel_j's Gamma(1) and Gamma(2) (J0, J1); gamma(1.0) is 1.0000000000000002
+_GAMMA_1, _GAMMA_2 = gamma(1.0).value, gamma(2.0).value
+
 # B_{2j}/(2j)! for j = 1..10, from the exact rationals
 # B2..B20 = 1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510,
 #           43867/798, -174611/330.
@@ -288,7 +291,8 @@ def bessel_j(nu: float, x: float) -> SpecialValue:
         if nu > 0.0:
             return SpecialValue(0.0, 0.0)
         raise DomainError("J_nu(0) is unbounded for nu < 0")
-    total, abs_total = _bessel_series(nu, x, (0.5 * x) ** nu / gamma(nu + 1.0).value)
+    g = _GAMMA_1 if nu == 0.0 else _GAMMA_2 if nu == 1.0 else gamma(nu + 1.0).value
+    total, abs_total = _bessel_series(nu, x, (0.5 * x) ** nu / g)
     est = _rel_bound(total, 4.0 * _EPS * abs_total)
     return SpecialValue(total, max(_TARGET_REL_ERROR, est))
 

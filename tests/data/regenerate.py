@@ -42,7 +42,11 @@ LAST in turn, at 25 samples and pass tolerance 1e-9, and prints each
 entry's verdict counts summed over the seeds (a printed form's verdicts
 as FAIL[printed], as the report's summary counts them), the totals, the
 under-estimated PASS records (|numeric - closed| > abs_error_est) per
-entry with the worst finite ratio of the two, then two sha256 lines:
+entry with the worst finite ratio of the two, the sweep's evaluations
+("evaluations TOTAL largest MAX": the sum of `numeric.evaluations` with
+each integral counted once, so a 3.532.1 point, whose two conventions
+share one integral, counts once, and the largest count of any record),
+then two sha256 lines:
 "reports sha256", of the report files of the seeds in turn (the bytes
 save_report writes, concatenated), and "sha256", of the verdict
 sequence, one line "seed entry verdict" per record in report order.  Two
@@ -191,12 +195,17 @@ def diff_points() -> int:
 
 def verdicts(reports) -> str:
     """Print the verdict counts of (seed, report) pairs, per entry and in
-    total, the under-estimated PASS records, the sha256 of their report
-    files and the sha256 of their verdict sequence; return the latter."""
+    total, the under-estimated PASS records, the evaluations, the sha256 of
+    their report files and the sha256 of their verdict sequence; return
+    the latter."""
     counts, under, h, files = {}, {}, hashlib.sha256(), hashlib.sha256()
+    spent = largest = 0
     for seed, report in reports:
         files.update(report_bytes(report))
         for r in report.records:
+            if r.convention is None:  # one record per integral
+                spent += r.numeric.evaluations
+                largest = max(largest, r.numeric.evaluations)
             key = r.verdict if r.convention is None else f"{r.verdict}[{r.convention}]"
             entry = counts.setdefault(r.entry_id, {})
             entry[key] = entry.get(key, 0) + 1
@@ -212,6 +221,7 @@ def verdicts(reports) -> str:
             total[k] = total.get(k, 0) + n
     print(f"{'total':<14}" + " ".join(f"{k}:{n}" for k, n in sorted(total.items())))
     print_under(under)
+    print(f"evaluations {spent} largest {largest}")
     print(f"reports sha256 {files.hexdigest()}")
     print(f"sha256 {h.hexdigest()}")
     return h.hexdigest()

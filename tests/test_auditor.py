@@ -52,6 +52,37 @@ class TestSampleParams:
         with pytest.raises(DomainError):
             sample_params(catalog.get_entry("L1"), 0, 17)
 
+    @pytest.mark.parametrize("entry_id", ["3.981.5", "4.124.1", "4.124.1-nu-1"])
+    def test_accept_that_takes_nothing_empties_the_region(self, entry_id):
+        entry = dataclasses.replace(catalog.get_entry(entry_id),
+                                    accept=lambda pp, closed: False)
+        with pytest.raises(DomainError, match=f"^{entry_id}: empty feasible region$"):
+            sample_params(entry, 1, 17)
+
+    def test_candidates_that_run_out_empty_the_region(self):
+        entry = dataclasses.replace(catalog.get_entry("4.122.1"),
+                                    sampler=lambda rng, i: iter(()))
+        with pytest.raises(DomainError, match="^4.122.1: empty feasible region$"):
+            sample_params(entry, 1, 17)
+
+    def test_accept_reads_the_closed_form_the_audit_keeps(self):
+        # the guard's closed form is the audit's: computed once per candidate
+        entry = catalog.get_entry("4.124.1")
+        seen = []
+
+        def accept(pp, closed):
+            seen.append((dict(pp), closed))
+            return entry.accept(pp, closed)
+
+        spy = dataclasses.replace(entry, accept=accept)
+        points = auditor._draw_points(spy, 25, 17)
+        assert [pp for pp, _ in points] == sample_params(entry, 25, 17)
+        assert len(seen) >= 25
+        for pp, closed in seen:
+            assert closed.hex() == entry.closed_form(pp).hex()
+        for pp, closed in points:
+            assert (pp, closed) in seen
+
 
 class TestVerifyEntry:
     def test_pass(self):
@@ -204,6 +235,19 @@ class TestAuditAll:
             assert [r.verdict for r in rep.records] == [FAIL, FAIL]
             assert all(math.isfinite(r.numeric.value) for r in rep.records)
             assert not rep.overall_ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_is_the_entrys_closed_form(self, seed):
+        # an accepted closed form is handed on, not recomputed: it must be
+        # the bits closed_form gives, nan counted equal to nan
+        rep = audit_all(AuditConfig(samples=25, seed=seed))
+        checked = 0
+        for r in rep.records:
+            if r.convention is None:
+                entry = catalog.get_entry(r.entry_id)
+                assert r.closed.hex() == float(entry.closed_form(r.params)).hex(), r
+                checked += 1
+        assert checked == sum(25 if e.param_names else 1 for e in catalog.list_entries())
 
     def test_record_order(self):
         cfg = AuditConfig(samples=2, seed=17, entries=["4.118", "4.119"])

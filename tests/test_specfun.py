@@ -526,6 +526,24 @@ class TestBesselJ:
         oracle = math.fsum(sorted(oracle_terms, key=abs))
         assert abs(sv.value - oracle) <= max(sv.est_rel_error * abs(oracle), 1e-15)
 
+    # J0 and J1 take Gamma(1) and Gamma(2) from module constants; their
+    # values must keep the bits of the Lanczos gamma they replace
+    PINNED = {
+        0.0: {0.25: "0x1.f807fc72aa862p-1", 1.0: "0x1.87c7fdbd7b8eep-1",
+              2.404825557695773: "-0x1.b6d6048bf1427p-54", 3.7: "-0x1.98cfcd6c38015p-2",
+              7.5: "0x1.10bb57e0e569bp-2", 12.0: "0x1.86abbbc7c4146p-5"},
+        1.0: {0.25: "0x1.fc02a9c749ee8p-4", 1.0: "0x1.c29c9ee970c6bp-2",
+              2.404825557695773: "0x1.09cdb3655127ep-1", 3.7: "0x1.b9020e18f5f3ep-5",
+              7.5: "0x1.14fd20aa52782p-3", 12.0: "-0x1.c99ea2b162222p-3"},
+    }
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_integer_orders_keep_their_bits(self, nu):
+        for x, pinned in self.PINNED[nu].items():
+            assert bessel_j(nu, x).value.hex() == pinned, x
+        assert specfun._GAMMA_1.hex() == gamma(1.0).value.hex() == "0x1.0000000000001p+0"
+        assert specfun._GAMMA_2.hex() == gamma(2.0).value.hex()
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_j(-2.0, 1.0)
