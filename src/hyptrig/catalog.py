@@ -64,11 +64,13 @@ def _cosh_plus_cos(t, u):
 
 
 def _sinh_minus_sin(u):
-    # 2 (u^3/3! + u^7/7! + ...); the direct difference cancels below ~0.5
+    # 2 (u^3/3! + u^7/7! + u^11/11! + u^15/15! + ...), within 2 eps below
+    # |u| = 0.5, where the direct difference cancels
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 0.5
     us = np.where(small, u, 0.0)
-    series = us ** 3 / 3.0 * (1.0 + us ** 4 / 840.0 + us ** 8 / 1663200.0)
+    series = us ** 3 / 3.0 * (1.0 + us ** 4 / 840.0 + us ** 8 / 6652800.0
+                              + us ** 12 / 217945728000.0)
     with np.errstate(over="ignore"):
         direct = np.sinh(u) - np.sin(u)
     return np.where(small, series, direct)

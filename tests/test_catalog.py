@@ -111,6 +111,33 @@ def _reads(predicate: str, x: float) -> bool:
                for lhs, op, rhs in zip(values, tokens[1::2], values[1:]))
 
 
+class TestSinhMinusSin:
+    """catalog._sinh_minus_sin (HW1's kernel) against 40-digit mpmath."""
+
+    @staticmethod
+    def _worst(us):
+        got = catalog._sinh_minus_sin(us)
+        worst = 0.0
+        for u, v in zip(us.tolist(), got.tolist()):
+            with mpmath.workdps(40):
+                ref = float(mpmath.sinh(mpmath.mpf(u)) - mpmath.sin(mpmath.mpf(u)))
+            worst = max(worst, abs(v - ref) / abs(ref))
+        return worst / sys.float_info.epsilon
+
+    def test_series_below_the_switch(self):
+        # the series was 7.6e-10 off at u = 0.45 with a wrong u^8 divisor
+        below = np.nextafter(0.5, 0.0)
+        us = np.concatenate([np.linspace(1e-6, 0.5, 400, endpoint=False), [0.45, 0.499, below]])
+        assert self._worst(us) <= 4.0
+        assert self._worst(-us) <= 4.0
+
+    def test_direct_difference_above_the_switch(self):
+        # sinh u - sin u ~ u^3/3 cancels about 12 to 1 at u = 0.5
+        us = np.concatenate([[0.5], np.linspace(0.5, 0.75, 200)])
+        assert self._worst(us) <= 16.0
+        assert self._worst(-us) <= 16.0
+
+
 class TestSchema:
     @pytest.mark.parametrize("entry", [e for e in list_entries() if e.params],
                              ids=lambda e: e.id)
