@@ -339,9 +339,11 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     retires, with its own QuadResult, as soon as it meets its own test:
     converged when its error sum is within its tol after at least one
     refinement or on an initial partition of 4 or more panels;
-    suspected_divergent as soon as one of its panels is non-finite.  Once
-    an integrand's evaluations pass the effort cap, each of its live
-    owners returns max_effort.  A panel is split when its error exceeds
+    suspected_divergent as soon as one of its panels is non-finite.  Before
+    each round, an integrand that the round would take past the effort cap
+    stops there: each of its live owners returns max_effort with the sums
+    of its last round (0 and an inf error before the first), and the round
+    is neither run nor counted for it.  A panel is split when its error exceeds
     its owner's share, max(tol / 2n, toterr / 8n) over the owner's n
     panels; an owner with no such panel splits its largest.  The owners'
     panels keep their relative order and _gk_batch evaluates and sums per
@@ -356,13 +358,34 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     tols = np.array([iv[2] for iv in intervals])
     # 4 tol / 8n is tol / 2n to the bit, so the share is one division
     tols4 = 4.0 * tols
-    lo, hi, owner = _initial_panels(intervals)
     groups = _member_groups([(pe.f.eval, pe.f.args) for pe in pes])
-    vals, errs, ok = _gk_batch(pes, groups, owner_job[owner], lo, hi)
-    new_owner = owner  # the owners of the last batch's panels
+    # the panels kept from the last round, with their sums, and the round's
+    # new panels: at first none kept and every initial panel new
+    lo = hi = vals = errs = np.empty(0)
+    owner = np.empty(0, dtype=np.intp)
+    new_lo, new_hi, new_owner = _initial_panels(intervals)
+    total, toterr = np.zeros(m), np.full(m, math.inf)
     results = [None] * m
     rounds = 0
     while True:
+        need = len(_XK) * np.bincount(owner_job[new_owner], minlength=len(pes))
+        over = np.array([pe.used for pe in pes]) + need > MAX_EVALUATIONS
+        capped = over[owner_job] & (tols > -math.inf)
+        if np.count_nonzero(capped):
+            for i in np.flatnonzero(capped):
+                results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
+                                        STATUS_MAX_EFFORT)
+            tols[capped] = -math.inf
+            live -= np.count_nonzero(capped)
+            if not live:
+                break
+            keep, fresh = ~capped[owner], ~capped[new_owner]
+            lo, hi, owner, vals, errs = lo[keep], hi[keep], owner[keep], vals[keep], errs[keep]
+            new_lo, new_hi, new_owner = new_lo[fresh], new_hi[fresh], new_owner[fresh]
+        v2, e2, ok = _gk_batch(pes, groups, owner_job[new_owner], new_lo, new_hi)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        owner = np.concatenate([owner, new_owner])
+        vals, errs = np.concatenate([vals, v2]), np.concatenate([errs, e2])
         count = np.bincount(owner, minlength=m)
         total = np.bincount(owner, weights=vals, minlength=m)
         toterr = np.bincount(owner, weights=errs, minlength=m)
@@ -382,13 +405,6 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
         for i in np.flatnonzero(converged):
             results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
                                     STATUS_CONVERGED)
-        over = [pe.used > MAX_EVALUATIONS for pe in pes]
-        if any(over):
-            capped = np.array(over)[owner_job] & (tols > -math.inf) & ~retired
-            for i in np.flatnonzero(capped):
-                results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
-                                        STATUS_MAX_EFFORT)
-            retired = retired | capped
         if np.count_nonzero(retired):
             tols[retired] = -math.inf
             live -= np.count_nonzero(retired)
@@ -400,8 +416,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
         # refine every panel holding more than its owner's share of the
         # budget, max(tol / 2n, toterr / 8n) over the owner's n panels
         split = errs > (np.maximum(tols4, toterr) / (8 * count))[owner]
-        new_owner = owner[split]
-        has_split = np.bincount(new_owner, minlength=m)
+        has_split = np.bincount(owner[split], minlength=m)
         if np.count_nonzero(has_split) < live:
             # each live owner that split nothing splits its first largest
             # panel; lexsort is stable, so ties go to the earliest panel as
@@ -411,18 +426,12 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
             first = np.ones(len(idx), dtype=bool)
             first[1:] = owner[idx[1:]] != owner[idx[:-1]]
             split[idx[first]] = True
-            new_owner = owner[split]
-        stay = ~split
         lo_s, hi_s = lo[split], hi[split]
         mid = 0.5 * (lo_s + hi_s)
-        new_owner = np.concatenate([new_owner, new_owner])
-        v2, e2, ok = _gk_batch(pes, groups, owner_job[new_owner],
-                               np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s]))
-        lo = np.concatenate([lo[stay], lo_s, mid])
-        hi = np.concatenate([hi[stay], mid, hi_s])
-        owner = np.concatenate([owner[stay], new_owner])
-        vals = np.concatenate([vals[stay], v2])
-        errs = np.concatenate([errs[stay], e2])
+        new_lo, new_hi = np.concatenate([lo_s, mid]), np.concatenate([mid, hi_s])
+        new_owner = np.concatenate([owner[split], owner[split]])
+        stay = ~split
+        lo, hi, owner, vals, errs = lo[stay], hi[stay], owner[stay], vals[stay], errs[stay]
     it = iter(results)
     return [[next(it) for _ in ivs] for _, ivs in requests]
 
@@ -729,8 +738,9 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
     is the agreement of the CRVZ sums of the first n, n - 1 and n - 2
     contributions while every segment converged.  Growth over 8
     consecutive intervals, or persistent same-sign contributions that
-    fail to decay, mark the integral suspected_divergent; past the effort
-    cap the job returns its plain running sum as max_effort.  Segment 0
+    fail to decay, mark the integral suspected_divergent; once the effort
+    cap stops a segment the job returns its plain running sum, that
+    segment's included, as max_effort.  Segment 0
     runs on tanh-sinh, which tolerates an integrable edge singularity or
     an undefined integrand right at the lower limit; each later one has
     tolerance tol / (32 (k+1)).  Half-periods 1-13 are requested together,
@@ -785,8 +795,8 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
                 if accel_err <= tol / 2.0 and abs(contribs[-1]) < 1.0:
                     return QuadResult(e1, seg_err + accel_err, pe.used,
                                       STATUS_CONVERGED)
-        if pe.used > MAX_EVALUATIONS:
-            break
+        if k and seg.status == STATUS_MAX_EFFORT:
+            break  # only the effort cap stops a Gauss-Kronrod segment short
     return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
 
 

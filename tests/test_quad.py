@@ -316,7 +316,7 @@ class TestDecay:
                       * np.sqrt(np.abs(x - 30.0)) * (np.abs(x - 30.0) < 4.0))
         r = integrate(f, _decay_spec(1.0), 1e-10)
         assert r.status == quad.STATUS_MAX_EFFORT
-        assert r.evaluations > 500
+        assert r.evaluations <= 500
 
     def test_probes_are_dropped_once_read(self):
         # an engine's frame lives until its job ends, so past its probe
@@ -358,6 +358,21 @@ class TestOscillatory:
         r = integrate(Integrand(eval=printed),
                       IntervalSpec(1.0, osc_hint=1.0), 1e-9)
         assert r.status == STATUS_DIVERGENT
+
+    def test_effort_cap_ends_the_job(self, monkeypatch):
+        # once the cap stops a half-period the job ends max_effort there,
+        # within the cap, instead of asking for more half-periods
+        monkeypatch.setattr(quad, "MAX_EVALUATIONS", 3000)
+        requests = []
+        gk = quad._SOLVERS[quad._GK]
+        monkeypatch.setitem(quad._SOLVERS, quad._GK,
+                            lambda asked: requests.append(asked) or gk(asked))
+        f = Integrand(eval=lambda x: np.sin(x) / np.sqrt(x + 1.0)
+                      * (1.0 + 1e-3 * np.sqrt(np.abs(np.sin(37.0 * x)))))
+        r = integrate(f, IntervalSpec(0.0, osc_hint=1.0), 1e-14)
+        assert r.status == quad.STATUS_MAX_EFFORT and r.abs_error_est == math.inf
+        assert r.evaluations <= 3000
+        assert len(requests) < 10
 
     def test_resonant_rewrite_reported_divergent(self):
         # rewritten with cos: at a = sqrt(beta) the tail is same-signed ~1/x
@@ -548,6 +563,36 @@ class TestManyIntervals:
         out, _ = _many(f, intervals)
         assert [r.status for r in out] == [quad.STATUS_MAX_EFFORT] * 2 + [STATUS_CONVERGED]
 
+    def test_effort_cap_is_never_passed(self, monkeypatch):
+        # the cap stops a job before the round that would pass it: its
+        # owners keep the sums of the last round that fit, and a cap at
+        # exactly the evaluations spent gives the same result
+        f = Integrand(eval=lambda x: np.sqrt(np.abs(x - 0.3)))
+        intervals = [(0.0, 1.0, 1e-15, 0.0), (2.0, 3.0, 1e-15, 0.0)]
+        monkeypatch.setattr(quad, "MAX_EVALUATIONS", 20000)
+        _, longer = _many(f, intervals)
+        for cap in (300, 601, 2000, 7777):
+            monkeypatch.setattr(quad, "MAX_EVALUATIONS", cap)
+            out, calls = _many(f, intervals)
+            spent = sum(x.size for x in calls)
+            assert {r.status for r in out} == {quad.STATUS_MAX_EFFORT}
+            assert all(r.evaluations == spent for r in out) and spent <= cap
+            # the rounds that fit are those of a higher cap, the next is not
+            assert all((a == b).all() for a, b in zip(calls, longer))
+            assert spent + longer[len(calls)].size > cap
+            monkeypatch.setattr(quad, "MAX_EVALUATIONS", spent)
+            again, _ = _many(f, intervals)
+            assert [_same(r, s) for r, s in zip(again, out)] == [True, True]
+
+    def test_effort_cap_before_the_first_round(self, monkeypatch):
+        # initial panels that alone pass the cap are not evaluated: the
+        # owner returns 0 with an infinite error
+        monkeypatch.setattr(quad, "MAX_EVALUATIONS", 100)
+        f = Integrand(eval=lambda x: np.cos(x))
+        out, calls = _many(f, [(0.0, 10.0, 1e-8, 1.0)])
+        assert calls == []
+        assert out == [quad.QuadResult(0.0, math.inf, 0, quad.STATUS_MAX_EFFORT)]
+
 
 def _same(r, solo):
     return ((r.status, r.evaluations, r.value.hex(), r.abs_error_est.hex())
@@ -702,7 +747,7 @@ class TestIntegrateMany:
         monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
         batch = self._check_against_solo([self.HEAVY] + self.light_jobs())
         assert batch[0].status == quad.STATUS_MAX_EFFORT
-        assert batch[0].evaluations > 2000
+        assert batch[0].evaluations <= 2000
         assert {r.status for r in batch[1:]} == {STATUS_CONVERGED}
 
     def test_divergent_job_leaves_its_neighbours_alone(self):
