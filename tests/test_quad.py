@@ -829,6 +829,43 @@ class TestIntegrateMany:
         assert max(chunks) >= 2
         assert {r.status for r in batch} == {STATUS_CONVERGED}
 
+    def test_evaluations_are_the_abscissae_of_the_jobs_own_rows(self):
+        # decay probes, Gauss-Kronrod panels and tanh-sinh levels all count
+        # against the job whose rows they are, in a batch whose jobs share
+        # kernels, and alone
+        def damped(x, lam):
+            return np.exp(-lam * x) * np.cos(3.0 * x)
+
+        def singular(x, lam):
+            return np.exp(-lam * x) / np.sqrt(x)
+
+        def sinc(x, w):
+            return np.sin(w * x) / x
+
+        def endpoint(x, c):
+            return np.cos(c * x) / np.sqrt(x)
+
+        u = 1.5
+        jobs = [(Integrand(eval=damped, args=(lam,)),
+                 IntervalSpec(0.0, decay_hint=lam, osc_hint=3.0), 1e-10) for lam in (1.0, 0.5)]
+        jobs += [(Integrand(eval=singular, args=(lam,)),
+                  IntervalSpec(0.0, decay_hint=lam, lower_singular=True), 1e-11)
+                 for lam in (1.0, 2.0)]
+        jobs += [(Integrand(eval=sinc, args=(w,)), IntervalSpec(0.0, osc_hint=w), 1e-10)
+                 for w in (1.0, 2.0)]
+        jobs += [(Integrand(eval=endpoint, args=(c,)), UNIT_ENDS, 1e-12) for c in (1.0, 4.0)]
+        jobs.append((Integrand(eval=lambda x: np.cos(x) / np.sqrt((u - x) * (u + x)),
+                               eval_upper_dist=lambda d: np.cos(u - d)
+                               / np.sqrt(d * (2.0 * u - d))),
+                     IntervalSpec(0.0, u), 1e-12))
+        tagged, rows = _tagged(jobs)
+        batch = quad.integrate_many(tagged)
+        assert {r.status for r in batch} == {STATUS_CONVERGED}
+        for job, r, own in zip(jobs, batch, rows):
+            assert r.evaluations == sum(row.size for row in own) > 0
+            [solo_job], [solo_rows] = _tagged([job])
+            assert integrate(*solo_job).evaluations == sum(row.size for row in solo_rows)
+
     def test_tanh_sinh_effort_cap_stops_only_its_own_job(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_EVALUATIONS", 2000)
         # at the kink, no two levels of the left half agree within 1e-15
