@@ -236,12 +236,11 @@ def _eval_chunks(groups: tuple, member: np.ndarray, width: int, nodes: Callable)
         yield rows, y
 
 
-def _gk_batch(pes: Sequence[_Job], groups: tuple, job: np.ndarray,
-              lo: np.ndarray, hi: np.ndarray):
+def _gk_batch(groups: tuple, job: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Apply GK15 to a batch of panels; returns (values, errors, finite?).
 
-    Panel i belongs to the integral pes[job[i]], which spends its own
-    evaluations; groups is _member_groups of their (eval, args).
+    Panel i is evaluated by member job[i] of groups, the _member_groups of
+    the integrals' (eval, args); the caller counts the evaluations.
     The panels are evaluated by _eval_chunks, on nodes of shape
     (panels, 15), at most _CHUNK panels per chunk.  Every node value and
     sum is per row, so a panel's results do not depend on the other
@@ -256,9 +255,6 @@ def _gk_batch(pes: Sequence[_Job], groups: tuple, job: np.ndarray,
     as the batch are the outputs themselves (a merged audit's first round
     holds tens of thousands of panels).
     """
-    count = np.bincount(job, minlength=len(pes))
-    for j in np.flatnonzero(count).tolist():
-        pes[j].used += len(_XK) * int(count[j])
     n = len(lo)
     vals, errs = np.empty(n), np.empty(n)
     finite = np.empty(n, dtype=bool)
@@ -331,19 +327,19 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     """Adaptive GK15 on many intervals, of one or more integrands, at once.
 
     requests holds one (pe, intervals) pair per integrand, each interval
-    (a, b, tol, panel_width); the result holds, per pair, the
-    QuadResults of its intervals in order.  Every interval (an owner)
+    (a, b, tol, panel_width); the result holds, per pair, the (value,
+    error, status) of its intervals in order.  Every interval (an owner)
     holds its own panels, initially those of _initial_panels,
     but each round makes one _gk_batch call over the split panels of all
     live owners, so each kernel is called once per round and chunk.  An owner
-    retires, with its own QuadResult, as soon as it meets its own test:
+    retires, with its own answer, as soon as it meets its own test:
     converged when its error sum is within its tol after at least one
     refinement or on an initial partition of 4 or more panels;
     suspected_divergent as soon as one of its panels is non-finite.  Before
-    each round, an integrand that the round would take past the effort cap
-    stops there: each of its live owners returns max_effort with the sums
-    of its last round (0 and an inf error before the first), and the round
-    is neither run nor counted for it.  A panel is split when its error exceeds
+    each round, an integrand that cannot spend it (_Job.spend) stops there:
+    each of its live owners returns max_effort with the sums of its last
+    round (0 and an inf error before the first), and the round is neither
+    run nor counted for it.  A panel is split when its error exceeds
     its owner's share, max(tol / 2n, toterr / 8n) over the owner's n
     panels; an owner with no such panel splits its largest.  The owners'
     panels keep their relative order and _gk_batch evaluates and sums per
@@ -353,7 +349,6 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     pes = [pe for pe, _ in requests]
     intervals = [iv for _, ivs in requests for iv in ivs]
     owner_job = np.repeat(np.arange(len(pes)), [len(ivs) for _, ivs in requests])
-    job_of = owner_job.tolist()
     m = live = len(intervals)
     tols = np.array([iv[2] for iv in intervals])
     # 4 tol / 8n is tol / 2n to the bit, so the share is one division
@@ -369,12 +364,11 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     rounds = 0
     while True:
         need = len(_XK) * np.bincount(owner_job[new_owner], minlength=len(pes))
-        over = np.array([pe.used for pe in pes]) + need > MAX_EVALUATIONS
-        capped = over[owner_job] & (tols > -math.inf)
+        spent = np.array([pe.spend(n) for pe, n in zip(pes, need.tolist())], dtype=bool)
+        capped = ~spent[owner_job] & (tols > -math.inf)
         if np.count_nonzero(capped):
             for i in np.flatnonzero(capped):
-                results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
-                                        STATUS_MAX_EFFORT)
+                results[i] = (float(total[i]), float(toterr[i]), STATUS_MAX_EFFORT)
             tols[capped] = -math.inf
             live -= np.count_nonzero(capped)
             if not live:
@@ -382,7 +376,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
             keep, fresh = ~capped[owner], ~capped[new_owner]
             lo, hi, owner, vals, errs = lo[keep], hi[keep], owner[keep], vals[keep], errs[keep]
             new_lo, new_hi, new_owner = new_lo[fresh], new_hi[fresh], new_owner[fresh]
-        v2, e2, ok = _gk_batch(pes, groups, owner_job[new_owner], new_lo, new_hi)
+        v2, e2, ok = _gk_batch(groups, owner_job[new_owner], new_lo, new_hi)
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         owner = np.concatenate([owner, new_owner])
         vals, errs = np.concatenate([vals, v2]), np.concatenate([errs, e2])
@@ -398,13 +392,11 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
             # a non-finite panel makes its owner divergent, whatever its sums
             divergent = np.bincount(new_owner[~ok], minlength=m) > 0
             for i in np.flatnonzero(divergent):
-                results[i] = QuadResult(math.nan, math.inf, pes[job_of[i]].used,
-                                        STATUS_DIVERGENT)
+                results[i] = (math.nan, math.inf, STATUS_DIVERGENT)
             converged = converged & ~divergent
             retired = converged | divergent
         for i in np.flatnonzero(converged):
-            results[i] = QuadResult(float(total[i]), float(toterr[i]), pes[job_of[i]].used,
-                                    STATUS_CONVERGED)
+            results[i] = (float(total[i]), float(toterr[i]), STATUS_CONVERGED)
         if np.count_nonzero(retired):
             tols[retired] = -math.inf
             live -= np.count_nonzero(retired)
@@ -494,8 +486,8 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     """Tanh-sinh on many intervals, of one or more integrands, at once.
 
     requests holds one (pe, intervals) pair per integrand, each interval
-    (a, b, tol); the result holds, per pair, the QuadResults of its
-    intervals in order.  Each interval is split at its midpoint into two
+    (a, b, tol); the result holds, per pair, the (value, error, status) of
+    its intervals in order.  Each interval is split at its midpoint into two
     halves of tolerance tol / 2, each integrated in v on (0, 1) with
     x = a + s v^2 (left half) or x = b - s v^2 (right half), s the half's
     length, so that the factor 2 s v turns an inverse-square-root endpoint
@@ -586,20 +578,19 @@ def _tanh_sinh_many(requests: Sequence[tuple]) -> list:
     value, error = total[::2] + total[1::2], diff[::2] + diff[1::2]
     divergent, capped = divergent[::2] | divergent[1::2], capped[::2] | capped[1::2]
     value[divergent], error[divergent] = math.nan, math.inf
-    results = iter([QuadResult(float(value[k]), float(error[k]), halves[2 * k][0].used,
-                               STATUS_DIVERGENT if divergent[k] else
-                               STATUS_MAX_EFFORT if capped[k] else STATUS_CONVERGED)
-                    for k in range(n // 2)])
+    status = [STATUS_DIVERGENT if d else STATUS_MAX_EFFORT if c else STATUS_CONVERGED
+              for d, c in zip(divergent.tolist(), capped.tolist())]
+    results = zip(value.tolist(), error.tolist(), status)
     return [[next(results) for _ in ivs] for _, ivs in requests]
 
 
 def _points_many(requests: Sequence[tuple]) -> list:
     """The integrand of each (pe, x) request at its abscissae x, one array
-    of values per request; every x has the same length (the decay
-    probes).  Each point counts against its job's cap, and the rows are
-    evaluated by _eval_chunks."""
+    of values per request; every x has the same length (the decay probes,
+    a job's first request: within any cap of 8 or more, they count against
+    it), and the rows are evaluated by _eval_chunks."""
     for pe, x in requests:
-        pe.used += x.size
+        pe.spend(x.size)
     xs = np.stack([x for _, x in requests])
     groups = _member_groups([(pe.f.eval, pe.f.args) for pe, _ in requests])
     y = np.empty_like(xs)
@@ -610,24 +601,25 @@ def _points_many(requests: Sequence[tuple]) -> list:
 
 # The kinds of request an engine yields (_SOLVERS answers each): a list of
 # Gauss-Kronrod intervals (a, b, tol, panel_width) or of tanh-sinh
-# intervals (a, b, tol), answered by a list of QuadResults, or an array of
-# abscissae, answered by the integrand's values there.
+# intervals (a, b, tol), answered by a list of (value, error, status), or
+# an array of abscissae, answered by the integrand's values there.
 _GK = "gauss_kronrod"
 _TANH_SINH = "tanh_sinh"
 _POINTS = "points"
 
 
 # The engines, one per kind of integral (_engine picks it).  Each is a
-# generator on one _Job: it yields (kind, request) pairs, is sent back
-# each request's answer, and returns the job's QuadResult.
+# generator engine(spec, tol): it yields (kind, request) pairs, is sent
+# back each request's answer, and returns the integral's (value, error,
+# status); integrate_many counts its evaluations and builds its QuadResult.
 
 
-def _endpoint(pe: _Job, spec: IntervalSpec, tol: float):
+def _endpoint(spec: IntervalSpec, tol: float):
     # tanh-sinh alone: no Gauss-Kronrod request
     return (yield _TANH_SINH, [(spec.lower, spec.upper, tol)])[0]
 
 
-def _decay(pe: _Job, spec: IntervalSpec, tol: float):
+def _decay(spec: IntervalSpec, tol: float):
     """Semi-infinite integral of an exponentially damped integrand.
 
     The truncation length T comes from a probed amplitude C and the bound
@@ -653,7 +645,7 @@ def _decay(pe: _Job, spec: IntervalSpec, tol: float):
     c = float(np.fmax.reduce(np.abs(amp)))  # nan only if every probe is
     del probes, amp  # the frame lives until the job ends
     if not math.isfinite(c):
-        return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+        return math.nan, math.inf, STATUS_DIVERGENT
     c = max(c, tol)
     t_len = math.log(10.0 * c / (tol * lam)) / lam
     t_len = max(t_len, 8.0 / lam)
@@ -667,29 +659,29 @@ def _decay(pe: _Job, spec: IntervalSpec, tol: float):
     pieces = [main_range]
     if spec.lower_singular:
         pieces = (yield _TANH_SINH, [(a, first_end, tol / 16.0)]) + pieces
-    main = math.fsum(p.value for p in pieces)
-    err = math.fsum(p.abs_error_est for p in pieces)
-    for p in pieces:
-        if p.status != STATUS_CONVERGED:
-            return QuadResult(main, err, pe.used, p.status)
+    values, errors, statuses = zip(*pieces)
+    main, err = math.fsum(values), math.fsum(errors)
+    for status in statuses:
+        if status != STATUS_CONVERGED:
+            return main, err, status
 
     # confirmation blocks, extended while still substantial
     tail_prev = math.inf
     for i in range(6):
         if i:
             (block,) = yield _GK, [(lo, lo + t_len, tol / 16.0, block_width)]
-        if block.status != STATUS_CONVERGED:
-            return QuadResult(main, err, pe.used, block.status)
-        main += block.value
-        err += block.abs_error_est
-        if abs(block.value) <= tol / 4.0:
-            return QuadResult(main, err + abs(block.value), pe.used,
-                              STATUS_CONVERGED)
-        if abs(block.value) >= tail_prev:
-            return QuadResult(main, err, pe.used, STATUS_DIVERGENT)
-        tail_prev = abs(block.value)
+        value, error, status = block
+        if status != STATUS_CONVERGED:
+            return main, err, status
+        main += value
+        err += error
+        if abs(value) <= tol / 4.0:
+            return main, err + abs(value), STATUS_CONVERGED
+        if abs(value) >= tail_prev:
+            return main, err, STATUS_DIVERGENT
+        tail_prev = abs(value)
         lo += t_len
-    return QuadResult(main, err, pe.used, STATUS_MAX_EFFORT)
+    return main, err, STATUS_MAX_EFFORT
 
 
 # half-periods per Gauss-Kronrod request: the CRVZ stop can first fire at
@@ -730,7 +722,7 @@ def _crvz(terms: Sequence[float]) -> float:
     return math.fsum(map(operator.mul, _crvz_weights(len(terms)), terms))
 
 
-def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
+def _oscillatory(spec: IntervalSpec, tol: float):
     """Oscillatory semi-infinite integral by half-period partial sums.
 
     Consecutive contributions over [a + k h, a + (k+1) h], h = pi/osc_hint,
@@ -762,25 +754,24 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
             size = _OSC_FIRST_BLOCK if k == 1 else _OSC_BLOCK
             segments += yield _GK, [(a + j * h, a + (j + 1) * h, tol / (32.0 * (j + 1)), 0.0)
                                for j in range(k, min(k + size, _OSC_MAX_SEGMENTS))]
-        seg = segments[k]
-        if seg.status == STATUS_DIVERGENT or not math.isfinite(seg.value):
-            return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
-        if seg.status != STATUS_CONVERGED:
-            precise = False
-        contribs.append(seg.value)
-        seg_err += seg.abs_error_est
-        running += seg.value
+        value, error, status = segments[k]
+        if status == STATUS_DIVERGENT or not math.isfinite(value):
+            return math.nan, math.inf, STATUS_DIVERGENT
+        precise = precise and status == STATUS_CONVERGED
+        contribs.append(value)
+        seg_err += error
+        running += value
         n = len(contribs)
         if n >= 9:
             tail = contribs[-8:]
             last = [abs(c) for c in tail]
             if all(x < y for x, y in zip(last, last[1:])) and last[-1] > 8.0 * tol:
-                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+                return math.nan, math.inf, STATUS_DIVERGENT
             if (all(c > 0.0 for c in tail) or all(c < 0.0 for c in tail)) \
                     and last[-1] > 64.0 * tol:
                 # a persistent same-sign tail above the noise floor violates
                 # the alternation contract (e.g. a ~1/x log-divergent tail)
-                return QuadResult(math.nan, math.inf, pe.used, STATUS_DIVERGENT)
+                return math.nan, math.inf, STATUS_DIVERGENT
         if precise and n >= 12:
             # precise never comes back once lost, so sums holds every
             # prefix from 12 terms on while it holds
@@ -793,11 +784,10 @@ def _oscillatory(pe: _Job, spec: IntervalSpec, tol: float):
                 e3, e2, e1 = sums[-3:]
                 accel_err = 4.0 * max(abs(e1 - e2), abs(e1 - e3))
                 if accel_err <= tol / 2.0 and abs(contribs[-1]) < 1.0:
-                    return QuadResult(e1, seg_err + accel_err, pe.used,
-                                      STATUS_CONVERGED)
-        if k and seg.status == STATUS_MAX_EFFORT:
+                    return e1, seg_err + accel_err, STATUS_CONVERGED
+        if k and status == STATUS_MAX_EFFORT:
             break  # only the effort cap stops a Gauss-Kronrod segment short
-    return QuadResult(running, math.inf, pe.used, STATUS_MAX_EFFORT)
+    return running, math.inf, STATUS_MAX_EFFORT
 
 
 def _engine(spec: IntervalSpec):
@@ -824,26 +814,25 @@ _SOLVERS = {_GK: _adaptive_gk_many, _TANH_SINH: _tanh_sinh_many, _POINTS: _point
 def integrate_many(jobs: Sequence[tuple]) -> list:
     """Integrate many jobs (f, spec, tol) together; one QuadResult per job.
 
-    Each job runs its interval's engine (_engine) on its own _Job, so it
-    keeps its own evaluation count and effort cap.  The pending requests of
-    every job are answered together, one solver call per kind: the
-    Gauss-Kronrod intervals by _adaptive_gk_many, whose rounds call each
-    kernel once on the panels of every live job that shares it, the
-    tanh-sinh intervals by _tanh_sinh_many, whose levels do the same with
-    rows of nodes, and the probe points by _points_many (each through
-    _eval_chunks).  A job whose request is answered makes its next one in
-    the following wave.  Every job's result is bit for bit integrate(f,
-    spec, tol).  Every tol must be finite and > 0.  All runs under one
-    np.errstate(all="ignore"): a kernel may overflow on the way to a
-    finite value (a cosh in a denominator), and the engines test for
+    Each job runs its interval's engine (_engine); its QuadResult is the
+    engine's (value, error, status) with the count of its own _Job.  The
+    pending requests of every job are answered together, one solver call
+    per kind: the Gauss-Kronrod intervals by _adaptive_gk_many, whose
+    rounds call each kernel once on the panels of every live job that
+    shares it, the tanh-sinh intervals by _tanh_sinh_many, whose levels do
+    the same with rows of nodes, and the probe points by _points_many
+    (each through _eval_chunks).  A job whose request is answered makes
+    its next one in the following wave.  Every job's result is bit for bit
+    integrate(f, spec, tol).  Every tol must be finite and > 0.  All runs
+    under one np.errstate(all="ignore"): a kernel may overflow on the way
+    to a finite value (a cosh in a denominator), and the engines test for
     non-finite values themselves.
     """
     if not all(0.0 < tol < math.inf for _, _, tol in jobs):
         raise DomainError("tol must be finite and > 0")
     with np.errstate(all="ignore"):
         pes = [_Job(f) for f, _, _ in jobs]
-        engines = [_engine(spec)(pe, spec, tol)
-                   for pe, (_, spec, tol) in zip(pes, jobs)]
+        engines = [_engine(spec)(spec, tol) for _, spec, tol in jobs]
         results = [None] * len(jobs)
         replies = dict.fromkeys(range(len(jobs)))
         while replies:
@@ -852,7 +841,8 @@ def integrate_many(jobs: Sequence[tuple]) -> list:
                 try:
                     kind, request = engines[i].send(reply)
                 except StopIteration as done:
-                    results[i] = done.value
+                    value, error, status = done.value
+                    results[i] = QuadResult(value, error, pes[i].used, status)
                 else:
                     pending.setdefault(kind, []).append((i, request))
             replies = {}

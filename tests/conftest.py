@@ -43,9 +43,10 @@ def gauss_kronrod():
     [a, b], for the tests and oracles that need no tanh-sinh and no
     semi-infinite engine."""
     def run(f, a, b, tol):
+        job = quad._Job(f)
         with np.errstate(all="ignore"):
-            [[r]] = quad._adaptive_gk_many([(quad._Job(f), [(a, b, tol, 0.0)])])
-        return r
+            [[(value, error, status)]] = quad._adaptive_gk_many([(job, [(a, b, tol, 0.0)])])
+        return quad.QuadResult(value, error, job.used, status)
     return run
 
 
@@ -77,7 +78,7 @@ def full_audit():
                 phase.pop()
         return run
 
-    def counting_batch(pes, groups, job, lo, hi):
+    def counting_batch(groups, job, lo, hi):
         rounds.append(1)
         # the chunks from each kernel's first panel to its last, the panels
         # ordered by kernel
@@ -85,7 +86,7 @@ def full_audit():
         lasts = np.cumsum(counts) - 1
         firsts = lasts - counts + 1
         kernel_chunks.append(int((lasts // quad._CHUNK - firsts // quad._CHUNK + 1).sum()))
-        return counting(gk_batch, "gk")(pes, groups, job, lo, hi)
+        return counting(gk_batch, "gk")(groups, job, lo, hi)
 
     def counting_evaluate(*args):
         if phase:

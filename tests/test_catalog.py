@@ -347,9 +347,8 @@ class TestKernelBatch:
             mp.setattr(quad, "_evaluate", lambda kernel, x, *rest: calls.append(
                 (x, evaluate(kernel, x, *rest))) or calls[-1][1])
             with np.errstate(all="ignore"):
-                pes = [quad._Job(f) for f in fs]
-                groups = quad._member_groups([(pe.f.eval, pe.f.args) for pe in pes])
-                quad._gk_batch(pes, groups, job, lo, hi)
+                groups = quad._member_groups([(f.eval, f.args) for f in fs])
+                quad._gk_batch(groups, job, lo, hi)
         assert len(calls) == 2
         assert max(x.size for x, _ in calls) <= quad._MAX_ABSCISSAE
         x = np.concatenate([x for x, _ in calls])

@@ -292,7 +292,7 @@ class TestDecay:
             return np.exp(-lam * x) * np.cos(omega * x)
 
         spec = _decay_spec(lam, osc_hint=omega)
-        engine = quad._decay(quad._Job(Integrand(eval=amplitude)), spec, tol)
+        engine = quad._decay(spec, tol)
         _, probes = next(engine)
         _, [_, (lo, hi, *_)] = engine.send(amplitude(probes))
         engine.close()
@@ -321,8 +321,7 @@ class TestDecay:
     def test_probes_are_dropped_once_read(self):
         # an engine's frame lives until its job ends, so past its probe
         # request it keeps no array of probes or amplitudes
-        engine = quad._decay(quad._Job(Integrand(eval=lambda x: np.exp(-x))),
-                             _decay_spec(1.0), 1e-10)
+        engine = quad._decay(_decay_spec(1.0), 1e-10)
         kind, probes = next(engine)
         assert kind == quad._POINTS
         kind, _ = engine.send(np.exp(-probes))
@@ -464,18 +463,25 @@ def _counting(f):
     return Integrand(eval=ev), calls
 
 
+def _gk_results(jobs, intervals):
+    """_adaptive_gk_many on each job's intervals, each answer a QuadResult
+    with its job's evaluations."""
+    with np.errstate(all="ignore"):
+        out = quad._adaptive_gk_many(list(zip(jobs, intervals)))
+    return [[quad.QuadResult(value, error, job.used, status) for value, error, status in rs]
+            for job, rs in zip(jobs, out)]
+
+
 def _one_owner(f, interval):
     g, calls = _counting(f)
-    with np.errstate(all="ignore"):
-        [[r]] = quad._adaptive_gk_many([(quad._Job(g), [interval])])
+    [[r]] = _gk_results([quad._Job(g)], [[interval]])
     return r, len(calls)
 
 
 def _many(f, intervals):
     # intervals as _adaptive_gk_many takes them: (a, b, tol, panel_width)
     g, calls = _counting(f)
-    with np.errstate(all="ignore"):
-        [out] = quad._adaptive_gk_many([(quad._Job(g), intervals)])
+    [out] = _gk_results([quad._Job(g)], [intervals])
     return out, calls
 
 
@@ -537,9 +543,8 @@ class TestManyIntervals:
         for k, a in ((0, 0.0), (2, 4.0)):
             lo, hi, _ = quad._initial_panels([(a, a + 1.0, 0.0, width)])
             with np.errstate(all="ignore"):
-                pe = quad._Job(f)
                 groups = quad._member_groups([(f.eval, f.args)])
-                _, errs, _ = quad._gk_batch([pe], groups, np.zeros(3, dtype=int), lo, hi)
+                _, errs, _ = quad._gk_batch(groups, np.zeros(3, dtype=int), lo, hi)
             largest[k] = (lo[np.argmax(errs)], hi[np.argmax(errs)])
             tols[k] = 8.0 * errs.max()  # share tol / 6 is above every panel
         intervals = [(0.0, 1.0, tols[0], width), (2.0, 3.0, 1e-11, 0.0),
@@ -933,9 +938,7 @@ class TestKernelChunks:
         def run(ks):
             # 4096 panels per interval from round 0 on
             pes = [quad._Job(Integrand(eval=kernel, args=(k,))) for k in ks]
-            with np.errstate(all="ignore"):
-                return quad._adaptive_gk_many([(pe, [(0.0, 4096.0, 1e-6, 1.0)])
-                                               for pe in pes])
+            return _gk_results(pes, [[(0.0, 4096.0, 1e-6, 1.0)]] * len(pes))
 
         ks = (1000.5 + 1.0 / 3.0, 3000.25 + 1.0 / 7.0)  # kinks off the grid
         batch = run(ks)
