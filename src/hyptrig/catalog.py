@@ -433,7 +433,7 @@ def _e41211_factory(pp):
     # sin ax - sin bx = 2 cos((a+b)x/2) sin((a-b)x/2): the 4.122.1 kernel
     a, b, beta = pp["a"], pp["b"], pp["beta"]
     return (Integrand(eval=_e41221_kernel, args=(2.0, 0.5 * (a + b), 0.5 * (a - b), beta)),
-            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(a, b)))
+            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(abs(a), abs(b))))
 
 
 def _e41211_closed(pp):
@@ -471,7 +471,7 @@ def _e41212_kernel(x, half_sum, half_diff, beta):
 def _e41212_factory(pp):
     a, b, beta = pp["a"], pp["b"], pp["beta"]
     return (Integrand(eval=_e41212_kernel, args=(0.5 * (a + b), 0.5 * (b - a), beta)),
-            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(a, b)))
+            IntervalSpec(0.0, decay_hint=beta, osc_hint=max(abs(a), abs(b))))
 
 
 _register(EntryDescriptor(
@@ -487,7 +487,7 @@ _register(EntryDescriptor(
 def _e41221_factory(pp):
     beta, gamma, delta = pp["beta"], pp["gamma"], pp["delta"]
     return (Integrand(eval=_e41221_kernel, args=(1.0, beta, gamma, delta)),
-            IntervalSpec(0.0, decay_hint=delta, osc_hint=beta + gamma))
+            IntervalSpec(0.0, decay_hint=delta, osc_hint=abs(beta) + gamma))
 
 
 def _e41221_sample(rng, i):

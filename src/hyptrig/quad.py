@@ -795,10 +795,11 @@ def _engine(spec: IntervalSpec):
     [lower, upper] with no hint set; on [lower, inf), _decay when
     decay_hint > 0, else _oscillatory when osc_hint > 0.  Anything else
     raises DomainError: a non-finite lower, upper <= lower, a nan bound,
-    a hint on a finite interval (tanh-sinh reads none), a negative or nan
-    decay_hint, or [lower, inf) with neither hint."""
+    a hint that is not finite and >= 0, a hint on a finite interval
+    (tanh-sinh reads none), or [lower, inf) with neither hint."""
     a, b, lam = spec.lower, spec.upper, spec.decay_hint
-    if math.isfinite(a) and a < b:
+    hints = 0.0 <= lam < math.inf and 0.0 <= spec.osc_hint < math.inf
+    if math.isfinite(a) and a < b and hints:
         if b < math.inf and not (lam or spec.osc_hint or spec.lower_singular):
             return _endpoint
         if b == math.inf and lam > 0.0:

@@ -18,7 +18,7 @@ from hyptrig.catalog import (closed_form, integrand, list_entries, get_entry,
                              lemma5_lhs, lemma5_rhs, rhs_4_123_5, cf_3_532_1,
                              cf_4_124_1_ext, lemniscatic_period)
 from hyptrig.quad import integrate, Integrand
-from hyptrig.auditor import sample_params
+from hyptrig.auditor import PASS, sample_params, verify_point
 from hyptrig import quad
 from hyptrig import specfun as sf
 
@@ -287,6 +287,20 @@ class TestIntegrandMetadata:
             assert spec.lower_singular == (not float(power(value)).is_integer()), pp
         # C1 is L1 at p = 2: weight x, on Gauss-Kronrod
         assert not integrand("C1", {"a": 1.0, "b": 0.5})[1].lower_singular
+
+    @pytest.mark.parametrize("entry_id, params, top", [
+        ("4.121.1", {"a": -1.0, "b": -4.0, "beta": 0.5}, 4.0),
+        ("4.121.2", {"a": -1.0, "b": -4.0, "beta": 0.5}, 4.0),
+        ("4.121.2", {"a": 3.0, "b": -0.5, "beta": 1.0}, 3.0),
+        ("4.122.1", {"beta": -0.5, "gamma": 1.0, "delta": 1.0}, 1.5),
+        ("4.122.1", {"beta": -3.0, "gamma": 1.0, "delta": 0.5}, 4.0)])
+    def test_osc_hint_is_the_top_frequency_at_negative_points(self, entry_id, params, top):
+        # sin ax - sin bx and cos ax - cos bx oscillate at |a| and |b|,
+        # cos(beta x) sin(gamma x) at |beta| + gamma and |gamma - |beta||
+        _, spec = integrand(entry_id, params)
+        assert spec.osc_hint == top
+        [record] = verify_point(entry_id, params, 1e-9)
+        assert record.verdict == PASS
 
     def test_41241_shape(self):
         f, spec = integrand("4.124.1", {"p": 2.0, "q": 1.0, "u": 1.0})

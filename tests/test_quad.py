@@ -1053,6 +1053,24 @@ class TestDispatch:
                      {"osc_hint": -1.0}, {"osc_hint": math.nan}):
             with pytest.raises(DomainError):
                 IntervalSpec(0.0, **hint)
+        # every hint is finite and >= 0, on whichever engine it would ride:
+        # an infinite frequency made zero-width half-periods (value 0,
+        # converged), an infinite rate a divergent decay job, and a nan or
+        # negative frequency on a decay interval was dropped
+        bad = (-1.0, -math.inf, math.inf, math.nan)
+        for value in bad:
+            for hint in ({"osc_hint": value}, {"decay_hint": value},
+                         {"decay_hint": 1.0, "osc_hint": value},
+                         {"decay_hint": value, "osc_hint": 1.0},
+                         {"decay_hint": 1.0, "osc_hint": value, "lower_singular": True}):
+                for upper in (math.inf, 1.0):
+                    with pytest.raises(DomainError, match="no engine"):
+                        IntervalSpec(0.0, upper, **hint)
+        f = Integrand(eval=lambda x: np.exp(-x) * np.cos(x))
+        with pytest.raises(DomainError):
+            integrate(f, IntervalSpec(0.0, osc_hint=math.inf), 1e-10)
+        assert integrate(f, IntervalSpec(0.0, decay_hint=1.0, osc_hint=1.0),
+                         1e-10).value == pytest.approx(0.5, abs=1e-10)
 
     def test_tol_must_be_finite_and_positive(self):
         good = (Integrand(eval=lambda x: np.exp(-x)), _decay_spec(1.0), 1e-10)
