@@ -337,10 +337,13 @@ def report_to_json(report: AuditReport) -> str:
 
 
 def save_report(report: AuditReport, path: str) -> None:
-    """Write the report to path, record by record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_report_chunks(report))
-        fh.write("\n")
+    """Write the report to path, record by record; DomainError if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_report_chunks(report))
+            fh.write("\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write report {path!r}: {exc}") from None
 
 
 def format_table(report: AuditReport) -> str:

@@ -213,6 +213,20 @@ class TestInvalidSettings:
             assert capsys.readouterr().err == (
                 "invalid arguments: 4.122.2: overflows a double at {'a': 1e+300, 'beta': 0.5}\n")
 
+    def test_report_path_is_a_directory(self, tmp_path, capsys):
+        assert run(["audit", "--samples", "1", "--entries", "4.119",
+                    "--report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid arguments: cannot write report {str(tmp_path)!r}")
+
+    def test_report_dir_missing(self, tmp_path, capsys, monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("HYPTRIG_REPORT_DIR", str(missing))
+        assert run(["audit", "--samples", "1", "--entries", "HW1",
+                    "--report", "r.json"]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_verify_tol_above_one(self, capsys):
         _rejected(["verify", "4.119", "--param", "p=1", "--param", "q=1",
                    "--tol", "5"], capsys)
