@@ -797,14 +797,13 @@ def _engine(spec: IntervalSpec):
     raises DomainError: a non-finite lower, upper <= lower, a nan bound,
     a hint that is not finite and >= 0, a hint on a finite interval
     (tanh-sinh reads none), or [lower, inf) with neither hint."""
-    a, b, lam = spec.lower, spec.upper, spec.decay_hint
-    hints = 0.0 <= lam < math.inf and 0.0 <= spec.osc_hint < math.inf
-    if math.isfinite(a) and a < b and hints:
-        if b < math.inf and not (lam or spec.osc_hint or spec.lower_singular):
+    a, b, lam, omega = spec.lower, spec.upper, spec.decay_hint, spec.osc_hint
+    if math.isfinite(a) and a < b and 0.0 <= lam < math.inf and 0.0 <= omega < math.inf:
+        if b < math.inf and not (lam or omega or spec.lower_singular):
             return _endpoint
         if b == math.inf and lam > 0.0:
             return _decay
-        if b == math.inf and lam == 0.0 and spec.osc_hint > 0.0:
+        if b == math.inf and lam == 0.0 and omega > 0.0:
             return _oscillatory
     raise DomainError(f"no engine integrates {spec}")
 
