@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -43,6 +44,12 @@ def _check_pass_tol(pass_tol: float) -> None:
         raise DomainError("pass_tol must lie in (0, 1)")
 
 
+def _check_samples(samples) -> None:
+    """The one check of a sample count, for the audit and sample_params."""
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
+
+
 @dataclass
 class AuditConfig:
     samples: int = 25
@@ -51,9 +58,10 @@ class AuditConfig:
     entries: Optional[List[str]] = None  # None = every entry
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        _check_samples(self.samples)
         _check_pass_tol(self.pass_tol)
+        if isinstance(self.entries, str):
+            raise DomainError(f"entries must be a list of entry ids, not {self.entries!r}")
 
 
 @dataclass
@@ -86,8 +94,7 @@ class AuditReport:
 
 def _draw_points(entry: EntryDescriptor, n: int, seed: int) -> List[Tuple[ParamPoint, Optional[float]]]:
     """sample_params's points, each with the closed form its draw computed, if any."""
-    if n < 1:
-        raise DomainError("sample_params needs n >= 1")
+    _check_samples(n)
     if not entry.param_names:
         return [({}, None)]
     rng = random.Random(f"{seed}|{entry.id}")

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hyptrig.errors import DomainError, UnknownEntryError
@@ -260,6 +261,20 @@ class TestAuditAll:
             AuditConfig(samples=0)
         with pytest.raises(DomainError):
             AuditConfig(pass_tol=2.0)
+        # a sample count is an integer, for the audit and sample_params
+        # alike, with or without parameters to draw
+        for samples in (2.5, math.nan, math.inf, 1.0, "3", None, 0, -2):
+            with pytest.raises(DomainError, match="samples must be an integer >= 1"):
+                AuditConfig(samples=samples)
+            for entry_id in ("4.119", "HW1"):
+                with pytest.raises(DomainError, match="samples must be an integer >= 1"):
+                    sample_params(catalog.get_entry(entry_id), samples, 0)
+        assert AuditConfig(samples=np.int64(3)).samples == 3
+        assert len(sample_params(catalog.get_entry("4.119"), np.int64(2), 0)) == 2
+        # entries is a list of ids: a bare string is not read as its letters
+        with pytest.raises(DomainError, match="entries must be a list of entry ids"):
+            AuditConfig(entries="4.119")
+        assert AuditConfig(entries=["4.119"]).entries == ["4.119"]
 
 
 def _per_point(records, pass_tol):
