@@ -26,18 +26,21 @@ each kernel once per run of its rows in a chunk of at most
 _MAX_ABSCISSAE abscissae, with each arg a column of per-row values
 (Shampine's vectorised quadgk, carried over to parameters).
 
-Each kind has one engine, a generator that yields its requests, each a
-kind and a list of items: Gauss-Kronrod intervals (a, b, tol,
-panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which it
-wants the integrand's values (the decay probes); it is sent the answers
-back.  integrate_many runs many integrals (jobs) at once by answering
-the pending requests of every job together, one call of
-_adaptive_gk_many, _tanh_sinh_many or _points_many per kind; the audit
-makes one integrate_many call for all its points, so a round can hold
-tens of thousands of panels, and each chunk is reduced before the next
-is built, so a kernel call's temporaries stay bounded.  integrate is its
-one-job call; the two are the public entry points.  A job keeps its own
-evaluation count and effort cap, and every node value and sum is
+Each kind has one engine, a generator engine(spec, tol) that yields its
+requests, each a kind and a list of items: Gauss-Kronrod intervals (a, b,
+tol, panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which
+it wants the integrand's values (the decay probes); it is sent the
+answers back, (value, error, status) per interval, and returns its own.
+integrate_many runs many integrals (jobs) at once by answering the
+pending requests of every job together, one call of _adaptive_gk_many,
+_tanh_sinh_many or _points_many per kind; the audit makes one
+integrate_many call for all its points, so a round can hold tens of
+thousands of panels, and each chunk is reduced before the next is built,
+so a kernel call's temporaries stay bounded.  integrate is its one-job
+call; the two are the public entry points.  A job's _Job is the one
+ledger of its evaluations: the solvers charge it (_Job.spend) against
+its own effort cap, and integrate_many builds the job's QuadResult from
+its engine's answer and that count.  Every node value and sum is
 independent of the other rows in the batch, so a job's result is bit for
 bit its result alone.  No integrand is evaluated one integral at a time.
 The oscillatory engine asks for its half-periods 1-13, then blocks of 4;
@@ -132,15 +135,15 @@ def _evaluate(kernel: Callable[..., np.ndarray], x: np.ndarray, args: Sequence) 
 
 
 class _Job:
-    """One integral (job): its Integrand and evaluations against MAX_EVALUATIONS."""
+    """One integral (job): its Integrand, and the one ledger of its evaluations."""
 
     def __init__(self, f: Integrand):
         self.f = f
         self.used = 0
 
     def spend(self, n: int) -> bool:
-        """Count n evaluations if they stay within the cap; else count
-        nothing and return False."""
+        """Count n evaluations if they stay within MAX_EVALUATIONS; else
+        count nothing and return False.  Nothing else adds to used."""
         if self.used + n > MAX_EVALUATIONS:
             return False
         self.used += n
@@ -608,10 +611,8 @@ _TANH_SINH = "tanh_sinh"
 _POINTS = "points"
 
 
-# The engines, one per kind of integral (_engine picks it).  Each is a
-# generator engine(spec, tol): it yields (kind, request) pairs, is sent
-# back each request's answer, and returns the integral's (value, error,
-# status); integrate_many counts its evaluations and builds its QuadResult.
+# The engines, one per kind of integral (_engine picks it): each yields
+# (kind, request) pairs and returns the integral's (value, error, status).
 
 
 def _endpoint(spec: IntervalSpec, tol: float):
@@ -646,9 +647,7 @@ def _decay(spec: IntervalSpec, tol: float):
     del probes, amp  # the frame lives until the job ends
     if not math.isfinite(c):
         return math.nan, math.inf, STATUS_DIVERGENT
-    c = max(c, tol)
-    t_len = math.log(10.0 * c / (tol * lam)) / lam
-    t_len = max(t_len, 8.0 / lam)
+    t_len = max(math.log(10.0 * max(c, tol) / (tol * lam)) / lam, 8.0 / lam)
     width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
     block_width = 4.0 * width
 
