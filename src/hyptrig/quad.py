@@ -30,19 +30,18 @@ Each kind has one engine, a generator engine(spec, tol) that yields its
 requests, each a kind and a list of items: Gauss-Kronrod intervals (a, b,
 tol, panel_width), tanh-sinh intervals (a, b, tol), or abscissae at which
 it wants the integrand's values (the decay probes); it is sent the
-answers back, (value, error, status) per interval, and returns its own.
-integrate_many runs many integrals (jobs) at once by answering the
-pending requests of every job together, one call of _adaptive_gk_many,
-_tanh_sinh_many or _points_many per kind; the audit makes one
-integrate_many call for all its points, so a round can hold tens of
-thousands of panels, and each chunk is reduced before the next is built,
-so a kernel call's temporaries stay bounded.  integrate is its one-job
-call; the two are the public entry points.  A job's _Job is the one
-ledger of its evaluations: the solvers charge it (_Job.spend) against
-its own effort cap, and integrate_many builds the job's QuadResult from
-its engine's answer and that count.  Every node value and sum is
-independent of the other rows in the batch, so a job's result is bit for
-bit its result alone.  No integrand is evaluated one integral at a time.
+answers back and returns (value, error, status).  integrate_many runs
+many integrals (jobs) at once by answering the pending requests of every
+job together, one call of _adaptive_gk_many, _tanh_sinh_many or
+_points_many per kind; the audit makes one integrate_many call for all
+its points, so a round can hold tens of thousands of panels, and each
+chunk is reduced before the next is built, so a kernel call's
+temporaries stay bounded.  integrate is its one-job call; the two are
+the public entry points.  A job keeps its own evaluation count and
+effort cap in one ledger (_Job.spend), from which integrate_many builds
+its QuadResult, and every node value and sum is independent of the
+other rows in the batch, so a job's result is bit for bit its result
+alone.  No integrand is evaluated one integral at a time.
 The oscillatory engine asks for its half-periods 1-13, then blocks of 4;
 the decay engine for its main range together with the first
 confirmation block.  The cost of an engine call is mostly Python
@@ -367,7 +366,7 @@ def _adaptive_gk_many(requests: Sequence[tuple]) -> list:
     rounds = 0
     while True:
         need = len(_XK) * np.bincount(owner_job[new_owner], minlength=len(pes))
-        spent = np.array([pe.spend(n) for pe, n in zip(pes, need.tolist())], dtype=bool)
+        spent = np.array([n == 0 or pe.spend(n) for pe, n in zip(pes, need.tolist())], dtype=bool)
         capped = ~spent[owner_job] & (tols > -math.inf)
         if np.count_nonzero(capped):
             for i in np.flatnonzero(capped):
@@ -647,7 +646,9 @@ def _decay(spec: IntervalSpec, tol: float):
     del probes, amp  # the frame lives until the job ends
     if not math.isfinite(c):
         return math.nan, math.inf, STATUS_DIVERGENT
-    t_len = max(math.log(10.0 * max(c, tol) / (tol * lam)) / lam, 8.0 / lam)
+    c = max(c, tol)
+    t_len = math.log(10.0 * c / (tol * lam)) / lam
+    t_len = max(t_len, 8.0 / lam)
     width = math.pi / spec.osc_hint if spec.osc_hint > 0.0 else 0.0
     block_width = 4.0 * width
 
