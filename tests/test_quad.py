@@ -1054,11 +1054,9 @@ class TestDispatch:
             with pytest.raises(DomainError):
                 IntervalSpec(0.0, **hint)
         # every hint is finite and >= 0, on whichever engine it would ride:
-        # an infinite frequency made zero-width half-periods (value 0,
-        # converged), an infinite rate a divergent decay job, and a nan or
-        # negative frequency on a decay interval was dropped
-        bad = (-1.0, -math.inf, math.inf, math.nan)
-        for value in bad:
+        # an infinite frequency would give zero-width half-periods, and the
+        # decay engine reads no nan or negative frequency
+        for value in (-1.0, -math.inf, math.inf, math.nan):
             for hint in ({"osc_hint": value}, {"decay_hint": value},
                          {"decay_hint": 1.0, "osc_hint": value},
                          {"decay_hint": value, "osc_hint": 1.0},
