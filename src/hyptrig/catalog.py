@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -1028,7 +1029,9 @@ def cf_3_532_1(n: float, a: float, b: float, convention: str) -> float:
     geometric-expansion derivation forces.  printed: Gamma(2n+1)/(a+b)
     sum r^m/(2m+1)^(n+1), the final displayed line of the same derivation,
     which drops the alternation and doubles the Gamma argument.
-    r = (a-b)/(a+b).
+    r = (a-b)/(a+b).  Summed until |r|^m falls below 1e-17 of the sum times
+    the next denominator; DomainError when that takes more than 200,000
+    terms (|r| near 1, as at b/a = 1e-8), rather than a truncated sum.
     """
     if convention not in ("printed", "derived"):
         raise DomainError("convention must be 'printed' or 'derived'")
@@ -1039,19 +1042,24 @@ def cf_3_532_1(n: float, a: float, b: float, convention: str) -> float:
     r = (a - b) / (a + b)
     if abs(r) >= 1.0:
         raise DomainError("cf_3_532_1: series divergent at |r| >= 1")
-    alternate = convention == "derived"
+    # the derived series alternates: its ratio is -r, and a negation is exact
+    ratio = -r if convention == "derived" else r
     total = 0.0
-    rm = 1.0
+    rm = 1.0  # ratio^m
+    power = 1.0  # (2m + 1)^(n + 1), the denominator of term m
     m = 0
     while True:
-        term = rm / (2.0 * m + 1.0) ** (n + 1.0)
-        if alternate and m % 2 == 1:
-            term = -term
-        total += term
+        total += rm / power
         m += 1
-        rm *= r
-        if abs(rm) < 1e-17 * max(1.0, abs(total)) * (2.0 * m + 1.0) ** (n + 1.0) or m > 200_000:
+        rm *= ratio
+        power = (2.0 * m + 1.0) ** (n + 1.0)
+        size = abs(total)
+        # |rm| < 1e-17 max(1, |total|) power, without the call to max
+        if abs(rm) < 1e-17 * (size if size > 1.0 else 1.0) * power:
             break
+        if m > 200_000:
+            raise DomainError(f"cf_3_532_1: series not converged in 200000 terms "
+                              f"at n={n!r}, a={a!r}, b={b!r}")
     if convention == "derived":
         return 2.0 * sf.gamma(n + 1.0).value / (a + b) * total
     return sf.gamma(2.0 * n + 1.0).value / (a + b) * total
@@ -1171,12 +1179,28 @@ for _eid, _kernel, _cf, _note in (
 # identity helpers used by the property suite
 
 def lemma5_lhs(z: float, a: float, n_terms: int) -> float:
-    """Truncated sum z^n zeta(2n, a)/n, convergent for 0 < z < a^2."""
+    """The sum of z^n zeta(2n, a)/n over n = 1..n_terms, for 0 < z < a^2.
+
+    Lemma 5's left side, truncated.  The terms are positive and decrease
+    (term n + 1 over term n is at most (z/a^2) n/(n + 1) < 1), so the sum
+    stops at the first term that leaves the total unchanged: rounding is
+    monotone, so no later term could change it either, and the result is
+    the n_terms-term sum bit for bit.  n_terms must be an integer >= 1.
+    """
     if not (0.0 < z < a * a):
         raise DomainError("lemma5 requires 0 < z < a^2")
+    try:
+        count = operator.index(n_terms)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"lemma5 needs an integer n_terms >= 1, got {n_terms!r}")
     total = 0.0
-    for n in range(1, n_terms + 1):
-        total += z ** n / n * sf.hurwitz_zeta(2.0 * n, a).value
+    for n in range(1, count + 1):
+        term = z ** n / n * sf.hurwitz_zeta(2.0 * n, a).value
+        if total + term == total:
+            break
+        total += term
     return total
 
 

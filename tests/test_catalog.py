@@ -4,6 +4,7 @@ annotations, the helper identities, and the cross-entry relations."""
 import dataclasses
 import math
 import operator
+import random
 import sys
 
 import mpmath
@@ -621,6 +622,33 @@ class TestLemma5:
         with pytest.raises(DomainError):
             lemma5_rhs(1.0, 1.0)
 
+    def test_n_terms_is_an_integer_from_one(self):
+        for bad in (2.5, math.nan, 0, -3, 3.0, "3", None):
+            with pytest.raises(DomainError, match="n_terms"):
+                lemma5_lhs(0.5, 2.0, bad)
+        assert lemma5_lhs(0.5, 2.0, np.int64(1)) == 0.5 * sf.hurwitz_zeta(2.0, 2.0).value
+
+    @staticmethod
+    def _full_sum(z, a, n_terms):
+        total = 0.0
+        for n in range(1, n_terms + 1):
+            total += z ** n / n * sf.hurwitz_zeta(2.0 * n, a).value
+        return total
+
+    def test_stop_keeps_the_full_sum_bit_for_bit(self):
+        # the closed-forms benchmark's draw, random.Random(f"lemma5|{seed}"):
+        # 0.5 < a < 3 and z/a^2 in (0.05, 0.5), 60 terms
+        for seed in range(60):
+            rng = random.Random(f"lemma5|{seed}")
+            for _ in range(20):
+                a = rng.uniform(0.5, 3.0)
+                z = rng.uniform(0.05, 0.5) * a * a
+                assert lemma5_lhs(z, a, 60).hex() == self._full_sum(z, a, 60).hex(), (z, a)
+        # near the edge of convergence the terms shrink slowly
+        for a in (0.5, 1.0, 2.0):
+            z = 0.99 * a * a
+            assert lemma5_lhs(z, a, 250).hex() == self._full_sum(z, a, 250).hex(), a
+
 
 class TestRhs41235:
     def test_large_a_dominant_term(self):
@@ -680,6 +708,16 @@ class TestCf35321:
         # at r = 0: Gamma(2n+1)/(2 Gamma(n+1)), exactly 6 for n = 2
         ratio = cf_3_532_1(2.0, 1.0, 1.0, "printed") / cf_3_532_1(2.0, 1.0, 1.0, "derived")
         assert ratio == pytest.approx(6.0, rel=1e-12)
+
+    def test_term_cap_is_a_domain_error(self):
+        # r = (1 - 1e-8)/(1 + 1e-8): the cap used to stop the sum at
+        # 1.5707988068, 1.6e-6 below pi/2, and the printed form 4.8% off at b = 1e-6
+        with pytest.raises(DomainError, match="not converged in 200000 terms"):
+            cf_3_532_1(0.0, 1.0, 1e-8, "derived")
+        with pytest.raises(DomainError, match="not converged"):
+            cf_3_532_1(0.0, 1.0, 1e-6, "printed")
+        with pytest.raises(DomainError, match="not converged"):
+            closed_form("3.532.1", {"n": 0.0, "a": 1.0, "b": 1e-8})
 
     def test_validation(self):
         with pytest.raises(DomainError):

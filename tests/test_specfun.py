@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyptrig import catalog, specfun
+from hyptrig import catalog, quad, specfun
 from hyptrig.errors import DomainError
 from hyptrig.specfun import (gamma, log_gamma, hurwitz_zeta, dirichlet_beta,
                              dirichlet_eta, bessel_j, theta1_prime0)
@@ -274,7 +274,7 @@ class TestAgainstMpmath:
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(s=st.one_of(_log_uniform(1e-3, 100.0), st.floats(0.0, 100.0)))
-    @example(s=1.25)  # the last point of the Euler-accelerated series
+    @example(s=1.25)  # the last point of the CRVZ-accelerated series
     def test_dirichlet_eta(self, s):
         with mpmath.workdps(40):
             _assert_within_estimate(dirichlet_eta(s), mpmath.altzeta(s))
@@ -333,8 +333,9 @@ class TestHurwitzCounts:
     """One Euler-Maclaurin sum per call, and a few terms in it."""
 
     def test_lemma5(self, em_lengths):
+        # the sum stops at its first term that leaves it unchanged
         catalog.lemma5_lhs(0.5, 2.0, 60)
-        assert len(em_lengths) == 60
+        assert len(em_lengths) == 17
         assert sum(em_lengths) <= 300
 
     def test_seed17_audit(self, full_audit):
@@ -462,6 +463,31 @@ class TestDirichletEta:
         below = dirichlet_eta(1.2499).value
         above = dirichlet_eta(1.2501).value
         assert abs(below - above) < 1e-4
+
+
+class TestAlternatingSeries:
+    """eta on [0, 1.25] and beta on (0, 1], the CRVZ sums of 22 terms."""
+
+    GRID = (0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999,
+            1.0, 1.1, 1.2, 1.25)
+
+    def test_eta_against_altzeta(self):
+        assert dirichlet_eta(0.0).value == 0.5
+        with mpmath.workdps(40):
+            for s in self.GRID:
+                ref = mpmath.altzeta(s)
+                assert abs(dirichlet_eta(s).value - ref) <= 2.5e-15 * abs(ref), s
+
+    def test_beta_against_dirichlet(self):
+        with mpmath.workdps(40):
+            for p in self.GRID[1:12]:
+                ref = mpmath.dirichlet(p, [0, 1, 0, -1])
+                assert abs(dirichlet_beta(p).value - ref) <= 2.5e-15 * abs(ref), p
+
+    def test_crvz_of_the_first_22_terms(self):
+        terms = [(-1.0) ** k / (2 * k + 1) ** 0.5 for k in range(22)]
+        assert dirichlet_beta(0.5).value == quad._crvz(terms)
+        assert dirichlet_beta(0.5).est_rel_error == 1e-14
 
 
 class TestBesselJ:
