@@ -126,12 +126,23 @@ def _cmd_verify(args) -> int:
     return 1 if any(rec.unexpected for rec in records) else 0
 
 
+def _check_report_path(path: str) -> None:
+    """DomainError, before the audit runs, when path names a directory or
+    lies in a directory that does not exist; creates nothing."""
+    if os.path.isdir(path):
+        raise DomainError(f"cannot write report {path!r}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise DomainError(f"cannot write report {path!r}: no directory {parent!r}")
+
+
 def _cmd_audit(args) -> int:
     values = _read_config_file(args.config) if args.config else {}
     values.update(_given(args))
     # os.path.join keeps an absolute report path as given
     path = os.path.join(os.environ.get("HYPTRIG_REPORT_DIR", ""),
                         values.pop("report_path", "audit_report.json"))
+    _check_report_path(path)
     report = auditor.audit_all(auditor.AuditConfig(**values))
     auditor.save_report(report, path)
     print(auditor.format_table(report))

@@ -5,7 +5,7 @@ import json
 import warnings
 
 from conftest import time_limit
-from hyptrig import catalog, quad
+from hyptrig import auditor, catalog, quad
 from hyptrig.cli import run
 
 # each entry's domain as the table states it
@@ -213,19 +213,33 @@ class TestInvalidSettings:
             assert capsys.readouterr().err == (
                 "invalid arguments: 4.122.2: overflows a double at {'a': 1e+300, 'beta': 0.5}\n")
 
-    def test_report_path_is_a_directory(self, tmp_path, capsys):
+    @staticmethod
+    def _no_audit(monkeypatch):
+        # the report path is checked before any point is integrated
+        def audit_all(config):
+            raise AssertionError("audit_all ran before the report path was checked")
+        monkeypatch.setattr(auditor, "audit_all", audit_all)
+
+    def test_report_path_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        self._no_audit(monkeypatch)
         assert run(["audit", "--samples", "1", "--entries", "4.119",
                     "--report", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"invalid arguments: cannot write report {str(tmp_path)!r}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_dir_missing(self, tmp_path, capsys, monkeypatch):
+        self._no_audit(monkeypatch)
         missing = tmp_path / "missing"
         monkeypatch.setenv("HYPTRIG_REPORT_DIR", str(missing))
         assert run(["audit", "--samples", "1", "--entries", "HW1",
                     "--report", "r.json"]) == 2
         assert "cannot write report" in capsys.readouterr().err
         assert not missing.exists()
+        monkeypatch.delenv("HYPTRIG_REPORT_DIR")
+        assert run(["audit", "--report", str(missing / "r.json")]) == 2
+        assert "no directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_tol_above_one(self, capsys):
         _rejected(["verify", "4.119", "--param", "p=1", "--param", "q=1",
