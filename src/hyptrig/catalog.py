@@ -187,13 +187,15 @@ class EntryDescriptor:
         return [p.predicate for p in self.params if p.predicate] + [r for r, _ in self.relations]
 
     def _draw(self, rng, i: int) -> Iterator[ParamPoint]:
-        """The default sampler: one candidate, each Param's draw in order."""
-        pp: ParamPoint = {}
-        for p in self.params:
-            lo, hi, scale = p.draw
-            x = _log_uniform(rng, lo, hi) if scale == "log" else rng.uniform(lo, hi)
-            pp[p.name] = pp[p.of] * x if p.of else x
-        yield pp
+        """The default sampler: up to 1000 candidates, each Param's draw in
+        order (sample takes the first when accept is unset)."""
+        for _ in range(1000):
+            pp: ParamPoint = {}
+            for p in self.params:
+                lo, hi, scale = p.draw
+                x = _log_uniform(rng, lo, hi) if scale == "log" else rng.uniform(lo, hi)
+                pp[p.name] = pp[p.of] * x if p.of else x
+            yield pp
 
     def sample(self, rng, i: int) -> Tuple[ParamPoint, Optional[float]]:
         """The audit's point i, drawn from rng and validated: the sampler's
@@ -677,6 +679,9 @@ def rhs_4_123_5(a: float, beta: float, gamma: float) -> float:
     poles at i(2k+1 -+ beta)); a hyperbolic prefactor fails verification
     by ~10%.  Gamma must stay at least 0.1 away from every pole
     2k+1 +- beta; violations raise DomainError naming the offending k.
+    The series is summed until a term pair falls below 1e-14 of the sum;
+    DomainError when that takes more than 4001 pairs (small a, where the
+    terms fall like 1/k^2), rather than a truncated sum.
     """
     if not (0.0 < beta < 1.0):
         raise DomainError("rhs_4_123_5: violated 0 < beta < 1")
@@ -698,8 +703,11 @@ def rhs_4_123_5(a: float, beta: float, gamma: float) -> float:
         t2 = math.exp(-(2.0 * k + 1.0 + beta) * a) / (gamma ** 2 - (2.0 * k + 1.0 + beta) ** 2)
         total += t1 - t2
         k += 1
-        if abs(t1) + abs(t2) < 1e-14 * max(1.0, abs(total)) or k > 4000:
+        if abs(t1) + abs(t2) < 1e-14 * max(1.0, abs(total)):
             break
+        if k > 4000:
+            raise DomainError(f"rhs_4_123_5: series not converged in 4001 term pairs "
+                              f"at a={a!r}, beta={beta!r}, gamma={gamma!r}")
     return first + total / math.sin(beta * _PI)
 
 
@@ -848,19 +856,12 @@ def _e41241_closed(pp):
     return 0.5 * _PI * _bessel_i0(math.sqrt(-d) * u)
 
 
-def _e41241_sample(rng, i):
-    for _ in range(1000):
-        yield {"p": _log_uniform(rng, 0.2, 3.0),
-               "q": _log_uniform(rng, 0.2, 3.0),
-               "u": _log_uniform(rng, 0.2, 2.0)}
-
-
 _register(EntryDescriptor(
     id="4.124.1",
-    params=(Param("p"), Param("q"), Param("u")),
+    params=(Param("p", draw=(0.2, 3.0, "log")), Param("q", draw=(0.2, 3.0, "log")),
+            Param("u", draw=(0.2, 2.0, "log"))),
     integrand_factory=_e41241_family(np.divide),
     closed_form=_e41241_closed,
-    sampler=_e41241_sample,
     accept=lambda pp, closed: abs(closed) >= 1e-4,  # J0 has zeros: keep it resolvable
     provenance_note="cos(px) cosh(q sqrt(u^2-x^2))/sqrt(u^2-x^2) on [0,u]; "
                     "q > p continues through (pi/2) I0(sqrt(q^2-p^2) u), the "
@@ -1186,6 +1187,8 @@ def lemma5_lhs(z: float, a: float, n_terms: int) -> float:
     stops at the first term that leaves the total unchanged: rounding is
     monotone, so no later term could change it either, and the result is
     the n_terms-term sum bit for bit.  n_terms must be an integer >= 1.
+    DomainError, naming n, when z^n overflows a double before the stop
+    (z > 1 with z/a^2 near 1).
     """
     if not (0.0 < z < a * a):
         raise DomainError("lemma5 requires 0 < z < a^2")
@@ -1197,7 +1200,12 @@ def lemma5_lhs(z: float, a: float, n_terms: int) -> float:
         raise DomainError(f"lemma5 needs an integer n_terms >= 1, got {n_terms!r}")
     total = 0.0
     for n in range(1, count + 1):
-        term = z ** n / n * sf.hurwitz_zeta(2.0 * n, a).value
+        try:
+            zn = z ** n
+        except OverflowError:
+            raise DomainError(f"lemma5_lhs: z^n overflows a double at n={n}, "
+                              f"z={z!r}, a={a!r}") from None
+        term = zn / n * sf.hurwitz_zeta(2.0 * n, a).value
         if total + term == total:
             break
         total += term

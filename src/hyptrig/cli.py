@@ -5,8 +5,9 @@
     hyptrig verify 4.119 --param p=1 --param q=1
     hyptrig audit --samples 25 --seed 17 --report audit_report.json
 
-Exit codes: 0 on success, 1 when any record's verdict was unexpected, 2
-for usage errors or unknown entries.  HYPTRIG_REPORT_DIR, when set, is the
+An audit's settings are its flags; one not given keeps AuditConfig's default.
+Exit codes: 0 on success, 1 when any record's verdict was unexpected, 2 for
+usage errors or unknown entries.  HYPTRIG_REPORT_DIR, when set, is the
 directory a relative report path is taken in; an absolute one is kept.
 """
 
@@ -39,56 +40,6 @@ def _entry_list(raw: str) -> Optional[List[str]]:
     return [e.strip() for e in raw.split(",")] if raw else None
 
 
-def _path(raw: str) -> Optional[str]:
-    return raw or None
-
-
-# setting -> (flag, converter from text, help); each is a config-file key,
-# the dest of the audit flag that overrides it and, but for report_path, an
-# AuditConfig field.  A converter returning None (an empty entry list or
-# path) leaves the setting as it was.
-_SETTINGS = {
-    "samples": ("--samples", int, None),
-    "seed": ("--seed", int, None),
-    "pass_tol": ("--tol", float, None),
-    "entries": ("--entries", _entry_list, "comma-separated entry ids"),
-    "report_path": ("--report", _path, "report file path"),
-}
-
-
-def _read_config_file(path: str) -> dict:
-    # flat key=value lines; '#' starts a comment
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read config file {path!r}: {exc}") from None
-    out = {}
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line without '=': {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _SETTINGS:
-            raise DomainError(f"unknown config key {key!r}")
-        try:
-            value = _SETTINGS[key][1](raw)
-        except ValueError:
-            raise DomainError(f"config key {key}: bad value {raw!r}") from None
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _given(args) -> dict:
-    """The settings given as flags."""
-    return {key: getattr(args, key) for key in _SETTINGS
-            if getattr(args, key, None) is not None}
-
-
 def _cmd_list(args) -> int:
     print(f"{'entry':<14s} {'flags':<18s} note")
     print("-" * 100)
@@ -113,7 +64,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
-    tol = _given(args).get("pass_tol", auditor.AuditConfig.pass_tol)
+    tol = auditor.AuditConfig.pass_tol if args.pass_tol is None else args.pass_tol
     records = auditor.verify_point(args.entry, params, tol)
     for rec in records:
         tag = f"[{rec.convention}]" if rec.convention else ""
@@ -137,13 +88,13 @@ def _check_report_path(path: str) -> None:
 
 
 def _cmd_audit(args) -> int:
-    values = _read_config_file(args.config) if args.config else {}
-    values.update(_given(args))
     # os.path.join keeps an absolute report path as given
     path = os.path.join(os.environ.get("HYPTRIG_REPORT_DIR", ""),
-                        values.pop("report_path", "audit_report.json"))
+                        args.report or "audit_report.json")
     _check_report_path(path)
-    report = auditor.audit_all(auditor.AuditConfig(**values))
+    given = {key: getattr(args, key) for key in ("samples", "seed", "pass_tol", "entries")
+             if getattr(args, key) is not None}
+    report = auditor.audit_all(auditor.AuditConfig(**given))
     auditor.save_report(report, path)
     print(auditor.format_table(report))
     print(f"report written to {path}")
@@ -171,12 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     p_audit = sub.add_parser("audit", help="run the sampled sweep")
-    for p, keys in ((p_verify, ["pass_tol"]), (p_audit, _SETTINGS)):
-        for key in keys:
-            flag, convert, help_text = _SETTINGS[key]
-            p.add_argument(flag, dest=key, type=convert, help=help_text)
-    p_audit.add_argument("--config", default=None,
-                         help="flat key=value config file")
+    p_audit.add_argument("--samples", type=int)
+    p_audit.add_argument("--seed", type=int)
+    for p in (p_verify, p_audit):
+        p.add_argument("--tol", dest="pass_tol", type=float)
+    p_audit.add_argument("--entries", type=_entry_list,
+                         help="comma-separated entry ids; empty means every entry")
+    p_audit.add_argument("--report", help="report file path, audit_report.json if empty")
     return parser
 
 

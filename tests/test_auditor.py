@@ -66,6 +66,13 @@ class TestSampleParams:
         with pytest.raises(DomainError, match="^4.122.1: empty feasible region$"):
             sample_params(entry, 1, 17)
 
+    def test_params_draw_yields_candidates_until_accept_takes_one(self):
+        # an entry with no sampler of its own redraws from its Params
+        entry = dataclasses.replace(catalog.get_entry("4.119"),
+                                    accept=lambda pp, closed: pp["p"] > 4.0)
+        points = sample_params(entry, 5, 17)
+        assert all(4.0 < pp["p"] < 5.0 for pp in points)
+
     def test_accept_reads_the_closed_form_the_audit_keeps(self):
         # the guard's closed form is the audit's: computed once per candidate
         entry = catalog.get_entry("4.124.1")

@@ -649,6 +649,11 @@ class TestLemma5:
             z = 0.99 * a * a
             assert lemma5_lhs(z, a, 250).hex() == self._full_sum(z, a, 250).hex(), a
 
+    def test_overflow_of_z_to_the_n_is_a_domain_error(self):
+        # the terms shrink too slowly to stop before z^n overflows
+        with pytest.raises(DomainError, match="n=222"):
+            lemma5_lhs(0.99 * 25, 5.0, 250)
+
 
 class TestRhs41235:
     def test_large_a_dominant_term(self):
@@ -676,6 +681,15 @@ class TestRhs41235:
             rhs_4_123_5(1.0, 0.3, 1.3)
         with pytest.raises(DomainError, match="pole"):
             rhs_4_123_5(1.0, 0.3, 0.7)
+
+    def test_series_cut_by_the_term_cap_is_a_domain_error(self):
+        # at small a the terms fall like 1/k^2 and 4001 pairs are too few
+        for a in (1e-5, 1e-3):
+            with pytest.raises(DomainError, match="not converged"):
+                rhs_4_123_5(a, 0.3, 0.5)
+        # the seed-17 audit's smallest a stops on its own
+        assert rhs_4_123_5(0.21016065084945412, 0.7752125261304876,
+                           3.178029068115354).hex() == "0x1.dd4ee2dcaf73cp-4"
 
     def test_explicit_terms(self):
         # the image-pole series summed to 200 terms

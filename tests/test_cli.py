@@ -1,5 +1,5 @@
 """CLI behaviour: commands, exit codes, report files, environment override,
-config files, and output stability."""
+audit settings from flags alone, and output stability."""
 
 import json
 import warnings
@@ -127,25 +127,27 @@ class TestAudit:
         assert code == 0
         assert (tmp_path / "sub.json").exists()
 
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "audit.cfg"
-        cfg.write_text("samples = 2\nseed = 5\npass_tol = 1e-9\n"
-                       "entries = 4.118, L4\n"
-                       f"report_path = {tmp_path / 'out.json'}\n")
-        code = run(["audit", "--config", str(cfg)])
+    def test_flags_echoed_in_report(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        code = run(["audit", "--samples", "2", "--seed", "5", "--tol", "1e-9",
+                    "--entries", "4.118, L4", "--report", str(path)])
         assert code == 0
-        payload = json.loads((tmp_path / "out.json").read_text())
-        assert payload["config"]["seed"] == 5
-        assert sorted(payload["config"]["entries"]) == ["4.118", "L4"]
+        config = json.loads(path.read_text())["config"]
+        assert (config["seed"], config["pass_tol"]) == (5, 1e-9)
+        assert config["entries"] == ["4.118", "L4"]
 
-    def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "audit.cfg"
-        cfg.write_text("samples = 9\n")
-        path = tmp_path / "o.json"
-        code = run(["audit", "--config", str(cfg), "--samples", "1",
-                    "--entries", "HW2", "--report", str(path)])
-        assert code == 0
-        assert json.loads(path.read_text())["config"]["samples"] == 1
+    def test_empty_entries_audits_every_entry(self, tmp_path, capsys):
+        path = tmp_path / "all.json"
+        assert run(["audit", "--samples", "1", "--entries", "", "--report", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        every = sorted(e.id for e in catalog.list_entries())
+        assert payload["config"]["entries"] == every
+        assert sorted({r["entry_id"] for r in payload["records"]}) == every
+
+    def test_empty_report_is_the_default_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HYPTRIG_REPORT_DIR", str(tmp_path))
+        assert run(["audit", "--samples", "1", "--entries", "HW1", "--report", ""]) == 0
+        assert [f.name for f in tmp_path.iterdir()] == ["audit_report.json"]
 
     def test_stable_stdout(self, tmp_path, capsys):
         args = ["audit", "--samples", "2", "--entries", "4.119",
@@ -172,26 +174,19 @@ class TestInvalidSettings:
         _rejected(["audit", "--entries", "HW1", "--tol", "0",
                    "--report", str(tmp_path / "r.json")], capsys)
 
-    def test_config_value_not_a_number(self, tmp_path, capsys):
-        cfg = tmp_path / "audit.cfg"
-        cfg.write_text(f"samples = abc\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
-        _rejected(["audit", "--config", str(cfg)], capsys)
-
-    def test_config_file_missing(self, tmp_path, capsys):
-        _rejected(["audit", "--config", str(tmp_path / "missing.cfg"),
-                   "--report", str(tmp_path / "r.json")], capsys)
+    def test_samples_not_a_number(self, tmp_path, capsys):
+        assert run(["audit", "--samples", "abc", "--entries", "HW1",
+                    "--report", str(tmp_path / "r.json")]) == 2
+        assert "invalid int value" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_config_file_not_utf8(self, tmp_path, capsys):
+    def test_config_file_is_not_an_option(self, tmp_path, capsys):
+        # audit settings come from flags alone
         cfg = tmp_path / "audit.cfg"
-        cfg.write_bytes(b"samples = 3\nentries = HW1\n# \xff\xfe\n")
-        _rejected(["audit", "--config", str(cfg),
-                   "--report", str(tmp_path / "r.json")], capsys)
-
-    def test_config_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "audit.cfg"
-        cfg.write_text(f"sampels = 3\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
-        _rejected(["audit", "--config", str(cfg)], capsys)
+        cfg.write_text(f"samples = 1\nentries = HW1\nreport_path = {tmp_path / 'r.json'}\n")
+        assert run(["audit", "--config", str(cfg)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_verify_point_where_the_closed_form_overflows(self, capsys):
         with time_limit(5.0):
